@@ -13,14 +13,16 @@ two orders of magnitude.
 arithmetic.  Whenever the event queue holds *exactly* the steady-state trio
 (the Slave's window-open and window-close events and the Master's
 connection event) and a conservative eligibility audit passes, the engine
-computes each cycle directly — CSA channel, SN/NESN ARQ bits, SleepClock
-drift/jitter, path-loss shadowing — emitting the *same* trace records,
+computes whole blocks of cycles as numpy arrays — CSA channel, SN/NESN ARQ
+bits, SleepClock drift/jitter, path-loss shadowing — commits the cycles up
+to the first one it cannot replicate, emits the *same* trace records,
 metric increments and RNG stream consumption the reference path would
 produce, then writes the end state back and lets the reference engine
 resume.  Anything it cannot replicate bit-for-bit (pending procedures,
 queued data, an attacker radio in play, a window edge within float
-tolerance of a frame boundary) disengages it *before* any RNG draw, so the
-reference path takes over mid-trial with no divergence.
+tolerance of a frame boundary) disengages it with none of that cycle's
+draws consumed, so the reference path takes over mid-trial with no
+divergence.
 
 Correctness contract (enforced by ``tests/test_engine_differential.py``):
 byte-identical traces and bit-identical results against the reference
@@ -31,8 +33,10 @@ invariants and the full bail-out list.
 from __future__ import annotations
 
 import os
-from collections import deque
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.ll.csa1 import NUM_DATA_CHANNELS
@@ -71,6 +75,9 @@ _VALID_ENGINES = (ENGINE_FAST, ENGINE_REFERENCE)
 _LLID_EMPTY = int(LLID.DATA_CONTINUATION)
 _LLID_CONTROL = int(LLID.CONTROL)
 
+#: (LLID, MD) of an empty data PDU with no more data to follow.
+_EMPTY_DESC = (_LLID_EMPTY, 0)
+
 #: How far below a frame's start the Slave's scheduled-response clamp may
 #: reach (mirrors the ``max(jitter, -4.0)`` clamp in ``slave.py``).
 _RESPONSE_JITTER_FLOOR_US = -4.0
@@ -85,6 +92,31 @@ _LINK_MARGIN_SIGMAS = LINK_MARGIN_SIGMAS
 #: Frames that ended longer ago than this no longer matter for collision
 #: resolution; the medium's recent-window pruning horizon.
 _RECENT_HORIZON_US = RECENT_HORIZON_US
+
+#: Cycles the first block of an engagement speculates; later blocks grow
+#: eightfold up to :data:`_BLOCK_CYCLES`, and every block is cut to the
+#: cycles the horizon and the event budget leave room for.  A block's
+#: fixed cost dwarfs its per-cycle cost, so the first block is sized to
+#: finish a short engagement in one go.  In the §VII grid (perfbench
+#: ``panel3`` and ``campaign``) engagements run 11 to ~4,000 cycles, and
+#: half of them end within 128 cycles: 128 cycles measured cheaper than
+#: 16, 32 or 64 on those, and only ~12 % of engagements (11-48 cycles
+#: long) cost more than a per-cycle loop would.
+_FIRST_BLOCK_CYCLES = 128
+_BLOCK_CYCLES = 1024
+
+#: The error for each post-draw invariant, in the order a cycle checks
+#: them: both frames' received power, the response deadline, and the next
+#: cycle's events firing after the response.
+_FAULTS = (
+    "fast-forward: master frame faded below the slave's sensitivity floor "
+    "despite the engagement margin",
+    "fast-forward: slave frame faded below the master's sensitivity floor "
+    "despite the engagement margin",
+    "fast-forward: slave response would miss the master's response deadline",
+    "fast-forward: next cycle's events would fire before the current "
+    "response completes",
+)
 
 _events_fast_forwarded = 0
 
@@ -150,38 +182,45 @@ class _StreamBuffer:
 
     ``numpy.random.Generator.normal(0, s, n)`` consumes the bit stream
     exactly as ``n`` scalar ``normal(0, s)`` calls do (same values, same
-    end state), so the engine can amortise RNG overhead by drawing blocks —
-    and, on disengage, rewind to the saved state and replay exactly the
-    consumed count so the reference path continues on an identical stream.
+    end state), so the engine can take a whole block of cycles' draws at
+    once, hand back the ones a cut-short block did not use, and on
+    disengage rewind to the saved state and replay exactly the consumed
+    count, so the reference path continues on an identical stream.
     """
 
-    __slots__ = ("_rng", "_sigma", "_block", "_values", "_pos", "_consumed",
+    __slots__ = ("_rng", "_sigma", "_values", "_pos", "_consumed",
                  "_saved_state")
-
-    _BLOCK = 512
 
     def __init__(self, rng, sigma: float):
         self._rng = rng if (sigma > 0.0 and rng is not None) else None
         self._sigma = sigma
-        self._values: list = []
+        self._values: np.ndarray = np.empty(0)
         self._pos = 0
         self._consumed = 0
-        self._saved_state = None
+        self._saved_state: Optional[dict] = None
 
-    def next(self) -> float:
-        """The next draw (0.0, consuming nothing, when sigma is 0)."""
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` draws (zeros, consuming nothing, when sigma is 0)."""
         rng = self._rng
         if rng is None:
-            return 0.0
+            return np.zeros(n)
         if self._saved_state is None:
             self._saved_state = rng.bit_generator.state
-        if self._pos == len(self._values):
-            self._values = rng.normal(0.0, self._sigma, self._BLOCK).tolist()
-            self._pos = 0
-        value = self._values[self._pos]
-        self._pos += 1
-        self._consumed += 1
-        return value
+        pos, values = self._pos, self._values
+        if pos + n > len(values):
+            fresh = rng.normal(0.0, self._sigma, n - (len(values) - pos))
+            values = self._values = np.concatenate((values[pos:], fresh))
+            pos = 0
+        self._pos = pos + n
+        self._consumed += n
+        return values[pos:pos + n]
+
+    def give_back(self, n: int) -> None:
+        """Return the last ``n`` taken draws; the next :meth:`take` sees
+        them again."""
+        if self._rng is not None:
+            self._pos -= n
+            self._consumed -= n
 
     def unwind(self) -> None:
         """Leave the stream exactly where per-call draws would have."""
@@ -192,23 +231,32 @@ class _StreamBuffer:
         if self._consumed:
             rng.normal(0.0, self._sigma, self._consumed)
         self._saved_state = None
-        self._values = []
+        self._values = np.empty(0)
         self._pos = 0
         self._consumed = 0
 
 
+def _take_frame_ids(count: int) -> int:
+    """Consume ``count`` ids from the global frame-id counter; the first."""
+    ids = _signal._frame_ids
+    first = next(ids)
+    if count > 1:
+        next(islice(ids, count - 2, None))
+    return first
+
+
 class QuietCycleEngine:
-    """Closed-form batch execution of quiet Master/Slave poll cycles.
+    """Closed-form block execution of quiet Master/Slave poll cycles.
 
     Installed on a :class:`~repro.sim.simulator.Simulator` via
     :meth:`~repro.sim.simulator.Simulator.install_fast_forward`; the run
     loop consults :meth:`advance` once per iteration.  The engine is
-    default-closed: every condition it cannot prove is a disengage, checked
-    *before* any RNG or frame-id consumption for the cycle in question.
+    default-closed: every condition it cannot prove is a disengage, and the
+    cycle in question consumes no RNG draw or frame id.
     """
 
     __slots__ = ("sim", "medium", "master", "slave", "_pdu_cache",
-                 "_wo_label", "_master_handler")
+                 "_csa1_tables", "_wo_label", "_master_handler")
 
     def __init__(self, sim: Simulator, medium: Medium,
                  master: "MasterLinkLayer", slave: "SlaveLinkLayer"):
@@ -218,6 +266,8 @@ class QuietCycleEngine:
         self.slave = slave
         # (llid, md, sn, nesn, crc_init) -> (pdu_bytes, crc)
         self._pdu_cache: dict = {}
+        # channel map -> CSA#1 unmapped-index table
+        self._csa1_tables: dict = {}
         self._wo_label = f"{slave.name}-window-open"
         self._master_handler = master._connection_event
 
@@ -403,7 +453,7 @@ class QuietCycleEngine:
         return s_sel._map(s_sel._last_unmapped) == sconn.current_channel
 
     # ------------------------------------------------------------------
-    # The batched cycle loop
+    # The block kernel
     # ------------------------------------------------------------------
 
     def _pdu_bytes(self, llid: int, md: int, sn: int, nesn: int,
@@ -417,6 +467,15 @@ class QuietCycleEngine:
             hit = (pdu, compute_crc(pdu, crc_init))
             self._pdu_cache[key] = hit
         return hit
+
+    def _csa1_table(self, selector) -> np.ndarray:
+        """CSA#1 unmapped index -> channel, memoised per channel map."""
+        table = self._csa1_tables.get(selector._channel_map)
+        if table is None:
+            table = np.array([selector._map(unmapped)
+                              for unmapped in range(NUM_DATA_CHANNELS)])
+            self._csa1_tables[selector._channel_map] = table
+        return table
 
     def _run(self, trio, until_us: Optional[float], budget: int) -> int:
         sim, medium, master, slave = self.sim, self.medium, self.master, self.slave
@@ -435,6 +494,36 @@ class QuietCycleEngine:
         # Latest event of a cycle is the Slave response's end, which the
         # deadline invariant bounds below end_m + T_IFS + grace.
         horizon_pad = frame_dur + T_IFS_US + _RESPONSE_GRACE_US
+        period_us = interval_us / rate_m  # block sizing only
+
+        # The state at the start of the next cycle.
+        t_open, t_close, t_master = \
+            ev_open.time_us, ev_close.time_us, ev_master.time_us
+        m_lv = mconn.last_valid_rx_local_us
+        fired = 0
+
+        def bails(t_o, t_m, t_c, end_m, lv, events):
+            """The pre-draw bail-outs of one cycle (floats) or of each cycle
+            of a block (arrays), given the events fired by its end."""
+            stop = (t_o > t_m) | (t_m >= t_c)  # window miss
+            # window edge within float tolerance of the frame end
+            stop = stop | ((end_m - TIME_EPS_US <= t_c) & (t_c <= end_m))
+            stop = stop | (events > budget)
+            if until_us is not None:
+                stop = stop | (t_m + horizon_pad > until_us)
+            # Master supervision would expire: reference path
+            return stop | (t_m * rate_m - lv > timeout_us)
+
+        def next_cycle_bails():
+            """Whether the cycle at the current state bails out; checked
+            before speculating a block, so a stretch too short to run
+            costs no draws."""
+            end_m0 = t_master + frame_dur
+            return bails(t_open, t_master, t_close, end_m0, m_lv,
+                         fired + (7 if t_close < end_m0 else 6))
+
+        if next_cycle_bails():
+            return 0
 
         use_csa2 = mp.use_csa2
         m_sel, s_sel = mconn.selector, sconn.selector
@@ -474,9 +563,8 @@ class QuietCycleEngine:
         s_jitter = _StreamBuffer(slave.clock._rng, slave.clock.jitter_us)
         m_jitter = _StreamBuffer(master.clock._rng, master.clock.jitter_us)
 
+        # The rest of the state at the start of the next cycle.
         event_count = sconn.event_count
-        t_open, t_close, t_master = \
-            ev_open.time_us, ev_close.time_us, ev_master.time_us
         m_ts, m_ne = mconn.transmit_seq_num, mconn.next_expected_seq_num
         s_ts, s_ne = sconn.transmit_seq_num, sconn.next_expected_seq_num
         m_pal = mconn._peer_acked_last
@@ -485,199 +573,234 @@ class QuietCycleEngine:
             int(mconn._last_sent.header.llid), mconn._last_sent.header.md)
         s_desc = None if sconn._last_sent is None else (
             int(sconn._last_sent.header.llid), sconn._last_sent.header.md)
-        m_lv = mconn.last_valid_rx_local_us
         s_lv = sconn.last_valid_rx_local_us
         m_anchor = master._anchor_local
 
         trace = sim.trace
         metrics = medium._metrics
-        next_frame_id = _signal._frame_ids.__next__
-        retained: deque = deque()
-        fired = 0
-        cycles = 0
+        # Frames recent enough to matter for collision resolution.
+        retained: list = []
+        block_cycles = _FIRST_BLOCK_CYCLES
         # Final-cycle snapshots for write-back.
-        last_t_master = last_end_m = last_end_r = 0.0
-        last_anchor_s = 0.0
-        last_channel = 0
-        last_unmapped = 0
+        last_end_m = last_end_r = last_anchor_s = 0.0
+        last_channel = last_unmapped = 0
         last_m_bits = last_s_bits = (0, 0)
 
         while True:
-            # -- pre-draw bail-outs: disengage with zero side effects ----
-            if not (t_open <= t_master < t_close):
-                break
-            end_m = t_master + frame_dur
-            if end_m - TIME_EPS_US <= t_close <= end_m:
-                break  # window edge within float tolerance of the frame end
-            cycle_events = 7 if t_close < end_m else 6
-            if fired + cycle_events > budget:
-                break
-            if until_us is not None and t_master + horizon_pad > until_us:
-                break
-            if t_master * rate_m - m_lv > timeout_us:
-                break  # Master supervision would expire: reference path
+            # -- 1. speculate: a block of cycles the budget and horizon
+            #    leave room for (every cycle fires at least 6 events) -----
+            n = min(block_cycles, (budget - fired) // 6)
+            if until_us is not None:
+                n = min(n, int((until_us - t_master) / period_us) + 2)
+            block_cycles = min(8 * block_cycles, _BLOCK_CYCLES)
 
-            # -- pure ARQ/PDU arithmetic (still reversible) --------------
-            if not m_pal and m_desc is not None:
-                m_llid, m_md = m_desc
-            else:
-                m_llid, m_md = _LLID_EMPTY, 0
-            m_sn, m_nesn = m_ts, m_ne
-            m_desc = (m_llid, m_md)
-            m_bytes, m_crc = self._pdu_bytes(m_llid, m_md, m_sn, m_nesn,
-                                             crc_init)
-            # Slave receives the Master frame (always CRC-valid here).
-            if m_sn == s_ne:
-                s_ne ^= 1
-            if m_nesn != s_ts:
-                s_ts ^= 1
-                s_pal = True
-            else:
-                s_pal = False
-            if not s_pal and s_desc is not None:
-                s_llid, s_md = s_desc
-            else:
-                s_llid, s_md = _LLID_EMPTY, 0
-            s_sn, s_nesn = s_ts, s_ne
-            s_desc = (s_llid, s_md)
-            s_pal = False  # note_sent
-            s_bytes, s_crc = self._pdu_bytes(s_llid, s_md, s_sn, s_nesn,
-                                             crc_init)
-            # Master receives the Slave response.
-            if s_sn == m_ne:
-                m_ne_next = m_ne ^ 1
-            else:
-                m_ne_next = m_ne
-            if s_nesn != m_ts:
-                m_ts_next = m_ts ^ 1
-                m_pal_next = True
-            else:
-                m_ts_next = m_ts
-                m_pal_next = False
+            # -- 2. draw in bulk: slave jitter per cycle is response,
+            #    window-open, window-close; master jitter is the next event
+            s_draws = s_jitter.take(3 * n).reshape(n, 3)
+            m_draws = m_jitter.take(n)
 
-            # -- draws: the cycle is now committed -----------------------
-            frame_id_m = next_frame_id()
-            seq_m = m_seq
-            m_seq += 1
-            loss = mean_m_to_s + ms_shadow.value(seq_m) if draw_shadow \
-                else mean_m_to_s
-            p_slave = m_tx_power - loss
-            if p_slave < floor_s:
-                raise SimulationError(
-                    "fast-forward: master frame faded below the slave's "
-                    "sensitivity floor despite the engagement margin")
-            response_jitter = s_jitter.next()
-            t_response = end_m + T_IFS_US \
-                + max(response_jitter, _RESPONSE_JITTER_FLOOR_US)
-            frame_id_s = next_frame_id()
-            seq_s = s_seq
-            s_seq += 1
-            loss = mean_s_to_m + sm_shadow.value(seq_s) if draw_shadow \
-                else mean_s_to_m
-            p_master = s_tx_power - loss
-            if p_master < floor_m:
-                raise SimulationError(
-                    "fast-forward: slave frame faded below the master's "
-                    "sensitivity floor despite the engagement margin")
-            end_r = t_response + frame_dur
-            deadline = end_m + T_IFS_US + _RESPONSE_GRACE_US
-            if end_r >= deadline:
-                raise SimulationError(
-                    "fast-forward: slave response would miss the master's "
-                    "response deadline")
-            anchor_s = t_master * rate_s
-            s_lv = end_m * rate_s
-            predicted_s = anchor_s + 1 * interval_us
+            # -- 3. every cycle's timing, in the reference's float-op order.
+            #    Cycle i+1 starts at cycle i's unclamped next master event;
+            #    step 4 cuts the block where that assumption fails. -------
+            anchors = np.full(n + 1, interval_us, dtype=np.float64)
+            anchors[0] = m_anchor
+            anchors = np.add.accumulate(anchors)  # sequential, like the loop
+            unclamped = anchors[1:] / rate_m + m_draws
+            t_m = np.empty(n)
+            t_m[0] = t_master
+            t_m[1:] = unclamped[:-1]
+            end_m = t_m + frame_dur
+            t_resp = end_m + T_IFS_US + np.maximum(
+                s_draws[:, 0], _RESPONSE_JITTER_FLOOR_US)
+            end_r = t_resp + frame_dur
+            anchor_s = t_m * rate_s
+            predicted_s = anchor_s + interval_us
             widening = widen_scale * (
                 drift_k * (predicted_s - anchor_s)
                 + WINDOW_WIDENING_CONSTANT_US)
-            next_open = max(
-                (predicted_s - widening) / rate_s + s_jitter.next(),
-                t_response)
-            next_close = max(
-                (predicted_s + widening) / rate_s + s_jitter.next(),
-                t_response)
-            m_lv = end_r * rate_m
-            m_anchor = m_anchor + interval_us
-            next_master = max(m_anchor / rate_m + m_jitter.next(), end_r)
-            if next_open < end_r or next_close < end_r or next_master < end_r:
-                raise SimulationError(
-                    "fast-forward: next cycle's events would fire before "
-                    "the current response completes")
+            next_open = np.maximum(
+                (predicted_s - widening) / rate_s + s_draws[:, 1], t_resp)
+            next_close = np.maximum(
+                (predicted_s + widening) / rate_s + s_draws[:, 2], t_resp)
+            t_o = np.empty(n)
+            t_o[0] = t_open
+            t_o[1:] = next_open[:-1]
+            t_c = np.empty(n)
+            t_c[0] = t_close
+            t_c[1:] = next_close[:-1]
+            lv = np.empty(n)
+            lv[0] = m_lv
+            lv[1:] = end_r[:-1] * rate_m
 
-            # -- observable side effects, exactly as the reference -------
-            if trace.enabled:
-                s_name, m_name = slave.name, master.name
-                trace.record(t_open, s_name, "window-open",
-                             channel=channel, event_count=event_count)
-                trace.record(t_master, s_name, "rx-lock",
-                             frame_id=frame_id_m, channel=channel,
-                             rssi_dbm=p_slave)
-                trace.record(t_master, m_name, "tx",
-                             channel=channel, aa=aa, pdu_len=2,
-                             frame_id=frame_id_m)
-                trace.record(t_master, m_name, "master-tx",
-                             event_count=event_count, sn=m_sn, nesn=m_nesn,
-                             channel=channel)
-                trace.record(end_m, s_name, "rx",
-                             frame_id=frame_id_m, corrupted=False,
-                             rssi_dbm=p_slave)
-                trace.record(end_m, s_name, "anchor",
-                             event_count=event_count, anchor_us=t_master,
-                             frame_id=frame_id_m)
-                trace.record(t_response, m_name, "rx-lock",
-                             frame_id=frame_id_s, channel=channel,
-                             rssi_dbm=p_master)
-                trace.record(t_response, s_name, "tx",
-                             channel=channel, aa=aa, pdu_len=2,
-                             frame_id=frame_id_s)
-                trace.record(t_response, s_name, "slave-response",
-                             sn=s_sn, nesn=s_nesn, event_count=event_count)
-                trace.record(end_r, m_name, "rx",
-                             frame_id=frame_id_s, corrupted=False,
-                             rssi_dbm=p_master)
-                trace.record(end_r, m_name, "slave-heard",
-                             event_count=event_count, sn=s_sn, nesn=s_nesn)
-            if metrics.enabled:
-                medium._m_tx.inc()
-                airtime = medium._m_airtime.get(channel)
-                if airtime is None:
-                    airtime = medium._m_airtime[channel] = metrics.counter(
-                        f"medium.airtime_us.ch{channel:02d}")
-                airtime.inc(frame_dur)
-                medium._m_tx.inc()
-                airtime.inc(frame_dur)
-                medium._m_rx.inc()
-                medium._m_rx.inc()
+            # -- 4. locate the first pre-draw bail-out and the first
+            #    binding next-master clamp -------------------------------
+            seven = t_c < end_m
+            # Events fired by each cycle's end; only worth an array when
+            # the budget could run out inside the block.
+            events = fired + (6 + seven).cumsum() if fired + 7 * n > budget \
+                else fired
+            stop = bails(t_o, t_m, t_c, end_m, lv, events)
+            bail = int(stop.argmax())
+            if not stop[bail]:
+                bail = n
+            clamped = end_r > unclamped
+            restart = int(clamped.argmax())
+            valid = restart + 1 if clamped[restart] else n
+            k = min(bail, valid)
+            s_jitter.give_back(3 * (n - k))
+            m_jitter.give_back(n - k)
 
-            retained.append((frame_id_m, t_master, end_m, channel,
-                             m_bytes, m_crc, p_slave, mr, sr_tid, seq_m))
-            retained.append((frame_id_s, t_response, end_r, channel,
-                             s_bytes, s_crc, p_master, sr, mr_tid, seq_s))
-            prune_before = end_r - _RECENT_HORIZON_US
-            while retained and retained[0][2] < prune_before:
-                retained.popleft()
-
-            # -- roll the loop state to the next cycle -------------------
-            fired += cycle_events
-            cycles += 1
-            m_ne, m_ts, m_pal = m_ne_next, m_ts_next, m_pal_next
-            last_t_master, last_end_m, last_end_r = t_master, end_m, end_r
-            last_anchor_s = anchor_s
-            last_channel = channel
-            last_unmapped = unmapped
-            last_m_bits = (m_sn, m_nesn)
-            last_s_bits = (s_sn, s_nesn)
-            event_count = (event_count + 1) & 0xFFFF
+            # -- commit cycles 0..k-1 ------------------------------------
             if use_csa2:
-                channel = s_sel.channel_for_event(event_count)
+                channels = [s_sel.channel_for_event((event_count + i) & 0xFFFF)
+                            for i in range(k + 1)]
+                unmapped_seq = None
             else:
-                unmapped = (unmapped + hop) % NUM_DATA_CHANNELS
-                channel = s_sel._map(unmapped)
-            t_open, t_close, t_master = next_open, next_close, next_master
+                unmapped_seq = (unmapped + hop * np.arange(k + 1)) \
+                    % NUM_DATA_CHANNELS
+                channels = self._csa1_table(s_sel)[unmapped_seq].tolist()
+            if ms_shadow is not None and sm_shadow is not None:
+                p_slave = m_tx_power - (
+                    mean_m_to_s + ms_shadow.take(m_seq, k))
+                p_master = s_tx_power - (
+                    mean_s_to_m + sm_shadow.take(s_seq, k))
+            else:
+                p_slave = np.full(k, m_tx_power - mean_m_to_s)
+                p_master = np.full(k, s_tx_power - mean_s_to_m)
+            end_r_k = end_r[:k]
+            faults = (
+                p_slave < floor_s,
+                p_master < floor_m,
+                end_r_k >= end_m[:k] + T_IFS_US + _RESPONSE_GRACE_US,
+                (next_open[:k] < end_r_k) | (next_close[:k] < end_r_k))
+            if (faults[0] | faults[1] | faults[2] | faults[3]).any():
+                table = np.vstack(faults)
+                cycle = int(table.any(axis=0).argmax())
+                check = int(table[:, cycle].argmax())
+                # The reference cycle has sent its master frame before its
+                # first check and its response before the others.
+                _take_frame_ids(2 * cycle + (1 if check == 0 else 2))
+                raise SimulationError(_FAULTS[check])
+            first_id = _take_frame_ids(2 * k)
 
-        if cycles == 0:
-            return 0
+            # SN/NESN: the first cycle follows the ARQ rules; after it both
+            # sides ack every frame, so the bits alternate with period 2
+            # and every later PDU is an empty one.
+            m_sn0, m_nesn0 = m_ts, m_ne
+            m_desc0 = m_desc if (not m_pal and m_desc is not None) \
+                else _EMPTY_DESC
+            s_sn0, s_nesn0 = m_nesn0, m_sn0 ^ 1
+            s_desc0 = s_desc if (m_nesn0 == s_ts and s_desc is not None) \
+                else _EMPTY_DESC
+            pdus = [
+                (self._pdu_bytes(*(m_desc0 if i == 0 else _EMPTY_DESC),
+                                 m_sn0 ^ (i & 1), m_nesn0 ^ (i & 1),
+                                 crc_init),
+                 self._pdu_bytes(*(s_desc0 if i == 0 else _EMPTY_DESC),
+                                 s_sn0 ^ (i & 1), s_nesn0 ^ (i & 1),
+                                 crc_init))
+                for i in range(min(k, 3))]
+
+            if trace.enabled:
+                t_o_l, t_m_l, end_m_l, t_resp_l, end_r_l = (
+                    t_o[:k].tolist(), t_m[:k].tolist(), end_m[:k].tolist(),
+                    t_resp[:k].tolist(), end_r_k.tolist())
+                p_slave_l, p_master_l = p_slave.tolist(), p_master.tolist()
+                s_name, m_name = slave.name, master.name
+                for i in range(k):
+                    ch = channels[i]
+                    ec = (event_count + i) & 0xFFFF
+                    frame_id_m = first_id + 2 * i
+                    frame_id_s = frame_id_m + 1
+                    m_sn, m_nesn = m_sn0 ^ (i & 1), m_nesn0 ^ (i & 1)
+                    s_sn, s_nesn = s_sn0 ^ (i & 1), s_nesn0 ^ (i & 1)
+                    t_cycle, t_end_m = t_m_l[i], end_m_l[i]
+                    t_response, t_end_r = t_resp_l[i], end_r_l[i]
+                    trace.record(t_o_l[i], s_name, "window-open",
+                                 channel=ch, event_count=ec)
+                    trace.record(t_cycle, s_name, "rx-lock",
+                                 frame_id=frame_id_m, channel=ch,
+                                 rssi_dbm=p_slave_l[i])
+                    trace.record(t_cycle, m_name, "tx",
+                                 channel=ch, aa=aa, pdu_len=2,
+                                 frame_id=frame_id_m)
+                    trace.record(t_cycle, m_name, "master-tx",
+                                 event_count=ec, sn=m_sn, nesn=m_nesn,
+                                 channel=ch)
+                    trace.record(t_end_m, s_name, "rx",
+                                 frame_id=frame_id_m, corrupted=False,
+                                 rssi_dbm=p_slave_l[i])
+                    trace.record(t_end_m, s_name, "anchor",
+                                 event_count=ec, anchor_us=t_cycle,
+                                 frame_id=frame_id_m)
+                    trace.record(t_response, m_name, "rx-lock",
+                                 frame_id=frame_id_s, channel=ch,
+                                 rssi_dbm=p_master_l[i])
+                    trace.record(t_response, s_name, "tx",
+                                 channel=ch, aa=aa, pdu_len=2,
+                                 frame_id=frame_id_s)
+                    trace.record(t_response, s_name, "slave-response",
+                                 sn=s_sn, nesn=s_nesn, event_count=ec)
+                    trace.record(t_end_r, m_name, "rx",
+                                 frame_id=frame_id_s, corrupted=False,
+                                 rssi_dbm=p_master_l[i])
+                    trace.record(t_end_r, m_name, "slave-heard",
+                                 event_count=ec, sn=s_sn, nesn=s_nesn)
+            if metrics.enabled:
+                medium._m_tx.inc(2 * k)
+                medium._m_rx.inc(2 * k)
+                for ch in channels[:k]:
+                    airtime = medium._m_airtime.get(ch)
+                    if airtime is None:
+                        airtime = medium._m_airtime[ch] = metrics.counter(
+                            f"medium.airtime_us.ch{ch:02d}")
+                    airtime.inc(frame_dur)
+                    airtime.inc(frame_dur)
+
+            # Only frames ending within the recent horizon of the last
+            # response survive into the medium's recent window.
+            prune_before = float(end_r_k[-1]) - _RECENT_HORIZON_US
+            retained = [frame for frame in retained
+                        if frame[2] >= prune_before]
+            for i in range(int(np.searchsorted(end_r_k, prune_before)), k):
+                m_pdu, s_pdu = pdus[i if i < 3 else 2 - (i & 1)]
+                start, end = float(t_m[i]), float(end_m[i])
+                if end >= prune_before:
+                    retained.append((first_id + 2 * i, start, end,
+                                     channels[i], *m_pdu,
+                                     float(p_slave[i]), mr, sr_tid,
+                                     m_seq + i))
+                retained.append((first_id + 2 * i + 1, float(t_resp[i]),
+                                 float(end_r_k[i]), channels[i], *s_pdu,
+                                 float(p_master[i]), sr, mr_tid, s_seq + i))
+
+            # -- roll the state to the first cycle after the block -------
+            last = k - 1
+            last_par = last & 1
+            fired += 6 * k + int(np.count_nonzero(seven[:k]))
+            m_seq += k
+            s_seq += k
+            last_m_bits = (m_sn0 ^ last_par, m_nesn0 ^ last_par)
+            last_s_bits = (s_sn0 ^ last_par, s_nesn0 ^ last_par)
+            m_ts, m_ne, m_pal = m_sn0 ^ (k & 1), m_nesn0 ^ (k & 1), True
+            s_ts, s_ne, s_pal = last_s_bits[0], last_s_bits[1], False
+            m_desc = m_desc0 if k == 1 else _EMPTY_DESC
+            s_desc = s_desc0 if k == 1 else _EMPTY_DESC
+            last_end_m, last_end_r = float(end_m[last]), float(end_r[last])
+            last_anchor_s = float(anchor_s[last])
+            s_lv = last_end_m * rate_s
+            m_lv = last_end_r * rate_m
+            m_anchor = float(anchors[k])
+            last_channel, channel = channels[last], channels[k]
+            if unmapped_seq is not None:
+                last_unmapped = int(unmapped_seq[last])
+                unmapped = int(unmapped_seq[k])
+            event_count = (event_count + k) & 0xFFFF
+            t_open = float(next_open[last])
+            t_close = float(next_close[last])
+            t_master = max(float(unclamped[last]), last_end_r)
+            if bail < valid or next_cycle_bails():
+                break
 
         # ------------------------------------------------------------------
         # Materialise: write the end-of-stretch state back so the reference

@@ -75,6 +75,8 @@ from collections import deque
 from itertools import chain
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.errors import MediumError
 from repro.phy.collision import CollisionModel, Overlap
 from repro.phy.path_loss import PathLossModel
@@ -179,11 +181,43 @@ class _LinkShadow:
         for offset, draw in enumerate(block):
             pending[base + offset] = float(draw)
         self._produced = base + len(block)
+        self._prune()
+        return pending.pop(seq)
+
+    def take(self, seq: int, count: int) -> np.ndarray:
+        """Draws for transmission indexes ``seq .. seq+count-1``, in dB.
+
+        Equivalent to ``count`` in-order :meth:`value` calls -- the same
+        values, the same RNG end state and, pruning aside, the same draws
+        left pending -- but produced in one RNG call instead of one per
+        :attr:`_BLOCK`.
+        """
+        end = seq + count
+        base = self._produced
+        pending = self._pending
+        if end <= base:
+            return np.array([pending.pop(s) for s in range(seq, end)])
+        # value() produces max(need, _BLOCK) draws at the first index past
+        # the watermark, then _BLOCK more each time it reaches the new one.
+        produced = base + max(max(seq, base) + 1 - base, self._BLOCK)
+        if end > produced:
+            produced += -(-(end - produced) // self._BLOCK) * self._BLOCK
+        block = self._rng.normal(0.0, self._sigma, produced - base)
+        self._produced = produced
+        claimed = [pending.pop(s) for s in range(seq, base)]
+        if seq > base:
+            pending.update(zip(range(base, seq), block[:seq - base].tolist()))
+        pending.update(zip(range(end, produced), block[end - base:].tolist()))
+        self._prune()
+        draws = block[max(seq, base) - base:end - base]
+        return np.concatenate((np.array(claimed), draws)) if claimed else draws
+
+    def _prune(self) -> None:
+        pending = self._pending
         if len(pending) > self._PENDING_MAX:
             cutoff = self._produced - self._PENDING_MAX
             for key in [k for k in pending if k < cutoff]:
                 del pending[key]
-        return pending.pop(seq)
 
 
 class Medium:

@@ -130,7 +130,7 @@ class TestAdversarialDisengage:
     """A foreign transmission mid-quiet-phase must not perturb anything."""
 
     @staticmethod
-    def _build(engine, attacker_tx_at=None):
+    def _build(engine, attacker_tx_at=None, counts=None):
         from repro.devices.lightbulb import Lightbulb
         from repro.ll.master import MasterLinkLayer
         from repro.ll.pdu.address import BdAddress
@@ -164,7 +164,13 @@ class TestAdversarialDisengage:
                     conn.params.access_address, b"\x01\x00",
                     0xBADBAD, conn.current_channel or 0)
             sim.schedule_at(attacker_tx_at, rogue_tx, "attacker-rogue-tx")
+        if counts is not None:
+            # Pause past the disturbance to read the fast-forward counter.
+            sim.run(until_us=12_000_000)
+            counts.append(fastforward.events_fast_forwarded())
         sim.run(until_us=30_000_000)
+        if counts is not None:
+            counts.append(fastforward.events_fast_forwarded())
         return sim
 
     def test_quiet_world_fast_forwards(self):
@@ -177,12 +183,63 @@ class TestAdversarialDisengage:
         # down, let the reference path absorb the disturbance (collisions,
         # retransmissions, missed events and all), then re-engage — with
         # traces still byte-identical throughout.
+        counts = {}
+
+        def build_and_run(engine):
+            fastforward.reset_fast_forward_count()
+            counts[engine] = []
+            return self._build(engine, attacker_tx_at=10_000_000.0,
+                               counts=counts[engine])
+
+        _, fast = run_both_engines(build_and_run)
+        assert any(rec.source == "attacker" and rec.kind == "tx"
+                   for rec in fast.trace), "the rogue frame was never sent"
+        at_pause, at_end = counts[fastforward.ENGINE_FAST]
+        assert at_pause > 0
+        assert at_end > at_pause, (
+            "fast engine never re-engaged after the rogue frame")
+
+
+class TestKernelFaults:
+    """A committed cycle that breaks a post-draw invariant raises."""
+
+    def test_fade_below_the_floor_raises(self, monkeypatch):
+        from repro.errors import SimulationError
+        from repro.sim.medium import _LinkShadow
+
+        take = _LinkShadow.take
+
+        def deep_fade(self, seq, count):
+            draws = take(self, seq, count)
+            draws[-1] = 500.0  # dB: far past the 8-sigma engagement margin
+            return draws
+
+        monkeypatch.setattr(_LinkShadow, "take", deep_fade)
+        with pytest.raises(SimulationError,
+                           match="master frame faded below the slave's"):
+            TestAdversarialDisengage._build(fastforward.ENGINE_FAST)
+
+
+class TestCsa2Connection:
+    """The kernel reads CSA#2 channels in bulk off the memoised schedule."""
+
+    @staticmethod
+    def _build(engine):
+        from repro.sim.fastforward import install_engine
+        from tests.test_csa2_end_to_end import build_csa2_world
+
+        sim, medium, bulb, phone, _attacker = build_csa2_world()
+        install_engine(sim, medium, phone, bulb.ll, engine=engine)
+        bulb.power_on()
+        phone.connect(bulb.address)
+        sim.run(until_us=20_000_000)
+        assert phone.is_connected and bulb.ll.is_connected
+        return sim
+
+    def test_traces_byte_identical(self):
         fastforward.reset_fast_forward_count()
-        run_both_engines(
-            lambda engine: self._build(engine, attacker_tx_at=10_000_000.0))
+        run_both_engines(self._build)
         assert fastforward.events_fast_forwarded() > 0
-        counter_after_disturbance = fastforward.events_fast_forwarded()
-        assert counter_after_disturbance > 0
 
 
 class TestIndexedVsBroadcast:

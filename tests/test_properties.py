@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on codecs, crypto and core invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import aes128_encrypt_block
@@ -29,6 +29,7 @@ from repro.ll.pdu.data import LLID, DataPdu
 from repro.ll.timing import window_widening_us
 from repro.phy.crc import crc24, reverse_crc24_init
 from repro.phy.whitening import whiten
+from repro.sim.clock import SCA_FIELD_PPM
 
 # ---------------------------------------------------------------------------
 # PHY invariants
@@ -256,3 +257,134 @@ class TestForgedBitsProperty:
         is_new, acked = slave.on_received_bits(sn_a, nesn_a)
         assert is_new   # the Slave accepts the injected data
         assert acked    # and sees its own last frame acknowledged
+
+
+# ---------------------------------------------------------------------------
+# Fast-forward engine = reference engine on random quiet worlds
+# ---------------------------------------------------------------------------
+
+#: Quiet Master/Slave worlds: polls and acks only, no third radio.
+QUIET_WORLDS = st.fixed_dictionaries({
+    "seed": st.integers(0, 1 << 16),
+    "interval": st.integers(6, 160),
+    "master_sca_ppm": st.sampled_from(SCA_FIELD_PPM),
+    "slave_sca_ppm": st.sampled_from(SCA_FIELD_PPM),
+    "distance_m": st.floats(0.5, 15.0),
+    "master_jitter_us": st.one_of(st.just(0.0), st.floats(0.1, 8.0)),
+    "slave_jitter_us": st.one_of(st.just(0.0), st.floats(0.1, 8.0)),
+    "sigma_db": st.one_of(st.just(0.0), st.floats(0.5, 6.0)),
+    "widening_scale": st.just(1.0),
+    "seconds": st.sampled_from([4, 12]),
+})
+
+#: 25 s at the shortest interval: one engagement of ~3,300 cycles, which
+#: the kernel runs in several blocks.
+MULTI_BLOCK_WORLD = {
+    "seed": 3, "interval": 6, "master_sca_ppm": 50.0,
+    "slave_sca_ppm": 50.0, "distance_m": 2.0, "master_jitter_us": 1.0,
+    "slave_jitter_us": 1.0, "sigma_db": 2.0, "widening_scale": 1.0,
+    "seconds": 25,
+}
+
+#: Master jitter of 3 ms against a 7.5 ms interval, and Slave windows
+#: widened to catch most of it: now and then a Master draw lands its next
+#: event before the current response ends, so the next-master clamp binds
+#: inside a block and the kernel restarts from the clamped time.
+CLAMP_WORLD = dict(MULTI_BLOCK_WORLD, master_jitter_us=3000.0,
+                   widening_scale=50.0)
+
+
+def _run_quiet_world(engine, world):
+    """Build and run one quiet world; its result and simulator."""
+    from repro.devices.lightbulb import Lightbulb
+    from repro.experiments.common import TrialResult
+    from repro.ll.master import MasterLinkLayer
+    from repro.phy.path_loss import PathLossModel
+    from repro.sim.fastforward import install_engine
+    from repro.sim.medium import Medium
+    from repro.sim.simulator import Simulator
+    from repro.sim.topology import Topology
+
+    sim = Simulator(seed=world["seed"], trace_enabled=True,
+                    metrics_enabled=True)
+    topo = Topology()
+    topo.place("peripheral", 0.0, 0.0)
+    topo.place("central", world["distance_m"], 0.0)
+    medium = Medium(sim, topo, path_loss=PathLossModel(
+        shadowing_sigma_db=world["sigma_db"]))
+    bulb = Lightbulb(sim, medium, "peripheral",
+                     sca_ppm=world["slave_sca_ppm"])
+    central = MasterLinkLayer(
+        sim, medium, "central", BdAddress.from_str("C0:FF:EE:00:00:07"),
+        interval=world["interval"], timeout=300,
+        sca_ppm=world["master_sca_ppm"])
+    bulb.ll.clock.jitter_us = world["slave_jitter_us"]
+    central.clock.jitter_us = world["master_jitter_us"]
+    bulb.ll.widening_scale = world["widening_scale"]
+    install_engine(sim, medium, central, bulb.ll, engine=engine)
+    bulb.power_on()
+    central.connect(bulb.address)
+    sim.run(until_us=world["seconds"] * 1_000_000)
+    result = TrialResult(
+        success=False, attempts=0,
+        connection_survived=central.is_connected and bulb.ll.is_connected,
+        metrics=sim.metrics.snapshot())
+    return result, sim
+
+
+class TestFastForwardProperties:
+    @settings(max_examples=6, deadline=None)
+    @given(world=QUIET_WORLDS)
+    @example(world=MULTI_BLOCK_WORLD)
+    @example(world=CLAMP_WORLD)
+    def test_engines_agree_on_quiet_worlds(self, world):
+        from tests.test_engine_differential import run_both_engines
+
+        results = {}
+
+        def build_and_run(engine):
+            results[engine], sim = _run_quiet_world(engine, world)
+            return sim
+
+        run_both_engines(build_and_run)
+        assert results["reference"] == results["fast"]
+
+    @staticmethod
+    def _engagements(world, monkeypatch):
+        """Run ``world`` fast; the trace and each engagement's record span."""
+        from repro.sim.fastforward import QuietCycleEngine
+
+        spans = []
+        advance = QuietCycleEngine.advance
+
+        def spy(self, until_us, budget):
+            before = len(self.sim.trace)
+            fired = advance(self, until_us, budget)
+            if fired:
+                spans.append((before, len(self.sim.trace), fired))
+            return fired
+
+        monkeypatch.setattr(QuietCycleEngine, "advance", spy)
+        _, sim = _run_quiet_world("fast", world)
+        return list(sim.trace), spans
+
+    def test_multi_block_world_spans_several_blocks(self, monkeypatch):
+        from repro.sim.fastforward import _BLOCK_CYCLES
+
+        _, spans = self._engagements(MULTI_BLOCK_WORLD, monkeypatch)
+        assert max(fired for _, _, fired in spans) > 2 * 6 * _BLOCK_CYCLES
+
+    def test_clamp_world_hands_over_clamped_master_events(self,
+                                                          monkeypatch):
+        # The kernel commits the cycle whose next-master clamp binds and
+        # hands the reference path a master event at that cycle's
+        # response end -- a time only the clamp produces.
+        records, spans = self._engagements(CLAMP_WORLD, monkeypatch)
+        clamped = 0
+        for begin, end, _ in spans:
+            heard = [r.time_us for r in records[begin:end]
+                     if r.kind == "slave-heard"]
+            following = next((r.time_us for r in records[end:]
+                              if r.kind == "master-tx"), None)
+            clamped += bool(heard) and following == heard[-1]
+        assert clamped > 0

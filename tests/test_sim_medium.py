@@ -5,6 +5,7 @@ import pytest
 
 from repro.phy.collision import CollisionModel
 from repro.phy.path_loss import PathLossModel
+from repro.sim.fastforward import _StreamBuffer
 from repro.sim.medium import Medium, _LinkShadow
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology
@@ -316,6 +317,92 @@ class TestLinkShadow:
         sparse = _LinkShadow(np.random.default_rng(7), sigma=1.5)
         for seq in (0, 63, 64, 199, 100):
             assert sparse.value(seq) == expected[seq]
+
+    @pytest.mark.parametrize("first, count", [
+        (3, 1), (3, 70), (5, 27), (40, 500), (100, 3)])
+    def test_bulk_take_equals_scalar_values(self, first, count):
+        scalar = _LinkShadow(np.random.default_rng(3), sigma=2.5)
+        bulk = _LinkShadow(np.random.default_rng(3), sigma=2.5)
+        # Both links already hold produced-but-unclaimed draws past seq 2.
+        for shadow in (scalar, bulk):
+            shadow.value(2)
+        expected = [scalar.value(seq) for seq in range(first, first + count)]
+        assert bulk.take(first, count).tolist() == expected
+        assert bulk._produced == scalar._produced
+        assert bulk._pending == scalar._pending
+        assert bulk._rng.bit_generator.state == \
+            scalar._rng.bit_generator.state
+
+    def test_scalar_requests_after_bulk_take_return_same_draws(self):
+        reference = _LinkShadow(np.random.default_rng(9), sigma=2.0)
+        expected = {seq: reference.value(seq) for seq in range(900)}
+        shadow = _LinkShadow(np.random.default_rng(9), sigma=2.0)
+        assert shadow.value(10) == expected[10]
+        shadow.take(20, 600)
+        # Out of order: skipped indexes below the bulk read, then past it.
+        for seq in (899, 3, 700, 15, 620, 11, 650):
+            assert shadow.value(seq) == expected[seq]
+
+    def test_pruning_keeps_the_recent_horizon(self):
+        # A receiver that hears one frame in seven leaves unclaimed draws
+        # behind, so pruning runs.  It only drops what lies _PENDING_MAX
+        # behind the watermark: after a bulk read, every unclaimed draw
+        # within the recent-frame horizon of the newest frame stays
+        # claimable.
+        horizon = 450  # most frames one link sends in RECENT_HORIZON_US
+        limit = _LinkShadow._PENDING_MAX
+        reference = _LinkShadow(np.random.default_rng(5), sigma=2.0)
+        expected = [reference.value(seq) for seq in range(3 * limit)]
+        shadow = _LinkShadow(np.random.default_rng(5), sigma=2.0)
+        for seq in range(0, 2 * limit, 7):
+            assert shadow.value(seq) == expected[seq]
+        first, count = 2 * limit, 300
+        assert shadow.take(first, count).tolist() == \
+            expected[first:first + count]
+        assert 1 not in shadow._pending  # pruned
+        assert len(shadow._pending) <= limit
+        newest = first + count - 1
+        for seq in range(newest - horizon, first):
+            if seq % 7:
+                assert shadow.value(seq) == expected[seq]
+
+
+class TestStreamBuffer:
+    """The fast-forward engine's bulk jitter draws replay exactly."""
+
+    @pytest.mark.parametrize("takes", [(1,), (3, 5), (600,), (511, 2, 513)])
+    def test_take_then_unwind_matches_scalar_draws(self, takes):
+        scalar_rng = np.random.default_rng(17)
+        scalar = [scalar_rng.normal(0.0, 1.5) for _ in range(sum(takes))]
+        rng = np.random.default_rng(17)
+        buffer = _StreamBuffer(rng, 1.5)
+        drawn = []
+        for n in takes:
+            drawn += buffer.take(n).tolist()
+        buffer.unwind()
+        assert drawn == scalar
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_given_back_draws_are_neither_consumed_nor_lost(self):
+        scalar_rng = np.random.default_rng(4)
+        scalar = [scalar_rng.normal(0.0, 2.0) for _ in range(700)]
+        rng = np.random.default_rng(4)
+        buffer = _StreamBuffer(rng, 2.0)
+        head = buffer.take(900)[:400].tolist()
+        buffer.give_back(500)
+        rest = buffer.take(300).tolist()
+        buffer.unwind()
+        assert head + rest == scalar
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_zero_sigma_draws_zeros_and_consumes_nothing(self):
+        rng = np.random.default_rng(8)
+        before = rng.bit_generator.state
+        buffer = _StreamBuffer(rng, 0.0)
+        assert buffer.take(4).tolist() == [0.0] * 4
+        buffer.give_back(2)
+        buffer.unwind()
+        assert rng.bit_generator.state == before
 
 
 class TestTap:
