@@ -11,11 +11,11 @@ import pytest
 
 from benchmarks.conftest import N_CONNECTIONS, N_JOBS, publish
 from repro.analysis.reporting import render_series
+from repro.campaign import run_experiment
 from repro.experiments.ablations import (
     WIDENING_SCALES,
     run_encryption_ablation,
     run_ids_ablation,
-    run_widening_ablation,
 )
 from repro.experiments.common import success_rate
 
@@ -24,8 +24,8 @@ from repro.experiments.common import success_rate
 def test_abl1_widening_reduction(benchmark, results_dir, trial_cache):
     n = max(6, N_CONNECTIONS // 2)
     results = benchmark.pedantic(
-        lambda: run_widening_ablation(base_seed=5, n_connections=n,
-                                      jobs=N_JOBS, cache=trial_cache),
+        lambda: run_experiment("widening", base_seed=5, n_connections=n,
+                               jobs=N_JOBS, cache=trial_cache),
         rounds=1, iterations=1,
     )
     rows = [(f"widening x{scale}",

@@ -17,16 +17,17 @@ import pytest
 from benchmarks.conftest import N_CONNECTIONS, N_JOBS, publish
 from repro.analysis.reporting import render_distribution_table
 from repro.analysis.stats import box_stats
+from repro.campaign import run_experiment
 from repro.experiments.common import attempts_of, success_rate
-from repro.experiments.distance import DISTANCE_POSITIONS, run_experiment_distance
+from repro.experiments.distance import DISTANCE_POSITIONS
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_distance(benchmark, results_dir, trial_cache):
     results = benchmark.pedantic(
-        lambda: run_experiment_distance(base_seed=3,
-                                        n_connections=N_CONNECTIONS,
-                                        jobs=N_JOBS, cache=trial_cache),
+        lambda: run_experiment("distance", base_seed=3,
+                               n_connections=N_CONNECTIONS,
+                               jobs=N_JOBS, cache=trial_cache),
         rounds=1, iterations=1,
     )
     samples = {label: attempts_of(results[label])

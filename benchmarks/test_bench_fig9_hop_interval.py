@@ -16,16 +16,17 @@ import pytest
 from benchmarks.conftest import N_CONNECTIONS, N_JOBS, publish
 from repro.analysis.reporting import render_distribution_table
 from repro.analysis.stats import box_stats
+from repro.campaign import run_experiment
 from repro.experiments.common import attempts_of, success_rate
-from repro.experiments.hop_interval import HOP_INTERVALS, run_experiment_hop_interval
+from repro.experiments.hop_interval import HOP_INTERVALS
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_hop_interval(benchmark, results_dir, trial_cache):
     results = benchmark.pedantic(
-        lambda: run_experiment_hop_interval(base_seed=1,
-                                            n_connections=N_CONNECTIONS,
-                                            jobs=N_JOBS, cache=trial_cache),
+        lambda: run_experiment("hop", base_seed=1,
+                               n_connections=N_CONNECTIONS,
+                               jobs=N_JOBS, cache=trial_cache),
         rounds=1, iterations=1,
     )
     samples = {hop: attempts_of(results[hop]) for hop in HOP_INTERVALS}

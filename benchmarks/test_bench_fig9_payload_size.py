@@ -16,16 +16,17 @@ import pytest
 from benchmarks.conftest import N_CONNECTIONS, N_JOBS, publish
 from repro.analysis.reporting import render_distribution_table
 from repro.analysis.stats import box_stats
+from repro.campaign import run_experiment
 from repro.experiments.common import attempts_of, success_rate
-from repro.experiments.payload_size import PAYLOAD_SIZES, run_experiment_payload_size
+from repro.experiments.payload_size import PAYLOAD_SIZES
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_payload_size(benchmark, results_dir, trial_cache):
     results = benchmark.pedantic(
-        lambda: run_experiment_payload_size(base_seed=2,
-                                            n_connections=N_CONNECTIONS,
-                                            jobs=N_JOBS, cache=trial_cache),
+        lambda: run_experiment("payload", base_seed=2,
+                               n_connections=N_CONNECTIONS,
+                               jobs=N_JOBS, cache=trial_cache),
         rounds=1, iterations=1,
     )
     samples = {size: attempts_of(results[size]) for size in PAYLOAD_SIZES}

@@ -18,17 +18,17 @@ import pytest
 from benchmarks.conftest import N_CONNECTIONS, N_JOBS, publish
 from repro.analysis.reporting import render_distribution_table
 from repro.analysis.stats import box_stats
+from repro.campaign import run_experiment
 from repro.experiments.common import attempts_of, success_rate
-from repro.experiments.distance import run_experiment_distance
-from repro.experiments.wall import WALL_DISTANCES, run_experiment_wall
+from repro.experiments.wall import WALL_DISTANCES
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_wall(benchmark, results_dir, trial_cache):
     results = benchmark.pedantic(
-        lambda: run_experiment_wall(base_seed=4,
-                                    n_connections=N_CONNECTIONS,
-                                    jobs=N_JOBS, cache=trial_cache),
+        lambda: run_experiment("wall", base_seed=4,
+                               n_connections=N_CONNECTIONS,
+                               jobs=N_JOBS, cache=trial_cache),
         rounds=1, iterations=1,
     )
     samples = {f"{d:.0f} m (wall)": attempts_of(results[d])
@@ -44,8 +44,8 @@ def test_fig9_wall(benchmark, results_dir, trial_cache):
     # The wall costs attempts: compare against the 2 m free-space baseline.
     # At 2 m the 8 dB wall is within sampling noise (allow a small slack);
     # across the whole sweep, and at the far positions, the cost is clear.
-    free = run_experiment_distance(
-        base_seed=4, n_connections=min(N_CONNECTIONS, 10),
+    free = run_experiment(
+        "distance", base_seed=4, n_connections=min(N_CONNECTIONS, 10),
         positions={"B (2 m)": 2.0}, jobs=N_JOBS, cache=trial_cache)
     free_mean = box_stats(attempts_of(free["B (2 m)"])).mean
     walled_near_mean = box_stats(attempts_of(results[2.0])).mean

@@ -21,7 +21,7 @@ import sys
 from repro import Attacker, Lightbulb, Medium, Simulator, Smartphone, Topology
 from repro.core.injection import InjectionConfig
 from repro.core.scenarios import IllegitimateUseScenario
-from repro.defense.ids import LinkLayerIds
+from repro.defense.bank import DetectorBank
 from repro.devices.lightbulb import UUID_BULB_CONTROL
 
 
@@ -30,7 +30,9 @@ def build_world(seed: int, with_ids: bool):
     topology = Topology.equilateral_triangle(("bulb", "phone", "attacker"),
                                              edge_m=2.0)
     medium = Medium(sim, topology)
-    ids = LinkLayerIds(sim, medium) if with_ids else None
+    ids = (DetectorBank(sim, medium,
+                        ("double-frame", "anchor-anomaly", "jamming"))
+           if with_ids else None)
     bulb = Lightbulb(sim, medium, "bulb")
     phone = Smartphone(sim, medium, "phone", interval=75)
     attacker = Attacker(sim, medium, "attacker",
@@ -79,8 +81,9 @@ def main(seed: int = 13) -> int:
     assert ids is not None
     print(f"\nunencrypted attack succeeded: "
           f"{results[0].success if results else False}")
-    print(f"IDS detected injection: {ids.detected_injection()}")
-    for alert in ids.alerts[:5]:
+    alerts = ids.alerts_of("double-frame") + ids.alerts_of("anchor-anomaly")
+    print(f"IDS detected injection: {bool(alerts)}")
+    for alert in sorted(alerts, key=lambda a: a.time_us)[:5]:
         print(f"  [{alert.time_us/1e6:.3f}s] {alert.kind}: {alert.detail}")
     return 0
 

@@ -44,6 +44,7 @@ from repro.campaign.registry import (
     get_experiment,
     register_experiment,
     register_trial_runner,
+    run_experiment,
     run_unit_trial,
 )
 from repro.campaign.report import (
@@ -77,6 +78,7 @@ __all__ = [
     "render_status",
     "report_dict",
     "run_campaign",
+    "run_experiment",
     "run_unit_trial",
     "shard_units",
     "status_dict",

@@ -10,6 +10,9 @@ Two registries decouple the engine from the experiment modules:
   :class:`ScenarioTrial` worlds in one ``execute_trials`` call
   (:func:`run_unit_trial` dispatches per unit inside the worker).
 
+:func:`run_experiment` is the one way to run an experiment by name
+outside a campaign (the CLI panels, benchmarks, tests).
+
 Tests register synthetic experiments (e.g. an always-crashing trial) the
 same way the built-ins register themselves; on Linux the fork start
 method makes such registrations visible in pool workers.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Tuple, Type
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError
 
@@ -124,6 +127,21 @@ def expand_axis(
         return list(defn.units(**kwargs))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigurationError(f"axis {defn.name!r}: {exc}") from exc
+
+
+def run_experiment(name: str, *, jobs: Optional[int] = None, cache=None,
+                   **params: Any) -> Dict[Any, List[Any]]:
+    """Run a registered experiment by name; results grouped by config key.
+
+    ``params`` are the experiment's ``trial_units()`` keyword arguments
+    (e.g. ``base_seed``, ``n_connections``, ``collect_metrics``), bound
+    and validated exactly as a campaign axis's are; ``jobs`` / ``cache``
+    go to :func:`repro.experiments.common.run_trial_units`.
+    """
+    from repro.experiments.common import run_trial_units
+
+    return run_trial_units(expand_axis(get_experiment(name), params),
+                           jobs=jobs, cache=cache)
 
 
 def _register_builtins() -> None:

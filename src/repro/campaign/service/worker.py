@@ -4,7 +4,7 @@ A worker is a plain blocking-socket client of the coordinator's worker
 channel (newline-delimited JSON over TCP).  It learns the campaign spec
 from the ``welcome`` reply, re-expands the unit grid deterministically
 on its own side — only unit ids ever cross the wire — and executes each
-leased unit through :func:`repro.runner.run_unit_robust`, so the
+leased unit through :func:`repro.runner.run_units_robust`, so the
 timeout/retry/quarantine taxonomy of ``repro campaign run`` applies
 per-unit here too.  Records are built by the same
 :func:`repro.campaign.engine.unit_record` the serial engine uses, which
@@ -32,7 +32,7 @@ from repro.campaign.registry import run_unit_trial
 from repro.campaign.service.coordinator import unit_record_payload
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ServiceError
-from repro.runner import run_unit_robust
+from repro.runner import run_units_robust
 
 #: Default reconnect budget: how long a worker keeps retrying a dead
 #: coordinator before giving up (covers a restart-and-resume window).
@@ -90,10 +90,10 @@ class WorkerChannel:
 
 def _execute_unit(spec: CampaignSpec, unit: TrialUnit) -> Dict[str, Any]:
     """Run one leased unit and serialise its journal record."""
-    outcome = run_unit_robust(run_unit_trial, unit.trial,
-                              timeout_s=spec.timeout_s,
-                              max_retries=spec.max_retries,
-                              backoff_s=spec.backoff_s)
+    (outcome,) = run_units_robust(run_unit_trial, [unit.trial], jobs=1,
+                                  timeout_s=spec.timeout_s,
+                                  max_retries=spec.max_retries,
+                                  backoff_s=spec.backoff_s)
     record = unit_record(unit, outcome.result, outcome, cached=False)
     return unit_record_payload(record)
 

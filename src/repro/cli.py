@@ -28,6 +28,14 @@ SCENARIO_KEYS = {"a": "A (use feature)", "b": "B (slave hijack)",
 DEVICE_KEYS = {"bulb": "lightbulb", "keyfob": "keyfob",
                "watch": "smartwatch"}
 
+#: Registered experiments the ``experiment``/``metrics``/``profile``
+#: subcommands run by name.
+PANELS = ("hop", "payload", "distance", "wall", "occupancy", "defense")
+
+#: Fig. 9 sweep → config-key column of its distribution table.
+SWEEP_COLUMNS = {"hop": "hop interval", "payload": "PDU size (bytes)",
+                 "distance": "position", "wall": "distance behind wall (m)"}
+
 
 def _apply_engine(args: argparse.Namespace) -> None:
     """Propagate ``--engine`` via the environment so ``--jobs`` worker
@@ -41,52 +49,47 @@ def _apply_engine(args: argparse.Namespace) -> None:
         os.environ[ENGINE_ENV_VAR] = resolve_engine(engine)
 
 
+def _connections(text: str) -> int:
+    """argparse type of ``--connections``: a positive trial count."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("'connections' must be positive")
+    return value
+
+
+def _run_panel(args: argparse.Namespace, **kwargs):
+    """Run the ``which`` panel at ``--seed`` / ``--connections``."""
+    from repro.campaign import run_experiment
+
+    _apply_engine(args)
+    return run_experiment(args.which, base_seed=args.seed,
+                          n_connections=args.connections, **kwargs)
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        run_experiment_distance,
-        run_experiment_hop_interval,
-        run_experiment_payload_size,
-        run_experiment_wall,
-    )
     from repro.experiments.common import attempts_of, success_rate
 
+    results = _run_panel(args, jobs=args.jobs, cache=args.cache)
     if args.which == "occupancy":
-        return _cmd_experiment_occupancy(args)
+        return _report_occupancy(args, results)
     if args.which == "defense":
-        return _cmd_experiment_defense(args)
-    runners = {
-        "hop": (run_experiment_hop_interval, "hop interval"),
-        "payload": (run_experiment_payload_size, "PDU size (bytes)"),
-        "distance": (run_experiment_distance, "position"),
-        "wall": (run_experiment_wall, "distance behind wall (m)"),
-    }
-    runner, column = runners[args.which]
-    _apply_engine(args)
-    results = runner(base_seed=args.seed, n_connections=args.connections,
-                     jobs=args.jobs, cache=args.cache)
+        return _report_defense(args, results)
     samples = {key: attempts_of(trials) for key, trials in results.items()}
     print(render_distribution_table(
         f"InjectaBLE sensitivity — {args.which} "
         f"({args.connections} connections/config, seed {args.seed})",
-        column, samples))
+        SWEEP_COLUMNS[args.which], samples))
     worst = min(success_rate(trials) for trials in results.values())
     print(f"\nworst-case success rate: {worst:.2f}")
     return 0 if worst == 1.0 else 1
 
 
-def _cmd_experiment_occupancy(args: argparse.Namespace) -> int:
+def _report_occupancy(args: argparse.Namespace, results) -> int:
     """The occupancy sweep reports a success-vs-load curve, not a 100%
     floor — dense-RF worlds are *expected* to defeat some injections, so
     the exit code reflects completion rather than worst-case success."""
-    from repro.experiments.dense import (
-        run_experiment_occupancy,
-        summarize_occupancy,
-    )
+    from repro.experiments.dense import summarize_occupancy
 
-    _apply_engine(args)
-    results = run_experiment_occupancy(
-        base_seed=args.seed, n_connections=args.connections,
-        jobs=args.jobs, cache=args.cache)
     print(render_series(
         f"InjectaBLE vs. ambient occupancy "
         f"({args.connections} connections/level, seed {args.seed})",
@@ -94,21 +97,14 @@ def _cmd_experiment_occupancy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment_defense(args: argparse.Namespace) -> int:
+def _report_defense(args: argparse.Namespace, results) -> int:
     """The defense bench prints ROC/AUC and detection-latency rows per
     detector × attack scenario; negatives are the benign and dense-RF
     ambient traffics.  Exit code reflects completion — the table itself
     is the product (some signatures *should* score poorly)."""
     from repro.analysis.reporting import render_roc_table
-    from repro.experiments.defense import (
-        run_experiment_defense,
-        summarize_defense,
-    )
+    from repro.experiments.defense import summarize_defense
 
-    _apply_engine(args)
-    results = run_experiment_defense(
-        base_seed=args.seed, n_connections=args.connections,
-        jobs=args.jobs, cache=args.cache)
     print(render_roc_table(
         f"Defense bench — every detector vs. attack/benign/ambient "
         f"traffic ({args.connections} connections/traffic, seed "
@@ -196,30 +192,12 @@ def _cmd_capture(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_metrics_table
-    from repro.experiments import (
-        run_experiment_defense,
-        run_experiment_distance,
-        run_experiment_hop_interval,
-        run_experiment_occupancy,
-        run_experiment_payload_size,
-        run_experiment_wall,
-    )
     from repro.runner import merge_trial_metrics
 
-    runners = {
-        "hop": run_experiment_hop_interval,
-        "payload": run_experiment_payload_size,
-        "distance": run_experiment_distance,
-        "wall": run_experiment_wall,
-        "occupancy": run_experiment_occupancy,
-        "defense": run_experiment_defense,
-    }
-    runner = runners[args.which]
-    _apply_engine(args)
     # Uncached on purpose: the point is a fresh, instrumented run whose
     # aggregate is reproducible for any --jobs value.
-    results = runner(base_seed=args.seed, n_connections=args.connections,
-                     jobs=args.jobs, cache=False, collect_metrics=True)
+    results = _run_panel(args, jobs=args.jobs, cache=False,
+                         collect_metrics=True)
     flat = [trial for trials in results.values() for trial in trials]
     merged = merge_trial_metrics(flat)
     print(render_metrics_table(
@@ -278,31 +256,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import io
     import pstats
 
-    from repro.experiments import (
-        run_experiment_defense,
-        run_experiment_distance,
-        run_experiment_hop_interval,
-        run_experiment_occupancy,
-        run_experiment_payload_size,
-        run_experiment_wall,
-    )
-
-    runners = {
-        "hop": run_experiment_hop_interval,
-        "payload": run_experiment_payload_size,
-        "distance": run_experiment_distance,
-        "wall": run_experiment_wall,
-        "occupancy": run_experiment_occupancy,
-        "defense": run_experiment_defense,
-    }
-    runner = runners[args.which]
-    _apply_engine(args)
     profiler = cProfile.Profile()
     profiler.enable()
     # Serial and uncached on purpose: child processes would escape the
     # profiler, and cache hits would hide the simulation cost.
-    runner(base_seed=args.seed, n_connections=args.connections,
-           jobs=1, cache=False)
+    _run_panel(args, jobs=1, cache=False)
     profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
@@ -686,9 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment",
                                 help="run a Figure 9 sensitivity sweep")
     experiment.add_argument("which",
-                            choices=("hop", "payload", "distance", "wall",
-                                     "occupancy", "defense"))
-    experiment.add_argument("--connections", type=int, default=10)
+                            choices=PANELS)
+    experiment.add_argument("--connections", type=_connections, default=10)
     experiment.add_argument("--seed", type=int, default=1)
     experiment.add_argument("--jobs", type=int, default=None,
                             help="worker processes (default: $REPRO_JOBS or "
@@ -734,9 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="run an instrumented sweep and print merged telemetry")
     metrics.add_argument("which",
-                         choices=("hop", "payload", "distance", "wall",
-                                  "occupancy", "defense"))
-    metrics.add_argument("--connections", type=int, default=5)
+                         choices=PANELS)
+    metrics.add_argument("--connections", type=_connections, default=5)
     metrics.add_argument("--seed", type=int, default=1)
     metrics.add_argument("--jobs", type=int, default=None,
                          help="worker processes (default: $REPRO_JOBS or 1; "
@@ -756,9 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="profile a reduced experiment sweep under cProfile")
     profile.add_argument("which",
-                         choices=("hop", "payload", "distance", "wall",
-                                  "occupancy", "defense"))
-    profile.add_argument("--connections", type=int, default=2,
+                         choices=PANELS)
+    profile.add_argument("--connections", type=_connections, default=2,
                          help="connections per configuration (reduced "
                               "workload default: 2)")
     profile.add_argument("--seed", type=int, default=1)

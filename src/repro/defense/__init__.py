@@ -12,9 +12,9 @@ Three mitigation families are reproduced:
    :class:`~repro.defense.api.Detector`s, which emit scored
    :class:`~repro.defense.api.Verdict` streams (see
    :mod:`repro.defense.detectors` for the built-ins and
-   ``docs/DEFENSE.md`` for the handbook).
-   :class:`~repro.defense.ids.LinkLayerIds` keeps the original
-   boolean-alert interface as a wrapper over the bank.
+   ``docs/DEFENSE.md`` for the handbook).  The classic §VIII IDS is
+   a bank loaded with ``("double-frame", "anchor-anomaly", "jamming")``,
+   queried through :meth:`~repro.defense.bank.DetectorBank.alerts_of`.
 """
 
 from repro.defense import detectors as _builtin_detectors  # noqa: F401
@@ -31,7 +31,6 @@ from repro.defense.api import (
     register_detector,
 )
 from repro.defense.bank import DetectorBank, verdict_stream_digest
-from repro.defense.ids import IdsAlert, LinkLayerIds
 
 __all__ = [
     "ALERT_SCORE",
@@ -40,8 +39,6 @@ __all__ = [
     "DetectorBank",
     "DetectorDef",
     "FrameView",
-    "IdsAlert",
-    "LinkLayerIds",
     "Verdict",
     "detector_names",
     "get_detector",

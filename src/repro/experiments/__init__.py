@@ -1,4 +1,8 @@
-"""The paper's sensitivity analysis (§VII) and countermeasure ablations."""
+"""The paper's sensitivity analysis (§VII) and countermeasure ablations.
+
+Each module exposes its grid through ``trial_units()``; run one by its
+registered name with :func:`repro.campaign.run_experiment`.
+"""
 
 from repro.experiments.common import (
     InjectionTrial,
@@ -6,19 +10,14 @@ from repro.experiments.common import (
     run_trial_units,
     run_trials,
 )
-from repro.experiments.hop_interval import HOP_INTERVALS, run_experiment_hop_interval
-from repro.experiments.payload_size import PAYLOAD_SIZES, run_experiment_payload_size
-from repro.experiments.distance import DISTANCE_POSITIONS, run_experiment_distance
-from repro.experiments.wall import WALL_DISTANCES, run_experiment_wall
-from repro.experiments.dense import (
-    OCCUPANCY_LOAD_LEVELS,
-    DenseTrial,
-    run_experiment_occupancy,
-)
+from repro.experiments.hop_interval import HOP_INTERVALS
+from repro.experiments.payload_size import PAYLOAD_SIZES
+from repro.experiments.distance import DISTANCE_POSITIONS
+from repro.experiments.wall import WALL_DISTANCES
+from repro.experiments.dense import OCCUPANCY_LOAD_LEVELS, DenseTrial
 from repro.experiments.defense import (
     TRAFFIC_KINDS,
     DefenseTrial,
-    run_experiment_defense,
     summarize_defense,
 )
 
@@ -33,12 +32,6 @@ __all__ = [
     "TRAFFIC_KINDS",
     "TrialResult",
     "WALL_DISTANCES",
-    "run_experiment_defense",
-    "run_experiment_distance",
-    "run_experiment_hop_interval",
-    "run_experiment_occupancy",
-    "run_experiment_payload_size",
-    "run_experiment_wall",
     "run_trial_units",
     "run_trials",
 ]

@@ -4,7 +4,7 @@ Three studies beyond the paper's Figure 9, quantifying the mitigations the
 paper proposes qualitatively:
 
 * **ABL-1** widening reduction: injection success rate vs the Slave's
-  ``widening_scale``;
+  ``widening_scale`` (run it as ``run_experiment("widening", ...)``);
 * **ABL-2** encryption: injection against a paired, AES-CCM-encrypted
   connection — never yields valid traffic, degrades to DoS;
 * **ABL-3** IDS: detection rate of the double-frame/anchor signatures
@@ -14,17 +14,15 @@ paper proposes qualitatively:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.core.attacker import Attacker
 from repro.core.injection import InjectionConfig, InjectionReport
-from repro.defense.ids import LinkLayerIds
+from repro.defense.bank import DetectorBank
 from repro.devices.lightbulb import Lightbulb
 from repro.experiments.common import (
     InjectionTrial,
-    TrialResult,
     build_injection_payload,
-    run_trial_units,
 )
 from repro.host.stack import CentralHost
 from repro.ll.master import MasterLinkLayer
@@ -35,6 +33,9 @@ from repro.sim.topology import Topology
 
 #: Widening scales swept by ABL-1 (1.0 = spec behaviour).
 WIDENING_SCALES: tuple[float, ...] = (1.0, 0.75, 0.5, 0.25, 0.1)
+
+#: The three classic §VIII signatures ABL-3 monitors for.
+IDS_DETECTORS: tuple[str, ...] = ("double-frame", "anchor-anomaly", "jamming")
 
 
 def trial_units(
@@ -57,21 +58,6 @@ def trial_units(
                 widening_scale=scale, collect_metrics=collect_metrics,
             )))
     return units
-
-
-def run_widening_ablation(
-    base_seed: int = 5,
-    n_connections: int = 15,
-    scales: tuple[float, ...] = WIDENING_SCALES,
-    jobs: Optional[int] = None,
-    cache=None,
-    collect_metrics: bool = False,
-) -> Mapping[float, list[TrialResult]]:
-    """ABL-1: sweep the Slave's widening reduction."""
-    return run_trial_units(
-        trial_units(base_seed, n_connections, scales, collect_metrics),
-        jobs=jobs, cache=cache,
-    )
 
 
 def encryption_trial_units(
@@ -109,16 +95,17 @@ def run_encryption_ablation(base_seed: int = 6, n_connections: int = 15,
                             collect_metrics: bool = False,
                             ) -> list[EncryptionAblationResult]:
     """ABL-2: inject into encrypted connections."""
-    from repro.runner import execute_trials
+    from repro.campaign.registry import run_experiment
 
-    trials = [trial for _, trial in encryption_trial_units(
-        base_seed, n_connections, collect_metrics)]
+    grouped = run_experiment("encryption", jobs=jobs, cache=cache,
+                             base_seed=base_seed, n_connections=n_connections,
+                             collect_metrics=collect_metrics)
     return [
         EncryptionAblationResult(
             injection_succeeded=outcome.effect_observed,
             dos_observed=not outcome.connection_survived,
         )
-        for outcome in execute_trials(trials, jobs=jobs, cache=cache)
+        for outcomes in grouped.values() for outcome in outcomes
     ]
 
 
@@ -139,11 +126,17 @@ class IdsAblationResult:
     attacker_frames: int
 
 
+def _detected_injection(bank: DetectorBank) -> bool:
+    """Whether either injection signature raised an alert."""
+    return bool(bank.alerts_of("double-frame")
+                or bank.alerts_of("anchor-anomaly"))
+
+
 def _run_ids_injectable(seed: int) -> IdsAblationResult:
     sim = Simulator(seed=seed, trace_enabled=False)
     topo = Topology.equilateral_triangle(("peripheral", "central", "attacker"))
     medium = Medium(sim, topo)
-    ids = LinkLayerIds(sim, medium)
+    bank = DetectorBank(sim, medium, IDS_DETECTORS)
     bulb = Lightbulb(sim, medium, "peripheral")
     central = MasterLinkLayer(sim, medium, "central",
                               BdAddress.from_str("C0:FF:EE:00:00:02"),
@@ -156,7 +149,8 @@ def _run_ids_injectable(seed: int) -> IdsAblationResult:
     central.connect(bulb.address)
     sim.run(until_us=1_500_000)
     if not attacker.synchronized:
-        return IdsAblationResult("injectable", False, ids.detected_injection(), 0)
+        return IdsAblationResult("injectable", False,
+                                 _detected_injection(bank), 0)
     handle = bulb.gatt.find_characteristic(0xFF11).value_handle
     payload, llid = build_injection_payload(14, handle)
     reports: list[InjectionReport] = []
@@ -165,7 +159,7 @@ def _run_ids_injectable(seed: int) -> IdsAblationResult:
     succeeded = bool(reports and reports[0].success)
     frames = reports[0].attempts if reports else 0
     return IdsAblationResult("injectable", succeeded,
-                             ids.detected_injection(), frames)
+                             _detected_injection(bank), frames)
 
 
 def _run_ids_btlejack(seed: int) -> IdsAblationResult:
@@ -174,7 +168,7 @@ def _run_ids_btlejack(seed: int) -> IdsAblationResult:
     sim = Simulator(seed=seed, trace_enabled=False)
     topo = Topology.equilateral_triangle(("peripheral", "central", "attacker"))
     medium = Medium(sim, topo)
-    ids = LinkLayerIds(sim, medium)
+    bank = DetectorBank(sim, medium, IDS_DETECTORS)
     bulb = Lightbulb(sim, medium, "peripheral")
     central = MasterLinkLayer(sim, medium, "central",
                               BdAddress.from_str("C0:FF:EE:00:00:03"),
@@ -186,14 +180,16 @@ def _run_ids_btlejack(seed: int) -> IdsAblationResult:
     central.connect(bulb.address)
     sim.run(until_us=1_500_000)
     if not attacker.synchronized:
-        return IdsAblationResult("btlejack", False, ids.detected_jamming(), 0)
+        return IdsAblationResult("btlejack", False,
+                                 bool(bank.alerts_of("jamming")), 0)
     attacker.release_radio()
     results = []
     hijack = BtleJackHijack(sim, attacker.radio, attacker.connection)
     hijack.start(on_done=results.append)
     sim.run(until_us=30_000_000)
     hijacked = bool(results and results[0].hijacked)
-    return IdsAblationResult("btlejack", hijacked, ids.detected_jamming(),
+    return IdsAblationResult("btlejack", hijacked,
+                             bool(bank.alerts_of("jamming")),
                              hijack.jam_frames)
 
 
@@ -208,10 +204,10 @@ def _run_ids_task(task: tuple[str, int]) -> IdsAblationResult:
 def run_ids_ablation(base_seed: int = 7, n_runs: int = 8,
                      jobs: Optional[int] = None) -> list[IdsAblationResult]:
     """ABL-3: IDS detection of InjectaBLE vs BTLEJack."""
-    from repro.runner import parallel_map
+    from repro.runner import execute_trials
 
     tasks: list[tuple[str, int]] = []
     for i in range(n_runs):
         tasks.append(("injectable", base_seed * 10_000 + i))
         tasks.append(("btlejack", base_seed * 20_000 + i))
-    return parallel_map(_run_ids_task, tasks, jobs=jobs)
+    return execute_trials(tasks, jobs=jobs, runner=_run_ids_task)

@@ -296,9 +296,10 @@ def run_trial_units(
     """Execute ``(config key, trial)`` units and group results by key.
 
     Every sweep module exposes its grid through ``trial_units()`` (the
-    campaign engine's uniform entry point); the ``run_experiment_*``
-    one-shot panels delegate here so both paths run the exact same
-    trials in the exact same order.  Keys keep first-seen (grid) order.
+    campaign engine's uniform entry point);
+    :func:`repro.campaign.run_experiment` runs a grid by name through
+    here, so one-shot panels and campaigns run the exact same trials in
+    the exact same order.  Keys keep first-seen (grid) order.
     Trials dispatch through the campaign registry, so units may mix
     trial types (e.g. :class:`InjectionTrial` and ``DenseTrial``).
     """

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments.common import TrialResult, run_trial_units
+from repro.experiments.common import TrialResult
 
 #: Canonical traffic kinds, grid order (negatives first).
 TRAFFIC_KINDS = ("benign", "dense-ambient", "A", "B", "C", "D")
@@ -313,24 +313,6 @@ def trial_units(
                 collect_metrics=collect_metrics,
             )))
     return units
-
-
-def run_experiment_defense(
-    base_seed: int = 17,
-    n_connections: int = 3,
-    traffics: Optional[Sequence[str]] = None,
-    device: str = "lightbulb",
-    detectors: Sequence[str] = (),
-    jobs: Optional[int] = None,
-    cache=None,
-    collect_metrics: bool = False,
-) -> Mapping[str, List[TrialResult]]:
-    """Run the defense bench; returns results per traffic label."""
-    return run_trial_units(
-        trial_units(base_seed, n_connections, traffics, device,
-                    detectors, collect_metrics=collect_metrics),
-        jobs=jobs, cache=cache,
-    )
 
 
 def _max_scores(trials: Sequence[TrialResult], detector: str) -> List[float]:

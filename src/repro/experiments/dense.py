@@ -37,7 +37,6 @@ from repro.experiments.common import (
     TrialResult,
     attempts_of,
     build_injection_payload,
-    run_trial_units,
     success_rate,
 )
 from repro.sim.simulator import Simulator
@@ -369,23 +368,6 @@ def trial_units(
                 collect_metrics=collect_metrics,
             )))
     return units
-
-
-def run_experiment_occupancy(
-    base_seed: int = 9,
-    n_connections: int = 10,
-    levels: Optional[Mapping[str, tuple[int, int]]] = None,
-    layout: str = "apartment",
-    jobs: Optional[int] = None,
-    cache=None,
-    collect_metrics: bool = False,
-) -> Mapping[str, list[TrialResult]]:
-    """Run the occupancy sweep; returns results per load-level label."""
-    return run_trial_units(
-        trial_units(base_seed, n_connections, levels, layout,
-                    collect_metrics),
-        jobs=jobs, cache=cache,
-    )
 
 
 def summarize_occupancy(

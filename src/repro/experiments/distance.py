@@ -15,8 +15,6 @@ from typing import Mapping, Optional
 from repro.experiments.common import (
     CONNECTIONS_PER_CONFIG,
     InjectionTrial,
-    TrialResult,
-    run_trial_units,
 )
 
 #: Position label → attacker distance from the Peripheral (paper Fig. 8).
@@ -60,18 +58,3 @@ def trial_units(
                 collect_metrics=collect_metrics,
             )))
     return units
-
-
-def run_experiment_distance(
-    base_seed: int = 3,
-    n_connections: int = CONNECTIONS_PER_CONFIG,
-    positions: Optional[Mapping[str, float]] = None,
-    jobs: Optional[int] = None,
-    cache=None,
-    collect_metrics: bool = False,
-) -> Mapping[str, list[TrialResult]]:
-    """Run the distance sweep; returns results per position label."""
-    return run_trial_units(
-        trial_units(base_seed, n_connections, positions, collect_metrics),
-        jobs=jobs, cache=cache,
-    )

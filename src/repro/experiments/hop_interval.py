@@ -9,13 +9,9 @@ variance decreases sharply between 25 and 100 then stabilises.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
 from repro.experiments.common import (
     CONNECTIONS_PER_CONFIG,
     InjectionTrial,
-    TrialResult,
-    run_trial_units,
 )
 
 #: The paper's tested hop intervals (1.25 ms slots).
@@ -48,18 +44,3 @@ def trial_units(
                 collect_metrics=collect_metrics,
             )))
     return units
-
-
-def run_experiment_hop_interval(
-    base_seed: int = 1,
-    n_connections: int = CONNECTIONS_PER_CONFIG,
-    hop_intervals: tuple[int, ...] = HOP_INTERVALS,
-    jobs: Optional[int] = None,
-    cache=None,
-    collect_metrics: bool = False,
-) -> Mapping[int, list[TrialResult]]:
-    """Run the hop-interval sweep; returns results per interval."""
-    return run_trial_units(
-        trial_units(base_seed, n_connections, hop_intervals, collect_metrics),
-        jobs=jobs, cache=cache,
-    )

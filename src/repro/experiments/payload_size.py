@@ -10,13 +10,9 @@ spread decrease) as the payload shrinks; medians stay at or below ~3.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
 from repro.experiments.common import (
     CONNECTIONS_PER_CONFIG,
     InjectionTrial,
-    TrialResult,
-    run_trial_units,
 )
 
 #: The paper's tested payload (PDU) sizes in bytes.
@@ -47,18 +43,3 @@ def trial_units(
                 attacker_distance_m=2.0, collect_metrics=collect_metrics,
             )))
     return units
-
-
-def run_experiment_payload_size(
-    base_seed: int = 2,
-    n_connections: int = CONNECTIONS_PER_CONFIG,
-    payload_sizes: tuple[int, ...] = PAYLOAD_SIZES,
-    jobs: Optional[int] = None,
-    cache=None,
-    collect_metrics: bool = False,
-) -> Mapping[int, list[TrialResult]]:
-    """Run the payload-size sweep; returns results per PDU length."""
-    return run_trial_units(
-        trial_units(base_seed, n_connections, payload_sizes, collect_metrics),
-        jobs=jobs, cache=cache,
-    )

@@ -281,10 +281,8 @@ def run_scenario_suite(
     case, scenario-major), so results match the pre-parallel benchmark
     byte for byte regardless of ``jobs``.
     """
-    from repro.runner import parallel_map
+    from repro.campaign.registry import run_experiment
 
-    units = trial_units(base_seed=base_seed)
-    results = parallel_map(run_scenario_trial,
-                           [trial for _, trial in units], jobs=jobs)
+    grouped = run_experiment("scenario", jobs=jobs, base_seed=base_seed)
     return [(label, result.success, result.attempts)
-            for (label, _), result in zip(units, results)]
+            for label, results in grouped.items() for result in results]

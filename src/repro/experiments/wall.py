@@ -8,13 +8,9 @@ a successful injection.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
 from repro.experiments.common import (
     CONNECTIONS_PER_CONFIG,
     InjectionTrial,
-    TrialResult,
-    run_trial_units,
 )
 
 #: Attacker distances behind the wall (metres).
@@ -51,20 +47,3 @@ def trial_units(
                 collect_metrics=collect_metrics,
             )))
     return units
-
-
-def run_experiment_wall(
-    base_seed: int = 4,
-    n_connections: int = CONNECTIONS_PER_CONFIG,
-    distances: tuple[float, ...] = WALL_DISTANCES,
-    wall_attenuation_db: float = WALL_ATTENUATION_DB,
-    jobs: Optional[int] = None,
-    cache=None,
-    collect_metrics: bool = False,
-) -> Mapping[float, list[TrialResult]]:
-    """Run the behind-a-wall sweep; returns results per distance."""
-    return run_trial_units(
-        trial_units(base_seed, n_connections, distances,
-                    wall_attenuation_db, collect_metrics),
-        jobs=jobs, cache=cache,
-    )

@@ -26,7 +26,6 @@ TAXONOMY_ROOT = "ReproError"
 #: live layout exercise the same rules.
 TAXONOMY_ENTRYPOINTS: Tuple[Tuple[str, str], ...] = (
     ("runner/executor.py", "run_units_robust"),
-    ("runner/executor.py", "run_unit_robust"),
     ("campaign/service/worker.py", "run_worker"),
     ("campaign/service/worker.py", "worker_entry"),
     ("campaign/service/coordinator.py", "Coordinator.handle_message"),
@@ -240,7 +239,7 @@ class ErrorTaxonomyChecker(FlowChecker):
     """Escaping exceptions on classifier paths must be ``ReproError``s,
     and broad handlers must not swallow them.
 
-    The retry/quarantine classifier (``run_unit_robust``) and the
+    The retry/quarantine classifier (``run_units_robust``) and the
     service entry points translate failures into journal verdicts; a
     raw ``ValueError`` escaping them bypasses the taxonomy (the unit is
     neither retried nor quarantined coherently).  Conversely an

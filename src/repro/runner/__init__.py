@@ -6,8 +6,7 @@ executes those units:
 
 * :func:`execute_trials` — process-pool execution of ``InjectionTrial``
   batches with deterministic ordering and an optional on-disk result cache;
-* :func:`parallel_map` — the underlying order-preserving pool map, also
-  used for scenario suites and IDS ablation runs;
+* :func:`parallel_map` — the underlying order-preserving pool map;
 * :class:`ResultCache` — trial-keyed, code-version-aware pickle store.
 
 Parallelism is opt-in everywhere: ``jobs=None`` honours ``$REPRO_JOBS``
@@ -30,7 +29,6 @@ from repro.runner.executor import (
     merge_trial_metrics,
     parallel_map,
     resolve_jobs,
-    run_unit_robust,
     run_units_robust,
 )
 
@@ -45,7 +43,6 @@ __all__ = [
     "merge_trial_metrics",
     "parallel_map",
     "resolve_jobs",
-    "run_unit_robust",
     "run_units_robust",
     "source_tree_token",
     "stable_trial_key",

@@ -365,29 +365,6 @@ def run_units_robust(
     return [outcome for outcome in outcomes if outcome is not None]
 
 
-def run_unit_robust(
-    fn: Callable[[Any], Any],
-    item: Any,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 2,
-    backoff_s: float = 0.25,
-) -> UnitOutcome:
-    """Run one unit under the full robust contract; return its outcome.
-
-    The campaign service's worker loop leases units one at a time, so it
-    needs :func:`run_units_robust`'s timeout/retry/quarantine taxonomy at
-    single-unit granularity: the unit runs in its own killable child
-    process, a hang is terminated at ``timeout_s``, retryable failures
-    are re-attempted up to ``max_retries`` times, and the returned
-    :class:`UnitOutcome` carries the same ``ok``/``timeout``/``crash``/
-    ``error`` classification the batch engine journals.
-    """
-    (outcome,) = run_units_robust(
-        fn, [item], jobs=1, timeout_s=timeout_s,
-        max_retries=max_retries, backoff_s=backoff_s)
-    return outcome
-
-
 def merge_trial_metrics(results: Sequence[Any]) -> dict:
     """Aggregate per-trial telemetry snapshots into one campaign snapshot.
 

@@ -194,7 +194,7 @@ def _drain_units(coordinator, spec, worker="w"):
     """Lease and complete every unit the way a worker would."""
     from repro.campaign.engine import expand_units, unit_record, units_by_id
     from repro.campaign.registry import run_unit_trial
-    from repro.runner import run_unit_robust
+    from repro.runner import run_units_robust
 
     units = units_by_id(expand_units(spec))
     while True:
@@ -205,9 +205,9 @@ def _drain_units(coordinator, spec, worker="w"):
             return
         assert reply["op"] == "unit"
         unit = units[reply["unit_id"]]
-        outcome = run_unit_robust(run_unit_trial, unit.trial,
-                                  timeout_s=60, max_retries=0,
-                                  backoff_s=0.01)
+        (outcome,) = run_units_robust(run_unit_trial, [unit.trial], jobs=1,
+                                      timeout_s=60, max_retries=0,
+                                      backoff_s=0.01)
         record = unit_record(unit, outcome.result, outcome, cached=False)
         ack = coordinator.handle_message({
             "op": "result", "worker": worker,

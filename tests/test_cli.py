@@ -34,6 +34,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["experiment", "metrics", "profile"])
+    def test_rejects_non_positive_connections(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "hop", "--connections", "0"])
+        assert exc.value.code == 2
+        assert "'connections' must be positive" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_experiment_payload_small(self, capsys):

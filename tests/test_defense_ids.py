@@ -1,16 +1,15 @@
-"""Tests for the link-layer IDS wrapper and the §VIII countermeasures.
+"""Tests for the classic link-layer IDS and the §VIII countermeasures.
 
-The boolean-alert `LinkLayerIds` is now a thin wrapper over the
-pluggable detector framework (`repro.defense.api` / `bank`); the
-framework itself is tested in `test_defense_framework.py`.  These
-tests keep the original monitoring contract — and assert the wrapper
-really is backed by the registry detectors."""
+The IDS is a `DetectorBank` loaded with the three §VIII signatures;
+the framework itself is tested in `test_defense_framework.py`.  These
+tests keep the original monitoring contract: injections and BTLEJack
+jamming are flagged, clean traffic is not."""
 
 import pytest
 
 from repro.core.attacker import Attacker
 from repro.core.injection import InjectionConfig
-from repro.defense.ids import LinkLayerIds
+from repro.defense.bank import DetectorBank
 from repro.devices import Lightbulb, Smartphone
 from repro.host.att.pdus import WriteReq
 from repro.host.l2cap import CID_ATT, l2cap_encode
@@ -18,17 +17,23 @@ from repro.sim.medium import Medium
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology
 
+IDS_DETECTORS = ("double-frame", "anchor-anomaly", "jamming")
+
 
 def build_monitored_world(seed=91, interval=75):
     sim = Simulator(seed=seed)
     topo = Topology.equilateral_triangle(("bulb", "phone", "attacker"))
     medium = Medium(sim, topo)
-    ids = LinkLayerIds(sim, medium)
+    ids = DetectorBank(sim, medium, IDS_DETECTORS)
     bulb = Lightbulb(sim, medium, "bulb")
     phone = Smartphone(sim, medium, "phone", interval=interval)
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=60))
     return sim, medium, ids, bulb, phone, attacker
+
+
+def injection_alerts(ids):
+    return ids.alerts_of("double-frame") + ids.alerts_of("anchor-anomaly")
 
 
 def run_injection(sim, bulb, phone, attacker):
@@ -51,7 +56,7 @@ class TestIdsAgainstInjection:
         sim, medium, ids, bulb, phone, attacker = build_monitored_world()
         report = run_injection(sim, bulb, phone, attacker)
         assert report is not None and report.success
-        assert ids.detected_injection()
+        assert injection_alerts(ids)
 
     def test_no_alerts_on_clean_traffic(self):
         sim, medium, ids, bulb, phone, _ = build_monitored_world(seed=92)
@@ -60,39 +65,18 @@ class TestIdsAgainstInjection:
         sim.run(until_us=5_000_000)
         phone.ll.request_connection_update(interval=50)
         sim.run(until_us=10_000_000)
-        assert not ids.detected_injection()
-        assert not ids.detected_jamming()
+        assert not injection_alerts(ids)
+        assert not ids.alerts_of("jamming")
 
     def test_alert_metadata(self):
         sim, medium, ids, bulb, phone, attacker = build_monitored_world(
             seed=93)
         run_injection(sim, bulb, phone, attacker)
-        alerts = (ids.alerts_of_kind("double-frame")
-                  + ids.alerts_of_kind("anchor-anomaly"))
+        alerts = injection_alerts(ids)
         assert alerts
         aa = phone.ll.conn.params.access_address if phone.ll.conn else None
         # Alerts reference the victim connection's access address.
         assert any(a.access_address == aa for a in alerts) or aa is None
-
-
-class TestIdsIsBankBacked:
-    def test_wrapper_loads_the_classic_detectors(self):
-        sim, medium, ids, *_ = build_monitored_world(seed=96)
-        assert [d.name for d in ids.bank.detectors] == [
-            "double-frame", "anchor-anomaly", "jamming"]
-
-    def test_alerts_mirror_the_banks_alert_verdicts(self):
-        from repro.defense import ALERT_SCORE
-
-        sim, medium, ids, bulb, phone, attacker = build_monitored_world(
-            seed=95)
-        run_injection(sim, bulb, phone, attacker)
-        bank_alerts = [v for v in ids.bank.verdicts
-                       if v.score >= ALERT_SCORE]
-        assert bank_alerts
-        assert [(v.time_us, v.kind, v.access_address)
-                for v in bank_alerts] == \
-            [(a.time_us, a.kind, a.access_address) for a in ids.alerts]
 
 
 class TestIdsAgainstJamming:
@@ -105,7 +89,7 @@ class TestIdsAgainstJamming:
         sim = Simulator(seed=94)
         topo = Topology.equilateral_triangle(("bulb", "phone", "attacker"))
         medium = Medium(sim, topo)
-        ids = LinkLayerIds(sim, medium)
+        ids = DetectorBank(sim, medium, IDS_DETECTORS)
         bulb = Lightbulb(sim, medium, "bulb")
         phone = MasterLinkLayer(sim, medium, "phone",
                                 BdAddress.from_str("C0:FF:EE:00:00:09"),
@@ -120,7 +104,7 @@ class TestIdsAgainstJamming:
         hijack = BtleJackHijack(sim, attacker.radio, attacker.connection)
         hijack.start()
         sim.run(until_us=30_000_000)
-        assert ids.detected_jamming()
+        assert ids.alerts_of("jamming")
 
 
 class TestWideningMitigation:

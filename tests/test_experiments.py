@@ -4,6 +4,7 @@ the full 25-connection sweeps run in benchmarks/)."""
 import pytest
 
 from repro.analysis.stats import box_stats
+from repro.campaign import EXPERIMENTS, run_experiment
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
     InjectionTrial,
@@ -13,10 +14,6 @@ from repro.experiments.common import (
     run_trials,
     success_rate,
 )
-from repro.experiments.distance import run_experiment_distance
-from repro.experiments.hop_interval import run_experiment_hop_interval
-from repro.experiments.payload_size import run_experiment_payload_size
-from repro.experiments.wall import run_experiment_wall
 
 
 class TestPayloadConstruction:
@@ -83,8 +80,8 @@ class TestExperimentShapes:
     """Reduced-size checks of the Figure 9 qualitative shapes."""
 
     def test_hop_interval_experiment(self):
-        results = run_experiment_hop_interval(
-            base_seed=11, n_connections=6, hop_intervals=(25, 150))
+        results = run_experiment(
+            "hop", base_seed=11, n_connections=6, hop_intervals=(25, 150))
         for hop, trials in results.items():
             assert success_rate(trials) == 1.0, f"hop {hop} not always injectable"
         # Variance shrinks from the smallest to the largest interval.
@@ -93,8 +90,8 @@ class TestExperimentShapes:
         assert var_large <= var_small + 1.0
 
     def test_payload_size_experiment(self):
-        results = run_experiment_payload_size(
-            base_seed=12, n_connections=6, payload_sizes=(4, 16))
+        results = run_experiment(
+            "payload", base_seed=12, n_connections=6, payload_sizes=(4, 16))
         for size, trials in results.items():
             assert success_rate(trials) == 1.0
         median_small = box_stats(attempts_of(results[4])).median
@@ -102,8 +99,8 @@ class TestExperimentShapes:
         assert median_small <= median_large + 1.0
 
     def test_distance_experiment(self):
-        results = run_experiment_distance(
-            base_seed=13, n_connections=5,
+        results = run_experiment(
+            "distance", base_seed=13, n_connections=5,
             positions={"A (1 m)": 1.0, "F (10 m)": 10.0})
         for label, trials in results.items():
             assert success_rate(trials) == 1.0, f"{label} failed"
@@ -112,13 +109,24 @@ class TestExperimentShapes:
         assert far.median >= near.median
 
     def test_wall_experiment(self):
-        results = run_experiment_wall(base_seed=14, n_connections=5,
-                                      distances=(2.0,))
+        results = run_experiment("wall", base_seed=14, n_connections=5,
+                                 distances=(2.0,))
         trials = results[2.0]
         assert success_rate(trials) == 1.0
         # The wall costs more attempts than the same distance in free space.
-        free = run_experiment_distance(
-            base_seed=14, n_connections=5, positions={"B (2 m)": 2.0})
+        free = run_experiment(
+            "distance", base_seed=14, n_connections=5, positions={"B (2 m)": 2.0})
         walled_mean = box_stats(attempts_of(trials)).mean
         free_mean = box_stats(attempts_of(free["B (2 m)"])).mean
         assert walled_mean >= free_mean
+
+
+class TestRunExperiment:
+    def test_cli_panels_and_errors(self):
+        from repro.cli import PANELS
+
+        assert set(PANELS) <= set(EXPERIMENTS)
+        with pytest.raises(ConfigurationError, match="unknown experiment"):
+            run_experiment("frobnicate")
+        with pytest.raises(ConfigurationError, match="hop_intervalz"):
+            run_experiment("hop", hop_intervalz=(25,))
