@@ -31,11 +31,6 @@ CONNECTIONS_PER_CONFIG = 25
 #: Hard wall-clock cap per trial (simulated µs).
 TRIAL_DEADLINE_US = 120_000_000.0
 
-#: Ring-buffer bound on the in-memory trace of experiment worlds: long
-#: campaigns keep the newest records instead of growing without bound
-#: (attach a streaming JSONL sink for full history).
-TRACE_RING_RECORDS = 100_000
-
 
 @dataclass(frozen=True)
 class InjectionTrial:
@@ -157,6 +152,21 @@ def build_injection_payload(pdu_len: int, control_handle: int
     return payload, LLID.DATA_START
 
 
+def observe_effect(pdu_len: int, central: MasterLinkLayer,
+                   bulb: Lightbulb) -> tuple[bool, bool]:
+    """``(effect_observed, connection_survived)`` after an injection.
+
+    The payload-size rule of :func:`build_injection_payload`: a 4-byte
+    ``LL_TERMINATE_IND`` shows as the bulb dropping the link, and only the
+    Central's side counts for survival; any other size is a write turning
+    the bulb off over a link that must survive on both sides.
+    """
+    if pdu_len == 4:
+        return not bulb.ll.is_connected, central.is_connected
+    return (not bulb.is_on,
+            central.is_connected and bulb.ll.is_connected)
+
+
 def _build_topology(trial: InjectionTrial) -> Topology:
     """Victims 2 m apart; attacker on the opposite side at its distance.
 
@@ -198,8 +208,6 @@ def run_trial_world(
     from repro.sim.fastforward import install_engine
 
     sim = Simulator(seed=trial.seed, trace_enabled=trace_enabled,
-                    trace_max_records=None if trace_enabled
-                    else TRACE_RING_RECORDS,
                     metrics_enabled=trial.collect_metrics)
     topo = _build_topology(trial)
     medium = Medium(sim, topo)
@@ -243,12 +251,7 @@ def run_trial_world(
                            metrics=snapshot()), sim
     report = reports[0]
     sim.run(until_us=sim.now + 2_000_000)  # let effects propagate
-    if trial.pdu_len == 4:
-        effect = not bulb.ll.is_connected
-        survived = central.is_connected
-    else:
-        effect = not bulb.is_on
-        survived = central.is_connected and bulb.ll.is_connected
+    effect, survived = observe_effect(trial.pdu_len, central, bulb)
     return TrialResult(
         success=report.success,
         attempts=report.attempts,

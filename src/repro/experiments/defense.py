@@ -136,7 +136,6 @@ def _build_ambient_world(trial: DefenseTrial, engine: Optional[str],
                          trace_enabled: bool):
     """The ``dense-ambient`` world: victim link amid stadium RF churn."""
     from repro.devices import Smartphone
-    from repro.experiments.common import TRACE_RING_RECORDS
     from repro.experiments.dense import (
         ESTABLISH_SETTLE_US,
         ESTABLISH_STAGGER_US,
@@ -151,8 +150,6 @@ def _build_ambient_world(trial: DefenseTrial, engine: Optional[str],
     from repro.sim.simulator import Simulator
 
     sim = Simulator(seed=trial.seed, trace_enabled=trace_enabled,
-                    trace_max_records=None if trace_enabled
-                    else TRACE_RING_RECORDS,
                     metrics_enabled=trial.collect_metrics)
     topo, pairs, wifi_names = build_dense_topology(
         "stadium", AMBIENT_PAIRS, AMBIENT_WIFI)

@@ -33,10 +33,10 @@ from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
-    TRACE_RING_RECORDS,
     TrialResult,
     attempts_of,
     build_injection_payload,
+    observe_effect,
     success_rate,
 )
 from repro.sim.simulator import Simulator
@@ -273,8 +273,6 @@ def run_dense_trial_world(
     from repro.sim.medium import Medium
 
     sim = Simulator(seed=trial.seed, trace_enabled=trace_enabled,
-                    trace_max_records=None if trace_enabled
-                    else TRACE_RING_RECORDS,
                     metrics_enabled=trial.collect_metrics)
     topo, pairs, wifi_names = build_dense_topology(
         trial.layout, trial.connections, trial.wifi_interferers)
@@ -328,8 +326,7 @@ def run_dense_trial_world(
                            occupancy=occupancy), sim
     report = reports[0]
     sim.run(until_us=sim.now + EFFECT_SETTLE_US)
-    effect = not bulb.is_on
-    survived = central.is_connected and bulb.ll.is_connected
+    effect, survived = observe_effect(trial.pdu_len, central, bulb)
     return TrialResult(
         success=report.success,
         attempts=report.attempts,

@@ -30,8 +30,6 @@ class Simulator:
     Args:
         seed: root seed for every RNG stream of the run.
         trace_enabled: whether to record a :class:`~repro.sim.trace.Trace`.
-        trace_max_records: bound the trace's in-memory backend to the
-            newest N records (ring-buffer mode); ``None`` keeps everything.
         metrics_enabled: whether the
             :class:`~repro.telemetry.metrics.MetricsRegistry` collects
             (the registry object always exists, so components can bind
@@ -48,15 +46,13 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0, trace_enabled: bool = True,
-                 trace_max_records: Optional[int] = None,
                  metrics_enabled: bool = False):
         from repro.telemetry.metrics import MetricsRegistry
 
         self._now = 0.0
         self._queue = EventQueue()
         self.streams = RngStreams(seed)
-        self.trace = Trace(enabled=trace_enabled,
-                           max_records=trace_max_records)
+        self.trace = Trace(enabled=trace_enabled)
         self.metrics = MetricsRegistry(enabled=metrics_enabled)
         self._running = False
         self._stop_requested = False

@@ -1,14 +1,10 @@
 """Structured trace of simulation activity.
 
-Experiments and the success-detection heuristic both need an audit trail
-of what happened on air and inside the state machines.  A :class:`Trace`
-is a stream of typed records feeding one in-memory backend (for the query
-helpers analysis code uses) plus any number of attached streaming sinks
-(JSONL files, ring buffers, ... — see :mod:`repro.telemetry.sinks`).
-
-The in-memory backend is pluggable too: the historical unbounded list by
-default, or a bounded ring (``max_records``) so long campaigns keep the
-most recent history instead of growing without bound.
+A :class:`Trace` is the audit trail of what happened on air and inside
+the state machines: an in-memory list of typed records, kept whole.  The
+engine differential tests compare it byte for byte across engines and
+medium modes; experiment worlds leave it disabled, so it costs one flag
+check per record site.
 """
 
 from __future__ import annotations
@@ -45,66 +41,29 @@ class TraceRecord:
 
 
 class Trace:
-    """Simulation trace with simple query helpers and streaming sinks.
+    """Simulation trace: a list of records with a query helper.
 
     Args:
         enabled: record anything at all (the fast-exit guard hot paths
             check before building kwargs).
-        max_records: bound the in-memory backend to the newest
-            ``max_records`` entries (ring-buffer mode); ``None`` keeps
-            everything, the historical behaviour.
     """
 
-    def __init__(self, enabled: bool = True,
-                 max_records: Optional[int] = None):
-        from repro.telemetry.sinks import ListSink, RingSink
-
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._backend = (RingSink(max_records) if max_records is not None
-                         else ListSink())
-        self._sinks: list = []
-
-    @property
-    def max_records(self) -> Optional[int]:
-        """The ring bound, or ``None`` in unbounded mode."""
-        return getattr(self._backend, "max_records", None)
-
-    @property
-    def dropped(self) -> int:
-        """Records evicted by the ring bound (0 in unbounded mode)."""
-        return getattr(self._backend, "dropped", 0)
-
-    def add_sink(self, sink) -> None:
-        """Attach a streaming sink; it receives every future record."""
-        self._sinks.append(sink)
-
-    def remove_sink(self, sink) -> None:
-        """Detach a previously attached sink (does not close it)."""
-        self._sinks.remove(sink)
-
-    def close(self) -> None:
-        """Close every attached sink (the in-memory backend stays
-        queryable)."""
-        for sink in self._sinks:
-            sink.close()
+        self._records: list[TraceRecord] = []
 
     def record(
         self, time_us: float, source: str, kind: str, **detail: Any
     ) -> None:
         """Append a record (no-op when disabled)."""
-        if not self.enabled:
-            return
-        rec = TraceRecord(time_us, source, kind, detail)
-        self._backend.write(rec)
-        if self._sinks:
-            for sink in self._sinks:
-                sink.write(rec)
+        if self.enabled:
+            self._records.append(TraceRecord(time_us, source, kind, detail))
 
     def __len__(self) -> int:
-        return len(self._backend)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._backend)
+        return iter(self._records)
 
     def filter(
         self,
@@ -114,7 +73,7 @@ class Trace:
     ) -> list[TraceRecord]:
         """Records matching all the provided criteria."""
         out = []
-        for rec in self._backend:
+        for rec in self._records:
             if kind is not None and rec.kind != kind:
                 continue
             if source is not None and rec.source != source:
@@ -123,14 +82,3 @@ class Trace:
                 continue
             out.append(rec)
         return out
-
-    def last(self, kind: str) -> Optional[TraceRecord]:
-        """Most recent record of the given kind, or ``None``."""
-        for rec in reversed(list(self._backend)):
-            if rec.kind == kind:
-                return rec
-        return None
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self._backend.clear()

@@ -1,4 +1,4 @@
-"""Telemetry & capture: metrics, streaming trace sinks, PCAP export.
+"""Telemetry & capture: metrics, JSONL trace files, PCAP export.
 
 The paper's success heuristic (eq. 7) and the §VII sensitivity analysis
 are driven entirely by *what happened on air and when*.  This package is
@@ -9,10 +9,9 @@ the system of record for that question:
   attempts-to-success, anchor drift, per-channel airtime).  The disabled
   path is a single attribute check, cheap enough to leave the
   instrumentation permanently compiled into the hot paths.
-* :mod:`repro.telemetry.sinks` — the :class:`TraceSink` protocol plus
-  list, bounded-ring and streaming-JSONL backends; the simulator's
-  :class:`~repro.sim.trace.Trace` forwards every record to any number of
-  attached sinks instead of being a mandatory unbounded list.
+* :mod:`repro.telemetry.sinks` — :class:`JsonlSink`, which streams
+  trace records to a file as one JSON object per line, and
+  :func:`read_jsonl`, which parses such files (and capture JSONL) back.
 * :mod:`repro.telemetry.pcap` — a Wireshark-compatible PCAP writer/reader
   pair using Nordic BLE sniffer framing (DLT 272): access address,
   channel, RSSI and CRC verdict per frame, so any simulated connection
@@ -31,14 +30,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     merge_snapshots,
 )
-from repro.telemetry.sinks import (
-    JsonlSink,
-    ListSink,
-    NullSink,
-    RingSink,
-    TraceSink,
-    read_jsonl,
-)
+from repro.telemetry.sinks import JsonlSink, read_jsonl
 from repro.telemetry.pcap import (
     DLT_NORDIC_BLE,
     NordicBleFrame,
@@ -59,16 +51,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlSink",
-    "ListSink",
     "MetricsRegistry",
     "NordicBleFrame",
-    "NullSink",
     "PcapFormatError",
     "PcapReader",
     "PcapWriter",
     "ProgressTracker",
-    "RingSink",
-    "TraceSink",
     "merge_snapshots",
     "pcap_bytes",
     "read_jsonl",

@@ -14,16 +14,15 @@ keeps one :class:`~repro.telemetry.pcap.NordicBleFrame` per transmission:
   the transmit power minus a nominal 1 m free-space loss — captures are
   about *what* was sent *when*; fine-grained fading lives in the medium.
 
-The recorder is bounded (``max_frames`` ring semantics) and exports to
-PCAP (:meth:`write_pcap`) or JSONL (:meth:`write_jsonl`).
+The recorder keeps every frame in memory and exports them to PCAP
+(:meth:`write_pcap`) or JSONL (:meth:`write_jsonl`).
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from pathlib import Path
-from typing import Deque, Optional, Union
+from typing import Union
 
 from repro.ll.access_address import ADVERTISING_ACCESS_ADDRESS
 from repro.ll.pdu.advertising import ConnectReq, decode_advertising_pdu
@@ -46,16 +45,12 @@ class FrameRecorder:
 
     Args:
         medium: the medium to tap (taps fire at every frame start).
-        max_frames: keep only the newest ``max_frames`` (None = unbounded).
         board_id: board id stamped into the Nordic framing.
     """
 
-    def __init__(self, medium: Medium, max_frames: Optional[int] = None,
-                 board_id: int = 0) -> None:
+    def __init__(self, medium: Medium, board_id: int = 0) -> None:
         self.board_id = board_id
-        self.frames: Deque[NordicBleFrame] = deque(maxlen=max_frames)
-        #: Frames evicted by the bound so far.
-        self.dropped = 0
+        self.frames: list[NordicBleFrame] = []
         self._crc_inits: dict[int, int] = {}
         self._event_state: dict[int, tuple[float, int]] = {}
         medium.add_tap(self._on_frame)
@@ -76,9 +71,6 @@ class FrameRecorder:
             crc_ok = (crc24(frame.pdu, crc_init) == frame.crc
                       if crc_init is not None else True)
             master_to_slave, event_counter = self._advance_event(aa, frame)
-        if (self.frames.maxlen is not None
-                and len(self.frames) == self.frames.maxlen):
-            self.dropped += 1
         self.frames.append(NordicBleFrame(
             time_us=int(round(frame.start_us)),
             access_address=aa,

@@ -49,11 +49,6 @@ class ProgressTracker:
         """
         self.done, self.ok, self.failed, self.cached = done, ok, failed, cached
 
-    def as_dict(self) -> dict:
-        """The counters as a plain dict (status payloads, tests)."""
-        return {"total": self.total, "done": self.done, "ok": self.ok,
-                "failed": self.failed, "cached": self.cached}
-
     def update(self, status: str, cached: bool = False) -> None:
         """Record one completed unit (``status``: ``"ok"``/``"failed"``)."""
         self.done += 1

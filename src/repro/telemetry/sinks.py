@@ -1,125 +1,21 @@
-"""Streaming trace sinks.
+"""Streaming JSONL trace files.
 
-A *sink* receives every :class:`~repro.sim.trace.TraceRecord` the moment
-it is recorded.  The simulator's :class:`~repro.sim.trace.Trace` owns one
-in-memory backend (unbounded list or bounded ring) and forwards each
-record to any number of attached sinks, so "keep everything in RAM" is
-just one pluggable policy among several:
-
-* :class:`ListSink` — the historical unbounded list (query-friendly);
-* :class:`RingSink` — a ``deque(maxlen=...)`` keeping the most recent
-  records only, for million-trial campaigns where the tail is all that
-  matters;
-* :class:`JsonlSink` — streams each record as one JSON line to a file,
-  the interchange format ``repro capture --format jsonl`` emits;
-* :class:`NullSink` — discards everything (benchmark control).
-
-Sinks are duck-typed against :class:`TraceSink`; anything with
-``write(record)`` and ``close()`` works.
+:class:`JsonlSink` writes one JSON object per
+:class:`~repro.sim.trace.TraceRecord`; :func:`read_jsonl` parses such a
+file back, and also reads the per-frame JSONL that
+``repro capture --format jsonl`` emits.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Protocol, Union
+from typing import IO, TYPE_CHECKING, Union
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import TraceRecord
 
-__all__ = [
-    "JsonlSink",
-    "ListSink",
-    "NullSink",
-    "RingSink",
-    "TraceSink",
-    "read_jsonl",
-]
-
-
-class TraceSink(Protocol):
-    """What a trace backend must implement."""
-
-    def write(self, record: "TraceRecord") -> None:
-        """Accept one record."""
-        ...  # pragma: no cover - protocol
-
-    def close(self) -> None:
-        """Flush and release resources (idempotent)."""
-        ...  # pragma: no cover - protocol
-
-
-class ListSink:
-    """Unbounded in-memory sink — the seed repo's original behaviour."""
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: list["TraceRecord"] = []
-
-    def write(self, record: "TraceRecord") -> None:
-        self.records.append(record)
-
-    def close(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator["TraceRecord"]:
-        return iter(self.records)
-
-    def clear(self) -> None:
-        self.records.clear()
-
-
-class RingSink:
-    """Bounded in-memory sink keeping the ``max_records`` newest records."""
-
-    __slots__ = ("records", "dropped")
-
-    def __init__(self, max_records: int) -> None:
-        if max_records <= 0:
-            raise ValueError(f"max_records must be positive: {max_records}")
-        self.records: deque["TraceRecord"] = deque(maxlen=max_records)
-        #: Records evicted so far (how much history the ring has forgotten).
-        self.dropped = 0
-
-    @property
-    def max_records(self) -> int:
-        """The ring capacity."""
-        return self.records.maxlen or 0
-
-    def write(self, record: "TraceRecord") -> None:
-        if len(self.records) == self.records.maxlen:
-            self.dropped += 1
-        self.records.append(record)
-
-    def close(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator["TraceRecord"]:
-        return iter(self.records)
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped = 0
-
-
-class NullSink:
-    """Discards every record."""
-
-    __slots__ = ()
-
-    def write(self, record: "TraceRecord") -> None:
-        pass
-
-    def close(self) -> None:
-        pass
+__all__ = ["JsonlSink", "read_jsonl"]
 
 
 class JsonlSink:

@@ -3,8 +3,9 @@
 The analytic fast-forward engine (:mod:`repro.sim.fastforward`) promises
 *byte-identical traces* and *bit-identical results* against the reference
 event-by-event path.  These tests hold it to that across a smoke panel of
-all six experiment modules plus an adversarial world that forces the
-engine to disengage mid-run and re-engage after the disturbance.
+all six experiment modules, the tapped dense and defense worlds, and an
+adversarial world that forces the engine to disengage mid-run and
+re-engage after the disturbance.
 
 ``run_both_engines`` is the reusable harness: give it a callable that
 builds and runs a world for a named engine, and it asserts the two traces
@@ -23,6 +24,8 @@ from repro.experiments import (
     wall,
 )
 from repro.experiments.common import InjectionTrial, run_trial_world
+from repro.experiments.defense import DefenseTrial, run_defense_trial_world
+from repro.experiments.dense import DenseTrial, run_dense_trial_world
 from repro.experiments.scenarios import (
     ScenarioTrial,
     resolve_scenario,
@@ -70,18 +73,24 @@ def _first_trial(units) -> InjectionTrial:
     return units[0][1]
 
 
-def _assert_trial_differential(trial: InjectionTrial) -> None:
+def _assert_world_differential(run_world, trial) -> None:
+    """``run_world(trial, engine=..., trace_enabled=True)`` for both
+    engines: identical non-empty traces and equal results."""
     results = {}
 
     def build_and_run(engine):
-        result, sim = run_trial_world(trial, engine=engine,
-                                      trace_enabled=True)
+        result, sim = run_world(trial, engine=engine, trace_enabled=True)
         results[engine] = result
         return sim
 
-    fastforward.reset_fast_forward_count()
-    run_both_engines(build_and_run)
+    sim_ref, _ = run_both_engines(build_and_run)
+    assert len(sim_ref.trace) > 0
     assert results["reference"] == results["fast"]
+
+
+def _assert_trial_differential(trial: InjectionTrial) -> None:
+    fastforward.reset_fast_forward_count()
+    _assert_world_differential(run_trial_world, trial)
     assert fastforward.events_fast_forwarded() > 0, (
         "fast engine never engaged — the differential test is vacuous")
 
@@ -124,6 +133,26 @@ class TestExperimentPanels:
                            fastforward.ENGINE_FAST)
         fast = run_scenario_trial(trial)
         assert ref == fast
+
+
+class TestTappedWorlds:
+    """Dense and monitored worlds, reference vs fast.
+
+    Fast-forward engages in neither: the occupancy meter and the detector
+    bank are medium taps, and any tap (``medium._taps`` non-empty) keeps
+    the engine off.  The traces must still match record for record:
+    installing the fast engine must not perturb a world it never skips.
+    """
+
+    def test_idle_apartment_dense_trial(self):
+        _assert_world_differential(
+            run_dense_trial_world,
+            DenseTrial(seed=5, connections=0, wifi_interferers=0))
+
+    @pytest.mark.parametrize("traffic", ["benign", "dense-ambient"])
+    def test_defense_trial(self, traffic):
+        _assert_world_differential(
+            run_defense_trial_world, DefenseTrial(seed=5, traffic=traffic))
 
 
 class TestAdversarialDisengage:

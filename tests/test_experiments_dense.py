@@ -57,6 +57,15 @@ class TestDenseTrial:
         assert result.success
         assert result.occupancy == 0.0
 
+    def test_terminate_ind_effect_is_the_disconnect(self):
+        # A 4-byte PDU is LL_TERMINATE_IND: the bulb stays powered and its
+        # visible effect is the dropped link, judged as in 3-device trials.
+        result = run_dense_trial(DenseTrial(seed=5, connections=0,
+                                            wifi_interferers=0, pdu_len=4))
+        assert result.success and result.attempts == 1
+        assert result.effect_observed
+        assert not result.connection_survived
+
     def test_loaded_world_measures_occupancy(self):
         result = run_dense_trial(DenseTrial(seed=302, connections=3,
                                             wifi_interferers=1))

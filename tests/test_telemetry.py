@@ -1,4 +1,4 @@
-"""Tests for the telemetry subsystem: metrics, sinks, and trace wiring."""
+"""Tests for the telemetry subsystem: metrics, JSONL sink, and trace wiring."""
 
 import io
 import pickle
@@ -13,10 +13,7 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     JsonlSink,
-    ListSink,
     MetricsRegistry,
-    NullSink,
-    RingSink,
     merge_snapshots,
     read_jsonl,
 )
@@ -162,30 +159,6 @@ class TestSinks:
     def _record(self, t=1.0, kind="tx"):
         return TraceRecord(t, "medium", kind, {"channel": 7})
 
-    def test_list_sink(self):
-        sink = ListSink()
-        sink.write(self._record())
-        assert len(sink) == 1 and list(sink)[0].kind == "tx"
-        sink.clear()
-        assert len(sink) == 0
-
-    def test_ring_sink_keeps_newest(self):
-        sink = RingSink(max_records=2)
-        for t in (1.0, 2.0, 3.0):
-            sink.write(self._record(t))
-        assert [r.time_us for r in sink] == [2.0, 3.0]
-        assert sink.dropped == 1
-        assert sink.max_records == 2
-
-    def test_ring_sink_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            RingSink(0)
-
-    def test_null_sink_discards(self):
-        sink = NullSink()
-        sink.write(self._record())
-        sink.close()  # no state to assert; must simply not blow up
-
     def test_jsonl_sink_roundtrip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with JsonlSink(path) as sink:
@@ -208,52 +181,25 @@ class TestSinks:
 class TestTraceBackends:
     def test_default_is_unbounded(self):
         trace = Trace()
-        assert trace.max_records is None and trace.dropped == 0
         for t in range(5):
             trace.record(float(t), "x", "k")
         assert len(trace) == 5
+        assert [r.time_us for r in trace] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
-    def test_ring_mode_bounds_memory(self):
-        trace = Trace(max_records=3)
-        for t in range(10):
-            trace.record(float(t), "x", "k")
-        assert len(trace) == 3
-        assert trace.dropped == 7
-        assert [r.time_us for r in trace] == [7.0, 8.0, 9.0]
-        assert trace.max_records == 3
-
-    def test_ring_mode_query_helpers_work(self):
-        trace = Trace(max_records=4)
+    def test_filter_query_helper(self):
+        trace = Trace()
         trace.record(1.0, "a", "tx")
         trace.record(2.0, "b", "rx")
-        trace.record(3.0, "a", "tx")
+        trace.record(3.0, "a", "tx", channel=7)
         assert len(trace.filter(kind="tx", source="a")) == 2
-        assert trace.last("rx").time_us == 2.0
+        assert [r.time_us for r in trace.filter(kind="rx")] == [2.0]
+        hits = trace.filter(predicate=lambda r: r.detail.get("channel") == 7)
+        assert [r.time_us for r in hits] == [3.0]
 
     def test_disabled_trace_records_nothing(self):
-        trace = Trace(enabled=False, max_records=5)
+        trace = Trace(enabled=False)
         trace.record(1.0, "x", "k")
         assert len(trace) == 0
-
-    def test_sinks_receive_every_record(self):
-        trace = Trace()
-        tap = ListSink()
-        trace.add_sink(tap)
-        trace.record(1.0, "x", "k")
-        trace.remove_sink(tap)
-        trace.record(2.0, "x", "k")
-        assert len(tap) == 1 and len(trace) == 2
-
-    def test_streaming_jsonl_from_trace(self, tmp_path):
-        path = tmp_path / "stream.jsonl"
-        trace = Trace(max_records=2)  # ring forgets; the stream keeps all
-        trace.add_sink(JsonlSink(path))
-        for t in range(5):
-            trace.record(float(t), "medium", "tx", channel=t)
-        trace.close()
-        rows = read_jsonl(path)
-        assert [r["detail"]["channel"] for r in rows] == [0, 1, 2, 3, 4]
-        assert len(trace) == 2
 
 
 class TestSimulatorWiring:
@@ -261,10 +207,6 @@ class TestSimulatorWiring:
         simulator = Simulator(seed=1)
         assert isinstance(simulator.metrics, MetricsRegistry)
         assert not simulator.metrics.enabled
-
-    def test_simulator_trace_ring_option(self):
-        simulator = Simulator(seed=1, trace_max_records=7)
-        assert simulator.trace.max_records == 7
 
     def test_world_metrics_flow_end_to_end(self):
         result = run_single_trial(

@@ -158,10 +158,10 @@ class TestWriterValidation:
 
 
 class TestFrameRecorder:
-    def _world(self, triangle_world, max_frames=None):
+    def _world(self, triangle_world):
         simulator, medium = triangle_world(names=("bulb", "phone", "mon"),
                                            seed=97)
-        recorder = FrameRecorder(medium, max_frames=max_frames)
+        recorder = FrameRecorder(medium)
         bulb = Lightbulb(simulator, medium, "bulb")
         phone = Smartphone(simulator, medium, "phone", interval=36)
         bulb.power_on()
@@ -198,8 +198,3 @@ class TestFrameRecorder:
         assert len(rows) == len(recorder)
         assert rows[0]["channel"] in range(40)
         assert bytes.fromhex(rows[0]["pdu"])  # hex-encoded PDU decodes
-
-    def test_recorder_ring_bound(self, triangle_world):
-        recorder = self._world(triangle_world, max_frames=5)
-        assert len(recorder) == 5
-        assert recorder.dropped > 0
