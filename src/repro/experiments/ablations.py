@@ -14,15 +14,18 @@ paper proposes qualitatively:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.core.attacker import Attacker
-from repro.core.injection import InjectionConfig, InjectionReport
+from repro.core.injection import InjectionConfig
 from repro.defense.bank import DetectorBank
 from repro.devices.lightbulb import Lightbulb
 from repro.experiments.common import (
+    VICTIM_SUPERVISION_TIMEOUT,
     InjectionTrial,
     build_injection_payload,
+    run_attack,
 )
 from repro.host.stack import CentralHost
 from repro.ll.master import MasterLinkLayer
@@ -140,7 +143,7 @@ def _run_ids_injectable(seed: int) -> IdsAblationResult:
     bulb = Lightbulb(sim, medium, "peripheral")
     central = MasterLinkLayer(sim, medium, "central",
                               BdAddress.from_str("C0:FF:EE:00:00:02"),
-                              interval=36, timeout=300)
+                              interval=36, timeout=VICTIM_SUPERVISION_TIMEOUT)
     CentralHost(central)
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=60))
@@ -153,11 +156,10 @@ def _run_ids_injectable(seed: int) -> IdsAblationResult:
                                  _detected_injection(bank), 0)
     handle = bulb.gatt.find_characteristic(0xFF11).value_handle
     payload, llid = build_injection_payload(14, handle)
-    reports: list[InjectionReport] = []
-    attacker.inject(payload, llid, on_done=reports.append)
-    sim.run(until_us=60_000_000)
-    succeeded = bool(reports and reports[0].success)
-    frames = reports[0].attempts if reports else 0
+    report = run_attack(sim, partial(attacker.inject, payload, llid),
+                        60_000_000)
+    succeeded = bool(report and report.success)
+    frames = report.attempts if report else 0
     return IdsAblationResult("injectable", succeeded,
                              _detected_injection(bank), frames)
 

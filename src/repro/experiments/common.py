@@ -9,6 +9,7 @@ paper's Figure 9 box-plots show over 25 connections per configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.core.attacker import Attacker
@@ -28,8 +29,17 @@ from repro.sim.topology import Topology
 #: Default connections per configuration, matching the paper.
 CONNECTIONS_PER_CONFIG = 25
 
-#: Hard wall-clock cap per trial (simulated µs).
+#: Simulated-time budget per trial (µs): an attack that has not reported
+#: by then counts as a failure.  A reporting attack ends the trial early.
 TRIAL_DEADLINE_US = 120_000_000.0
+
+#: Supervision timeout of the victim connections, in 10 ms units (3 s).
+VICTIM_SUPERVISION_TIMEOUT = 300
+
+#: Time to let an attack's effects settle before they are read: one
+#: victim supervision timeout, so a link the attack broke has timed out
+#: on both sides, plus a 2 s margin for the effect itself.
+SETTLE_US = VICTIM_SUPERVISION_TIMEOUT * 10_000.0 + 2_000_000.0
 
 
 @dataclass(frozen=True)
@@ -167,6 +177,34 @@ def observe_effect(pdu_len: int, central: MasterLinkLayer,
             central.is_connected and bulb.ll.is_connected)
 
 
+def run_attack(sim: Simulator, start: Callable[[Callable], None],
+               deadline_us: float, settle_us: float = SETTLE_US):
+    """Run an attack until it reports, then let its effects settle.
+
+    ``start(on_done)`` launches the attack; ``on_done`` records the
+    attack's report and stops the simulator, which then runs on for
+    ``settle_us``.  ``deadline_us`` (absolute simulated time) is only the
+    budget of an attack that never reports.  A caller that acts on the
+    report and then runs its own follow-up passes ``settle_us=0``.
+
+    Returns:
+        the report, or ``None`` when the attack did not report in time.
+    """
+    reports: list = []
+
+    def on_done(report) -> None:
+        reports.append(report)
+        sim.stop()
+
+    start(on_done)
+    sim.run(until_us=deadline_us)
+    if not reports:
+        return None
+    if settle_us > 0:
+        sim.run(until_us=sim.now + settle_us)
+    return reports[0]
+
+
 def _build_topology(trial: InjectionTrial) -> Topology:
     """Victims 2 m apart; attacker on the opposite side at its distance.
 
@@ -217,7 +255,7 @@ def run_trial_world(
         sim, medium, "central",
         BdAddress.from_str("C0:FF:EE:00:00:01"),
         interval=trial.hop_interval,
-        timeout=300,
+        timeout=VICTIM_SUPERVISION_TIMEOUT,
         sca_ppm=trial.master_sca_ppm,
     )
     from repro.host.stack import CentralHost
@@ -243,14 +281,11 @@ def run_trial_world(
 
     handle = bulb.gatt.find_characteristic(0xFF11).value_handle
     payload, llid = build_injection_payload(trial.pdu_len, handle)
-    reports: list[InjectionReport] = []
-    attacker.inject(payload, llid, on_done=reports.append)
-    sim.run(until_us=TRIAL_DEADLINE_US)
-    if not reports:
+    report = run_attack(sim, partial(attacker.inject, payload, llid),
+                        TRIAL_DEADLINE_US)
+    if report is None:
         return TrialResult(success=False, attempts=0,
                            metrics=snapshot()), sim
-    report = reports[0]
-    sim.run(until_us=sim.now + 2_000_000)  # let effects propagate
     effect, survived = observe_effect(trial.pdu_len, central, bulb)
     return TrialResult(
         success=report.success,

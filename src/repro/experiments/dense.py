@@ -29,14 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
+    VICTIM_SUPERVISION_TIMEOUT,
     TrialResult,
     attempts_of,
     build_injection_payload,
     observe_effect,
+    run_attack,
     success_rate,
 )
 from repro.sim.simulator import Simulator
@@ -82,15 +85,12 @@ OCCUPANCY_WINDOW_US = 1_000_000.0
 #: Victim connection + attacker-sync settling time.
 VICTIM_SETTLE_US = 2_000_000.0
 
-#: Injection budget per dense trial.  Dense worlds cannot fast-forward
-#: (the background traffic keeps the event queue hot), so the budget is
-#: far below the 3-device panels' 120 s; the attack either lands within
-#: a few hundred connection events or the trial counts as a failure —
-#: which, at high occupancy, is the signal being measured.
+#: Injection budget per dense trial, from the start of the attack.  A
+#: reporting attack ends the trial early (see
+#: :func:`~repro.experiments.common.run_attack`); one that has not
+#: reported within these few hundred connection events counts as a
+#: failure — which, at high occupancy, is the signal being measured.
 DENSE_INJECT_DEADLINE_US = 20_000_000.0
-
-#: Post-attack settling time before the effect/survival checks.
-EFFECT_SETTLE_US = 2_000_000.0
 
 #: The BLE band (37 data + 3 advertising channels); occupancy denominators.
 TOTAL_CHANNELS = 40
@@ -265,7 +265,7 @@ def run_dense_trial_world(
     runs against it.
     """
     from repro.core.attacker import Attacker
-    from repro.core.injection import InjectionConfig, InjectionReport
+    from repro.core.injection import InjectionConfig
     from repro.devices.lightbulb import Lightbulb
     from repro.ll.master import MasterLinkLayer
     from repro.ll.pdu.address import BdAddress
@@ -300,7 +300,7 @@ def run_dense_trial_world(
     central = MasterLinkLayer(
         sim, medium, "central",
         BdAddress.from_str("C0:FF:EE:00:00:01"),
-        interval=trial.hop_interval, timeout=300,
+        interval=trial.hop_interval, timeout=VICTIM_SUPERVISION_TIMEOUT,
     )
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=100))
@@ -318,14 +318,11 @@ def run_dense_trial_world(
                            occupancy=occupancy), sim
     handle = bulb.gatt.find_characteristic(0xFF11).value_handle
     payload, llid = build_injection_payload(trial.pdu_len, handle)
-    reports: list[InjectionReport] = []
-    attacker.inject(payload, llid, on_done=reports.append)
-    sim.run(until_us=sim.now + DENSE_INJECT_DEADLINE_US)
-    if not reports:
+    report = run_attack(sim, partial(attacker.inject, payload, llid),
+                        sim.now + DENSE_INJECT_DEADLINE_US)
+    if report is None:
         return TrialResult(success=False, attempts=0, metrics=snapshot(),
                            occupancy=occupancy), sim
-    report = reports[0]
-    sim.run(until_us=sim.now + EFFECT_SETTLE_US)
     effect, survived = observe_effect(trial.pdu_len, central, bulb)
     return TrialResult(
         success=report.success,

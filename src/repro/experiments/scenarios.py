@@ -10,6 +10,7 @@ traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.core.attacker import Attacker
@@ -22,6 +23,7 @@ from repro.core.scenarios import (
 from repro.core.scenarios.scenario_b import hacked_gatt_server
 from repro.devices import Keyfob, Lightbulb, Smartphone, Smartwatch
 from repro.devices.smartwatch import Sms
+from repro.experiments.common import run_attack
 from repro.host.att.pdus import ReadByTypeRsp, WriteReq, decode_att_pdu
 from repro.host.gatt.uuids import UUID_DEVICE_NAME
 from repro.host.l2cap import CID_ATT, l2cap_decode, l2cap_encode
@@ -95,48 +97,47 @@ def run_scenario_a(device_cls, seed: int,
     """Scenario A: inject a feature-triggering ATT request."""
     sim, victim, phone, attacker = build_world(device_cls, seed, world_hook)
     handle, value, check = feature_write(victim)
-    results = []
-    IllegitimateUseScenario(attacker).inject_write(handle, value,
-                                                   on_done=results.append)
-    sim.run(until_us=60_000_000)
-    ok = bool(results and results[0].success and check())
-    return ok, results[0].report.attempts if results else 0
+    result = run_attack(
+        sim, partial(IllegitimateUseScenario(attacker).inject_write,
+                     handle, value),
+        60_000_000)
+    ok = bool(result and result.success and check())
+    return ok, result.report.attempts if result else 0
 
 
 def run_scenario_b(device_cls, seed: int,
                    world_hook: Optional[Callable] = None) -> tuple[bool, int]:
     """Scenario B: terminate + impersonate; verify the spoofed name."""
     sim, victim, phone, attacker = build_world(device_cls, seed, world_hook)
-    results = []
-    SlaveHijackScenario(attacker, gatt_server=hacked_gatt_server("Hacked")
-                        ).run(on_done=results.append)
-    sim.run(until_us=15_000_000)
-    if not (results and results[0].success):
-        return False, results[0].report.attempts if results else 0
+    result = run_attack(
+        sim, SlaveHijackScenario(attacker,
+                                 gatt_server=hacked_gatt_server("Hacked")).run,
+        15_000_000, settle_us=0.0)
+    if not (result and result.success):
+        return False, result.report.attempts if result else 0
     names = []
     phone.host.att.read_by_type(UUID_DEVICE_NAME, names.append)
     sim.run(until_us=sim.now + 3_000_000)
     spoofed = bool(names and isinstance(names[0], ReadByTypeRsp)
                    and names[0].records[0][1] == b"Hacked")
     ok = spoofed and not victim.ll.is_connected and phone.is_connected
-    return ok, results[0].report.attempts
+    return ok, result.report.attempts
 
 
 def run_scenario_c(device_cls, seed: int,
                    world_hook: Optional[Callable] = None) -> tuple[bool, int]:
     """Scenario C: forged update takeover; verify the attacker drives."""
     sim, victim, phone, attacker = build_world(device_cls, seed, world_hook)
-    results = []
-    MasterHijackScenario(attacker, instant_delta=40).run(
-        on_done=results.append)
-    sim.run(until_us=25_000_000)
-    if not (results and results[0].success):
-        return False, results[0].report.attempts if results else 0
+    result = run_attack(
+        sim, MasterHijackScenario(attacker, instant_delta=40).run,
+        25_000_000, settle_us=0.0)
+    if not (result and result.success):
+        return False, result.report.attempts if result else 0
     handle, value, check = feature_write(victim)
-    results[0].fake_master.queue_att(WriteReq(handle, value).to_bytes())
+    result.fake_master.queue_att(WriteReq(handle, value).to_bytes())
     sim.run(until_us=sim.now + 3_000_000)
     ok = check() and victim.ll.is_connected and not phone.is_connected
-    return ok, results[0].report.attempts
+    return ok, result.report.attempts
 
 
 def run_scenario_d(device_cls, seed: int,
@@ -155,12 +156,11 @@ def run_scenario_d(device_cls, seed: int,
             pass
         return frame
 
-    results = []
-    MitmScenario(attacker, master_to_slave=mutate).run(
-        on_done=results.append)
-    sim.run(until_us=15_000_000)
-    if not (results and results[0].success):
-        return False, results[0].report.attempts if results else 0
+    result = run_attack(
+        sim, MitmScenario(attacker, master_to_slave=mutate).run,
+        15_000_000, settle_us=0.0)
+    if not (result and result.success):
+        return False, result.report.attempts if result else 0
     handle, value, _ = feature_write(victim)
     witness = []
     char = None
@@ -174,7 +174,7 @@ def run_scenario_d(device_cls, seed: int,
     sim.run(until_us=sim.now + 6_000_000)
     mutated = bool(witness and witness[-1][:1] == b"\xEE")
     ok = mutated and phone.is_connected and victim.ll.is_connected
-    return ok, results[0].report.attempts
+    return ok, result.report.attempts
 
 
 #: Scenario runners by display name.

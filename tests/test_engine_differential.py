@@ -23,7 +23,11 @@ from repro.experiments import (
     payload_size,
     wall,
 )
-from repro.experiments.common import InjectionTrial, run_trial_world
+from repro.experiments.common import (
+    TRIAL_DEADLINE_US,
+    InjectionTrial,
+    run_trial_world,
+)
 from repro.experiments.defense import DefenseTrial, run_defense_trial_world
 from repro.experiments.dense import DenseTrial, run_dense_trial_world
 from repro.experiments.scenarios import (
@@ -73,14 +77,23 @@ def _first_trial(units) -> InjectionTrial:
     return units[0][1]
 
 
-def _assert_world_differential(run_world, trial) -> None:
+def _assert_world_differential(run_world, trial,
+                               continue_to_us=None) -> None:
     """``run_world(trial, engine=..., trace_enabled=True)`` for both
-    engines: identical non-empty traces and equal results."""
+    engines: identical non-empty traces and equal results.
+
+    With ``continue_to_us``, each returned world keeps running to that
+    time before the traces are compared.  A trial ends a few seconds
+    after its injection report; continuing it covers the engine over a
+    long post-injection stretch as well.
+    """
     results = {}
 
     def build_and_run(engine):
         result, sim = run_world(trial, engine=engine, trace_enabled=True)
         results[engine] = result
+        if continue_to_us is not None:
+            sim.run(until_us=continue_to_us)
         return sim
 
     sim_ref, _ = run_both_engines(build_and_run)
@@ -90,7 +103,8 @@ def _assert_world_differential(run_world, trial) -> None:
 
 def _assert_trial_differential(trial: InjectionTrial) -> None:
     fastforward.reset_fast_forward_count()
-    _assert_world_differential(run_trial_world, trial)
+    _assert_world_differential(run_trial_world, trial,
+                               continue_to_us=TRIAL_DEADLINE_US)
     assert fastforward.events_fast_forwarded() > 0, (
         "fast engine never engaged — the differential test is vacuous")
 

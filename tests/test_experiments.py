@@ -7,13 +7,22 @@ from repro.analysis.stats import box_stats
 from repro.campaign import EXPERIMENTS, run_experiment
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
+    SETTLE_US,
+    TRIAL_DEADLINE_US,
     InjectionTrial,
     attempts_of,
     build_injection_payload,
     run_single_trial,
+    run_trial_world,
     run_trials,
     success_rate,
 )
+
+
+def report_time_us(sim) -> float:
+    """Simulated time at which the world's injection session reported."""
+    (finished,) = sim.trace.filter(kind="injection-finished")
+    return finished.time_us
 
 
 class TestPayloadConstruction:
@@ -60,6 +69,16 @@ class TestSingleTrial:
         result = run_single_trial(InjectionTrial(seed=101, hop_interval=75,
                                                  pdu_len=4))
         assert result.success and result.effect_observed
+        # The settle covers the supervision timeout: the Central has
+        # noticed the dead link by the time survival is read.
+        assert not result.connection_survived
+
+    def test_trial_ends_one_settle_after_the_report(self):
+        result, sim = run_trial_world(
+            InjectionTrial(seed=101, hop_interval=75), trace_enabled=True)
+        assert result.success
+        assert sim.now == pytest.approx(report_time_us(sim) + SETTLE_US)
+        assert sim.now < 8_000_000 < TRIAL_DEADLINE_US
 
 
 class TestRunTrials:

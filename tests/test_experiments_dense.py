@@ -4,15 +4,18 @@ import pytest
 
 from repro.campaign.registry import get_experiment, run_unit_trial
 from repro.errors import ConfigurationError
+from repro.experiments.common import SETTLE_US
 from repro.experiments.dense import (
     LAYOUTS,
     OCCUPANCY_LOAD_LEVELS,
     DenseTrial,
     build_dense_topology,
     run_dense_trial,
+    run_dense_trial_world,
     summarize_occupancy,
     trial_units,
 )
+from tests.test_experiments import report_time_us
 
 
 class TestWorldBuilders:
@@ -65,6 +68,13 @@ class TestDenseTrial:
         assert result.success and result.attempts == 1
         assert result.effect_observed
         assert not result.connection_survived
+
+    def test_trial_ends_one_settle_after_the_report(self):
+        result, sim = run_dense_trial_world(
+            DenseTrial(seed=5, connections=2, wifi_interferers=1),
+            trace_enabled=True)
+        assert result.success
+        assert sim.now == pytest.approx(report_time_us(sim) + SETTLE_US)
 
     def test_loaded_world_measures_occupancy(self):
         result = run_dense_trial(DenseTrial(seed=302, connections=3,
