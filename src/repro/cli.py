@@ -231,7 +231,8 @@ def _cmd_crack(args: argparse.Namespace) -> int:
     previous = attacker.sniffer.on_event
 
     def hook(event):
-        previous(event)
+        if previous is not None:
+            previous(event)
         pairing.on_event(event)
 
     attacker.sniffer.on_event = hook

@@ -62,7 +62,6 @@ class Attacker:
                                                Callable[[InjectionReport], None],
                                                int]] = None
         self._events_followed = 0
-        self.sniffer.on_event = self._on_sniffed_event
         self._m_sessions = sim.metrics.counter("attacker.inject_sessions")
 
     # ------------------------------------------------------------------
@@ -104,7 +103,10 @@ class Attacker:
         If the sniffer is still following, the injection starts once
         ``after_events`` further events have been observed (guaranteeing a
         fresh anchor and Slave bits, as §V-C requires); if the sniffer has
-        already handed over, the injector starts immediately.
+        already handed over, the injector starts immediately.  The sniffer's
+        ``on_event`` hook is the attacker's only while an injection is
+        queued; otherwise it is left ``None``, so a passively following
+        attacker can be fast-forwarded (:mod:`repro.sim.fastforward`).
 
         Args:
             payload: raw LL payload (e.g. an L2CAP-framed ATT request, or
@@ -134,6 +136,7 @@ class Attacker:
         if self.sniffer.following:
             self._queued_injection = (payload, llid, callback, after_events)
             self._events_followed = 0
+            self.sniffer.on_event = self._on_sniffed_event
         else:
             self.injector.start(conn, payload, llid, callback)
 
@@ -153,15 +156,22 @@ class Attacker:
         self._events_followed += 1
         conn = self.connection
         if (conn is None or not conn.alive):
-            self._queued_injection = None
+            self._unqueue()
             return
         if self._events_followed < after_events or not conn.slave_bits.seen:
             return
         if conn.last_anchor_us is None:
             return
-        self._queued_injection = None
+        self._unqueue()
         self.sniffer.cancel()
         self.injector.start(conn, payload, llid, callback)
+
+    def _unqueue(self) -> None:
+        """Drop the queued injection and, unless a chained hook replaced
+        it, the sniffer callback that was counting events for it."""
+        self._queued_injection = None
+        if self.sniffer.on_event == self._on_sniffed_event:
+            self.sniffer.on_event = None
 
     # ------------------------------------------------------------------
     # Post-injection

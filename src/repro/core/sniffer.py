@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 from repro.errors import SnifferError
@@ -453,9 +454,21 @@ class ConnectionSniffer:
         except SnifferError:
             self._lost("never synchronised")
             return
-        open_us = predicted - widen - _FOLLOW_MARGIN_US
-        close_us = predicted + widen + _FOLLOW_MARGIN_US + 700.0
-        self._schedule(open_us, lambda: self._listen_if_following(channel),
+        self._arm(channel, *self.follow_window(predicted, widen))
+
+    @staticmethod
+    def follow_window(predicted_us, widening_us):
+        """The listening window ``(open, close)`` around a predicted anchor.
+
+        Works elementwise on numpy arrays too: the fast-forward engine
+        derives a block of windows with the very same float operations.
+        """
+        return (predicted_us - widening_us - _FOLLOW_MARGIN_US,
+                predicted_us + widening_us + _FOLLOW_MARGIN_US + 700.0)
+
+    def _arm(self, channel: int, open_us: float, close_us: float) -> None:
+        """Schedule one event's listening window on ``channel``."""
+        self._schedule(open_us, partial(self._listen_if_following, channel),
                        "sniff-open")
         self._schedule(close_us, self._event_window_closed, "sniff-close")
 

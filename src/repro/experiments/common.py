@@ -263,7 +263,8 @@ def run_trial_world(
     central_host = CentralHost(central)
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=100))
-    install_engine(sim, medium, central, bulb.ll, engine=engine)
+    install_engine(sim, medium, central, bulb.ll, engine=engine,
+                   follower=attacker.sniffer)
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)

@@ -304,7 +304,8 @@ def run_dense_trial_world(
     )
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=100))
-    install_engine(sim, medium, central, bulb.ll, engine=engine)
+    install_engine(sim, medium, central, bulb.ll, engine=engine,
+                   follower=attacker.sniffer)
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)

@@ -2,32 +2,39 @@
 
 An established connection with nothing to say is *quiet*: Master and
 Slave exchange empty data PDUs (poll / ack) every connection interval
-while every other radio sits idle.  Event by event, each such connection
-event costs 6-7 heap operations, two ``RadioFrame`` allocations, closures,
-and medium lock bookkeeping.  A §VII trial (and scenario A) ends one
-settle — a supervision timeout plus a margin — after its injection
-report, and that settle is nearly all quiet: the engine accounts for
-about 99 % of its events.  So is any world a caller keeps running past
-its trial, such as the engine differential tests' long post-injection
-horizons.  Connection set-up and the attack are not quiet (the attacker
-is listening), and neither is a world with a wideband medium tap (dense
-occupancy meter, detector bank) or an attacker that stays on air
-(scenarios B-D), so the engine stays off there.
+while every other radio sits idle or only listens.  Event by event, each
+such connection event costs 6-9 heap operations, two ``RadioFrame``
+allocations, closures, and medium lock bookkeeping.  A §VII trial (and
+scenario A) is quiet for nearly all of its simulated time: the
+connection set-up, during which the attacker follows the link passively
+(re-anchoring on every Master frame and recording both sides' SN/NESN
+bits), and the settle — a supervision timeout plus a margin — after its
+injection report.  So is any world a caller keeps running past its
+trial, such as the engine differential tests' long post-injection
+horizons.  The attack itself is not quiet (the attacker transmits, and
+it counts followed events while an injection is queued), and neither is
+a world with a wideband medium tap (dense occupancy meter, detector
+bank) or an attacker that stays on air (scenarios B-D), so the engine
+stays off there.
 
-:class:`QuietCycleEngine` replaces that stretch with closed-form
+:class:`QuietCycleEngine` replaces those stretches with closed-form
 arithmetic.  Whenever the event queue holds *exactly* the steady-state trio
 (the Slave's window-open and window-close events and the Master's
-connection event) and a conservative eligibility audit passes, the engine
-computes whole blocks of cycles as numpy arrays — CSA channel, SN/NESN ARQ
-bits, SleepClock drift/jitter, path-loss shadowing — commits the cycles up
-to the first one it cannot replicate, emits the *same* trace records,
-metric increments and RNG stream consumption the reference path would
-produce, then writes the end state back and lets the reference engine
-resume.  Anything it cannot replicate bit-for-bit (pending procedures,
-queued data, an attacker radio in play, a window edge within float
-tolerance of a frame boundary) disengages it with none of that cycle's
-draws consumed, so the reference path takes over mid-trial with no
-divergence.
+connection event) -- or the trio plus the sniff-open/sniff-close pair of
+the world's *follower*, a passive
+:class:`~repro.core.sniffer.ConnectionSniffer` on the link -- and a
+conservative eligibility audit passes, the engine computes whole blocks
+of cycles as numpy arrays — CSA channel, SN/NESN ARQ bits, SleepClock
+drift/jitter, path-loss shadowing, and the follower's listening windows
+and received power — commits the cycles up to the first one it cannot
+replicate, emits the *same* trace records, metric increments and RNG
+stream consumption the reference path would produce, then writes the end
+state back and lets the reference engine resume.  Anything it cannot
+replicate bit-for-bit (pending procedures, queued data, a follower with
+an ``on_event`` callback or one that would miss a frame, a window edge
+within float tolerance of a frame boundary) disengages it with none of
+that cycle's draws consumed, so the reference path takes over mid-trial
+with no divergence.
 
 Correctness contract (enforced by ``tests/test_engine_differential.py``):
 byte-identical traces and bit-identical results against the reference
@@ -38,6 +45,7 @@ invariants and the full bail-out list.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
@@ -49,7 +57,10 @@ from repro.ll.master import _RESPONSE_GRACE_US, MasterState
 from repro.ll.pdu.data import LLID, DataPdu
 from repro.ll.pdu.frame import compute_crc
 from repro.ll.slave import SlaveState
-from repro.ll.timing import WINDOW_WIDENING_CONSTANT_US
+from repro.ll.timing import (
+    WINDOW_WIDENING_CONSTANT_US,
+    WORST_CASE_SLAVE_SCA_PPM,
+)
 from repro.phy import signal as _signal
 from repro.phy.modulation import air_time_us
 from repro.phy.signal import RadioFrame
@@ -64,8 +75,10 @@ from repro.sim.simulator import Simulator
 from repro.utils.units import PPM, T_IFS_US
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.sniffer import ConnectionSniffer
     from repro.ll.master import MasterLinkLayer
     from repro.ll.slave import SlaveLinkLayer
+    from repro.sim.transceiver import Transceiver
 
 #: Environment variable consulted by :func:`resolve_engine`.  The CLI's
 #: ``--engine`` flag sets it so worker processes inherit the choice.
@@ -172,12 +185,18 @@ def install_engine(
     master: "MasterLinkLayer",
     slave: "SlaveLinkLayer",
     engine: Optional[str] = None,
+    follower: Optional["ConnectionSniffer"] = None,
 ) -> Optional["QuietCycleEngine"]:
     """Attach a :class:`QuietCycleEngine` to ``sim`` if the resolved engine
-    is ``"fast"``; a no-op (returning ``None``) for ``"reference"``."""
+    is ``"fast"``; a no-op (returning ``None``) for ``"reference"``.
+
+    ``follower`` is the world's passive sniffer of the (master, slave)
+    link, if it has one: the engine then also fast-forwards the cycles
+    the sniffer follows.
+    """
     if resolve_engine(engine) != ENGINE_FAST:
         return None
-    quiet_engine = QuietCycleEngine(sim, medium, master, slave)
+    quiet_engine = QuietCycleEngine(sim, medium, master, slave, follower)
     sim.install_fast_forward(quiet_engine)
     return quiet_engine
 
@@ -260,21 +279,30 @@ class QuietCycleEngine:
     cycle in question consumes no RNG draw or frame id.
     """
 
-    __slots__ = ("sim", "medium", "master", "slave", "_pdu_cache",
-                 "_csa1_tables", "_wo_label", "_master_handler")
+    __slots__ = ("sim", "medium", "master", "slave", "follower",
+                 "_pdu_cache", "_csa1_tables", "_wo_label", "_master_handler",
+                 "_open_handler", "_close_handler")
 
     def __init__(self, sim: Simulator, medium: Medium,
-                 master: "MasterLinkLayer", slave: "SlaveLinkLayer"):
+                 master: "MasterLinkLayer", slave: "SlaveLinkLayer",
+                 follower: Optional["ConnectionSniffer"] = None):
         self.sim = sim
         self.medium = medium
         self.master = master
         self.slave = slave
+        #: The passive sniffer of this link, if the world has one: a third,
+        #: listen-only lane of every cycle it follows.
+        self.follower = follower
         # (llid, md, sn, nesn, crc_init) -> (pdu_bytes, crc)
         self._pdu_cache: dict = {}
         # channel map -> CSA#1 unmapped-index table
         self._csa1_tables: dict = {}
         self._wo_label = f"{slave.name}-window-open"
         self._master_handler = master._connection_event
+        self._open_handler = None if follower is None \
+            else follower._listen_if_following
+        self._close_handler = None if follower is None \
+            else follower._event_window_closed
 
     # ------------------------------------------------------------------
     # Entry point
@@ -285,44 +313,77 @@ class QuietCycleEngine:
 
         Called by the run loop before every event pop.  Must be cheap when
         the world is not in fast-forwardable shape: the first check is an
-        O(1) live-event count.
+        O(1) live-event count -- the trio, or the trio plus the follower's
+        pending sniff-open/sniff-close pair.
         """
         queue = self.sim._queue
-        if queue._live != 3 or budget < 6:
+        live = queue._live
+        if live == 3:
+            lane = None
+        elif live == 5 and self.follower is not None:
+            lane = self.follower
+        else:
             return 0
-        trio = self._classify_trio(queue)
-        if trio is None:
+        if budget < 6:
             return 0
-        if not self._eligible():
+        queued = self._classify(queue, lane)
+        if queued is None or not self._eligible(lane, queued[3]):
             return 0
-        return self._run(trio, until_us, budget)
+        return self._run(queued, lane, until_us, budget)
 
-    def _classify_trio(self, queue):
-        """Match the live events against the steady-state trio."""
+    def _classify(self, queue, lane):
+        """Match the live events against the steady-state trio and, with a
+        follower ``lane``, its sniff-open/sniff-close pair.
+
+        Returns ``(window-open, window-close, master event, sniff-open,
+        sniff-close)``, the last two ``None`` without a lane.
+        """
         window_close = self.slave._window_close
         if window_close is None or not window_close.pending:
             return None
         ev_open: Optional[Event] = None
         ev_master: Optional[Event] = None
+        ev_sniff_open: Optional[Event] = None
+        ev_sniff_close: Optional[Event] = None
         for entry in queue._heap:
             event = entry[2]
             if event._queue is None or event is window_close:
                 continue
-            if event.handler == self._master_handler:
+            handler = event.handler
+            if handler == self._master_handler:
                 ev_master = event
             elif event.label == self._wo_label:
                 ev_open = event
+            elif lane is None:
+                return None
+            elif handler == self._close_handler:
+                ev_sniff_close = event
+            elif getattr(handler, "func", None) == self._open_handler:
+                ev_sniff_open = event
             else:
                 return None
         if ev_open is None or ev_master is None:
             return None
-        return ev_open, window_close, ev_master
+        if lane is not None and (ev_sniff_open is None
+                                 or ev_sniff_close is None):
+            return None
+        return ev_open, window_close, ev_master, ev_sniff_open, ev_sniff_close
 
     # ------------------------------------------------------------------
     # Eligibility (static per engagement; default-closed)
     # ------------------------------------------------------------------
 
-    def _eligible(self) -> bool:
+    def _mean_loss(self, sender: "Transceiver",
+                   receiver: "Transceiver") -> float:
+        """Mean path loss from ``sender`` to ``receiver``, in dB, computed
+        as the medium computes it."""
+        topology = self.medium.topology
+        return self.medium.path_loss.mean_loss_db(
+            topology.distance(sender.name, receiver.name),
+            topology.walls_between(sender.name, receiver.name))
+
+    def _eligible(self, lane: Optional["ConnectionSniffer"],
+                  ev_sniff_open) -> bool:
         master, slave, medium = self.master, self.slave, self.medium
         if master.state is not MasterState.CONNECTED or not master.is_connected:
             return False
@@ -387,8 +448,9 @@ class QuietCycleEngine:
         if medium._active or medium._locks or medium._taps:
             return False
         now = self.sim.now
+        lane_radio = None if lane is None else lane.radio
         for rx in medium._transceivers.values():
-            if rx is mr or rx is sr:
+            if rx is mr or rx is sr or rx is lane_radio:
                 continue
             if rx._rx_channel is not None or rx.is_transmitting(at_us=now):
                 return False
@@ -398,23 +460,65 @@ class QuietCycleEngine:
             return False
         # Both links need enough margin that shadowing can never fade a
         # frame below the sensitivity floor (hard-checked per draw anyway).
-        path_loss = medium.path_loss
-        topology = medium.topology
-        sigma = path_loss.shadowing_sigma_db
-        margin = _LINK_MARGIN_SIGMAS * sigma
-        mean_m_to_s = path_loss.mean_loss_db(
-            topology.distance(mr.name, sr.name),
-            topology.walls_between(mr.name, sr.name))
-        mean_s_to_m = path_loss.mean_loss_db(
-            topology.distance(sr.name, mr.name),
-            topology.walls_between(sr.name, mr.name))
+        margin = _LINK_MARGIN_SIGMAS * medium.path_loss.shadowing_sigma_db
         floor_s = max(medium.sensitivity_dbm, sr.sensitivity_dbm)
         floor_m = max(medium.sensitivity_dbm, mr.sensitivity_dbm)
-        if mr.tx_power_dbm - mean_m_to_s - floor_s <= margin:
+        if mr.tx_power_dbm - self._mean_loss(mr, sr) - floor_s <= margin:
             return False
-        if sr.tx_power_dbm - mean_s_to_m - floor_m <= margin:
+        if sr.tx_power_dbm - self._mean_loss(sr, mr) - floor_m <= margin:
             return False
-        return True
+        return lane is None or self._follower_eligible(lane, ev_sniff_open)
+
+    def _follower_eligible(self, lane: "ConnectionSniffer",
+                           ev_sniff_open) -> bool:
+        """The follower must be a callback-free passive listener, in step
+        with the victims' hop sequence and not provably deaf to them."""
+        if not lane.following or lane.paused or lane.on_event is not None:
+            return False
+        conn, current = lane.connection, lane._current
+        if conn is None or not conn.alive or conn.last_anchor_us is None:
+            return False
+        if current is None or current.anchor_us is not None:
+            return False
+        if conn._pending_update is not None \
+                or conn._pending_channel_map is not None \
+                or conn._pending_phy is not None:
+            return False
+        master, medium = self.master, self.medium
+        mp, sconn = master.conn.params, self.slave.conn
+        if conn.params.access_address != mp.access_address \
+                or conn.params.crc_init != mp.crc_init:
+            return False
+        if conn.phy is not master.phy:
+            return False
+        channel = conn.current_channel
+        if channel != sconn.current_channel \
+                or ev_sniff_open.handler.args != (channel,):
+            return False
+        a_sel, s_sel = conn.selector, sconn.selector
+        if conn._selector_is_csa2 != sconn._selector_is_csa2 \
+                or a_sel._channel_map != s_sel._channel_map:
+            return False
+        if sconn._selector_is_csa2:
+            if a_sel._ch_id != s_sel._ch_id \
+                    or conn.event_count != sconn.event_count:
+                return False
+        elif a_sel.hop_increment != s_sel.hop_increment \
+                or a_sel._last_unmapped != s_sel._last_unmapped:
+            return False
+        radio = lane.radio
+        if radio.on_frame != lane._on_follow_frame \
+                or radio.rx_phy is not conn.phy \
+                or radio.is_transmitting(at_us=self.sim.now):
+            return False
+        # Not provably deaf to either victim: the medium then draws the
+        # follower's shadowing for every frame, as the kernel does.
+        margin = _LINK_MARGIN_SIGMAS * medium.path_loss.shadowing_sigma_db
+        floor = max(medium.sensitivity_dbm, radio.sensitivity_dbm)
+        return all(
+            sender.tx_power_dbm - self._mean_loss(sender, radio) + margin
+            >= floor
+            for sender in (master.radio, self.slave.radio))
 
     @staticmethod
     def _retransmit_state_ok(conn) -> bool:
@@ -482,9 +586,10 @@ class QuietCycleEngine:
             self._csa1_tables[selector._channel_map] = table
         return table
 
-    def _run(self, trio, until_us: Optional[float], budget: int) -> int:
+    def _run(self, queued, lane: Optional["ConnectionSniffer"],
+             until_us: Optional[float], budget: int) -> int:
         sim, medium, master, slave = self.sim, self.medium, self.master, self.slave
-        ev_open, ev_close, ev_master = trio
+        ev_open, ev_close, ev_master, ev_sniff_open, ev_sniff_close = queued
         mconn, sconn = master.conn, slave.conn
         mp = mconn.params
         phy = master.phy
@@ -500,12 +605,26 @@ class QuietCycleEngine:
         # deadline invariant bounds below end_m + T_IFS + grace.
         horizon_pad = frame_dur + T_IFS_US + _RESPONSE_GRACE_US
         period_us = interval_us / rate_m  # block sizing only
+        # Events of a cycle, not counting the window-close that fires
+        # (and extends the window) before the master frame ends.
+        per_cycle = 6 if lane is None else 8
 
         # The state at the start of the next cycle.
         t_open, t_close, t_master = \
             ev_open.time_us, ev_close.time_us, ev_master.time_us
         m_lv = mconn.last_valid_rx_local_us
         fired = 0
+
+        # The follower's lane: its listening window of the next cycle, and
+        # the anchor it predicts for it.
+        t_sniff_open = t_sniff_close = a_predicted = 0.0
+        if lane is not None:
+            aconn, a_current, a_radio = \
+                lane.connection, lane._current, lane.radio
+            assert aconn is not None and a_current is not None  # eligible
+            t_sniff_open = ev_sniff_open.time_us
+            t_sniff_close = ev_sniff_close.time_us
+            a_predicted = aconn.predicted_anchor_us()
 
         def bails(t_o, t_m, t_c, end_m, lv, events):
             """The pre-draw bail-outs of one cycle (floats) or of each cycle
@@ -524,8 +643,14 @@ class QuietCycleEngine:
             before speculating a block, so a stretch too short to run
             costs no draws."""
             end_m0 = t_master + frame_dur
-            return bails(t_open, t_master, t_close, end_m0, m_lv,
-                         fired + (7 if t_close < end_m0 else 6))
+            stop = bails(t_open, t_master, t_close, end_m0, m_lv,
+                         fired + per_cycle + (t_close < end_m0))
+            if lane is None:
+                return stop
+            # The follower must be on the channel before the master frame,
+            # and its window must close within the horizon.
+            return stop or t_sniff_open >= t_master or (
+                until_us is not None and t_sniff_close > until_us)
 
         if next_cycle_bails():
             return 0
@@ -537,25 +662,19 @@ class QuietCycleEngine:
         channel = sconn.current_channel
 
         mr, sr = master.radio, slave.radio
-        path_loss = medium.path_loss
-        topology = medium.topology
-        sigma = path_loss.shadowing_sigma_db
+        sigma = medium.path_loss.shadowing_sigma_db
         draw_shadow = sigma > 0.0
 
-        # Only the counterpart links matter for a quiet cycle (eligibility
-        # proved nobody else is listening).  Shadowing draws come from the
-        # medium's per-link substreams indexed by the sender's transmission
-        # counter, so skipping every off-link draw is exact — a draw's
-        # value depends only on (link, index), never on what other links
-        # consumed.  Geometry is frozen while engaged (nothing else runs),
-        # so the mean losses are engagement-wide.
+        # Only the counterpart links (and the follower's) matter for a quiet
+        # cycle (eligibility proved nobody else is listening).  Shadowing
+        # draws come from the medium's per-link substreams indexed by the
+        # sender's transmission counter, so skipping every off-link draw is
+        # exact — a draw's value depends only on (link, index), never on
+        # what other links consumed.  Geometry is frozen while engaged
+        # (nothing else runs), so the mean losses are engagement-wide.
         mr_tid, sr_tid = mr.medium_id, sr.medium_id
-        mean_m_to_s = path_loss.mean_loss_db(
-            topology.distance(mr.name, sr.name),
-            topology.walls_between(mr.name, sr.name))
-        mean_s_to_m = path_loss.mean_loss_db(
-            topology.distance(sr.name, mr.name),
-            topology.walls_between(sr.name, mr.name))
+        mean_m_to_s = self._mean_loss(mr, sr)
+        mean_s_to_m = self._mean_loss(sr, mr)
         ms_shadow = medium._link_shadow(mr, sr_tid) if draw_shadow else None
         sm_shadow = medium._link_shadow(sr, mr_tid) if draw_shadow else None
         m_seq = medium._tx_seq.get(mr_tid, 0)
@@ -564,6 +683,20 @@ class QuietCycleEngine:
         floor_m = max(medium.sensitivity_dbm, mr.sensitivity_dbm)
         m_tx_power = mr.tx_power_dbm
         s_tx_power = sr.tx_power_dbm
+
+        if lane is not None:
+            a_tid = a_radio.medium_id
+            a_interval = aconn.params.interval_us
+            # The sniffer's widening estimate (SniffedConnection.
+            # estimated_widening_us), in window_widening_us's float order.
+            a_drift_k = (aconn.params.master_sca_ppm
+                         + WORST_CASE_SLAVE_SCA_PPM) / PPM
+            mean_m_to_a = self._mean_loss(mr, a_radio)
+            mean_s_to_a = self._mean_loss(sr, a_radio)
+            ma_shadow = medium._link_shadow(mr, a_tid) if draw_shadow else None
+            sa_shadow = medium._link_shadow(sr, a_tid) if draw_shadow else None
+            floor_a = max(medium.sensitivity_dbm, a_radio.sensitivity_dbm)
+            a_event_count = aconn.event_count
 
         s_jitter = _StreamBuffer(slave.clock._rng, slave.clock.jitter_us)
         m_jitter = _StreamBuffer(master.clock._rng, master.clock.jitter_us)
@@ -587,14 +720,15 @@ class QuietCycleEngine:
         retained: list = []
         block_cycles = _FIRST_BLOCK_CYCLES
         # Final-cycle snapshots for write-back.
-        last_end_m = last_end_r = last_anchor_s = 0.0
+        last_end_m = last_end_r = last_anchor_s = last_t_m = 0.0
+        last_sniff_open = last_sniff_close = 0.0
         last_channel = last_unmapped = 0
         last_m_bits = last_s_bits = (0, 0)
 
         while True:
             # -- 1. speculate: a block of cycles the budget and horizon
-            #    leave room for (every cycle fires at least 6 events) -----
-            n = min(block_cycles, (budget - fired) // 6)
+            #    leave room for ------------------------------------------
+            n = min(block_cycles, (budget - fired) // per_cycle)
             if until_us is not None:
                 n = min(n, int((until_us - t_master) / period_us) + 2)
             block_cycles = min(8 * block_cycles, _BLOCK_CYCLES)
@@ -642,9 +776,32 @@ class QuietCycleEngine:
             seven = t_c < end_m
             # Events fired by each cycle's end; only worth an array when
             # the budget could run out inside the block.
-            events = fired + (6 + seven).cumsum() if fired + 7 * n > budget \
-                else fired
-            stop = bails(t_o, t_m, t_c, end_m, lv, events)
+            fired_by = fired + (per_cycle + seven).cumsum() \
+                if fired + (per_cycle + 1) * n > budget else fired
+            stop = bails(t_o, t_m, t_c, end_m, lv, fired_by)
+            if lane is not None:
+                # The follower's window of each next cycle, armed at this
+                # cycle's sniff-close from this cycle's anchor.
+                a_next = t_m + a_interval
+                open_next, close_next = lane.follow_window(
+                    a_next,
+                    a_drift_k * (a_next - t_m) + WINDOW_WIDENING_CONSTANT_US)
+                a_open = np.empty(n)
+                a_open[0] = t_sniff_open
+                a_open[1:] = open_next[:-1]
+                a_close = np.empty(n)
+                a_close[0] = t_sniff_close
+                a_close[1:] = close_next[:-1]
+                # The follower tunes in after the master frame starts, its
+                # window closes before the response ends, or its close
+                # would fire among the next cycle's events or after its
+                # next open: the reference path runs that cycle.
+                stop = stop | (a_open >= t_m) | (a_close <= end_r) \
+                    | (a_close >= np.minimum(np.minimum(next_open, next_close),
+                                             np.maximum(unclamped, end_r))) \
+                    | (open_next <= a_close)
+                if until_us is not None:
+                    stop = stop | (a_close > until_us)
             bail = int(stop.argmax())
             if not stop[bail]:
                 bail = n
@@ -652,8 +809,29 @@ class QuietCycleEngine:
             restart = int(clamped.argmax())
             valid = restart + 1 if clamped[restart] else n
             k = min(bail, valid)
+            if lane is not None and k:
+                # The follower's received power; a fade below its floor is
+                # a missed frame, and the reference path runs that cycle.
+                if ma_shadow is not None and sa_shadow is not None:
+                    ma_draws = ma_shadow.take(m_seq, k)
+                    sa_draws = sa_shadow.take(s_seq, k)
+                    pa_master = m_tx_power - (mean_m_to_a + ma_draws)
+                    pa_slave = s_tx_power - (mean_s_to_a + sa_draws)
+                else:
+                    pa_master = np.full(k, m_tx_power - mean_m_to_a)
+                    pa_slave = np.full(k, s_tx_power - mean_s_to_a)
+                missed = (pa_master < floor_a) | (pa_slave < floor_a)
+                miss = int(missed.argmax())
+                if missed[miss]:
+                    if ma_shadow is not None and sa_shadow is not None:
+                        ma_shadow.give_back(m_seq + miss, ma_draws[miss:])
+                        sa_shadow.give_back(s_seq + miss, sa_draws[miss:])
+                    k = bail = miss
+                    pa_master, pa_slave = pa_master[:k], pa_slave[:k]
             s_jitter.give_back(3 * (n - k))
             m_jitter.give_back(n - k)
+            if not k:
+                break
 
             # -- commit cycles 0..k-1 ------------------------------------
             if use_csa2:
@@ -688,6 +866,18 @@ class QuietCycleEngine:
                 raise SimulationError(_FAULTS[check])
             first_id = _take_frame_ids(2 * k)
 
+            # Each frame's receivers in lock order (ascending medium id,
+            # the order the medium locks and delivers in) with their
+            # received powers: the counterpart, then or before the
+            # follower.
+            m_receivers = [(sr_tid, p_slave)]
+            s_receivers = [(mr_tid, p_master)]
+            if lane is not None:
+                m_receivers = sorted(m_receivers + [(a_tid, pa_master)],
+                                     key=lambda receiver: receiver[0])
+                s_receivers = sorted(s_receivers + [(a_tid, pa_slave)],
+                                     key=lambda receiver: receiver[0])
+
             # SN/NESN: the first cycle follows the ARQ rules; after it both
             # sides ack every frame, so the bits alternate with period 2
             # and every later PDU is an empty one.
@@ -710,8 +900,13 @@ class QuietCycleEngine:
                 t_o_l, t_m_l, end_m_l, t_resp_l, end_r_l = (
                     t_o[:k].tolist(), t_m[:k].tolist(), end_m[:k].tolist(),
                     t_resp[:k].tolist(), end_r_k.tolist())
-                p_slave_l, p_master_l = p_slave.tolist(), p_master.tolist()
+                transceivers = medium._transceivers
                 s_name, m_name = slave.name, master.name
+                # (name, powers, is the counterpart) per receiver.
+                m_rx = [(transceivers[tid].name, powers.tolist(),
+                         tid == sr_tid) for tid, powers in m_receivers]
+                s_rx = [(transceivers[tid].name, powers.tolist(),
+                         tid == mr_tid) for tid, powers in s_receivers]
                 for i in range(k):
                     ch = channels[i]
                     ec = (event_count + i) & 0xFFFF
@@ -723,37 +918,44 @@ class QuietCycleEngine:
                     t_response, t_end_r = t_resp_l[i], end_r_l[i]
                     trace.record(t_o_l[i], s_name, "window-open",
                                  channel=ch, event_count=ec)
-                    trace.record(t_cycle, s_name, "rx-lock",
-                                 frame_id=frame_id_m, channel=ch,
-                                 rssi_dbm=p_slave_l[i])
+                    for name, powers, _ in m_rx:
+                        trace.record(t_cycle, name, "rx-lock",
+                                     frame_id=frame_id_m, channel=ch,
+                                     rssi_dbm=powers[i])
                     trace.record(t_cycle, m_name, "tx",
                                  channel=ch, aa=aa, pdu_len=2,
                                  frame_id=frame_id_m)
                     trace.record(t_cycle, m_name, "master-tx",
                                  event_count=ec, sn=m_sn, nesn=m_nesn,
                                  channel=ch)
-                    trace.record(t_end_m, s_name, "rx",
-                                 frame_id=frame_id_m, corrupted=False,
-                                 rssi_dbm=p_slave_l[i])
-                    trace.record(t_end_m, s_name, "anchor",
-                                 event_count=ec, anchor_us=t_cycle,
-                                 frame_id=frame_id_m)
-                    trace.record(t_response, m_name, "rx-lock",
-                                 frame_id=frame_id_s, channel=ch,
-                                 rssi_dbm=p_master_l[i])
+                    for name, powers, counterpart in m_rx:
+                        trace.record(t_end_m, name, "rx",
+                                     frame_id=frame_id_m, corrupted=False,
+                                     rssi_dbm=powers[i])
+                        if counterpart:
+                            trace.record(t_end_m, s_name, "anchor",
+                                         event_count=ec, anchor_us=t_cycle,
+                                         frame_id=frame_id_m)
+                    for name, powers, _ in s_rx:
+                        trace.record(t_response, name, "rx-lock",
+                                     frame_id=frame_id_s, channel=ch,
+                                     rssi_dbm=powers[i])
                     trace.record(t_response, s_name, "tx",
                                  channel=ch, aa=aa, pdu_len=2,
                                  frame_id=frame_id_s)
                     trace.record(t_response, s_name, "slave-response",
                                  sn=s_sn, nesn=s_nesn, event_count=ec)
-                    trace.record(t_end_r, m_name, "rx",
-                                 frame_id=frame_id_s, corrupted=False,
-                                 rssi_dbm=p_master_l[i])
-                    trace.record(t_end_r, m_name, "slave-heard",
-                                 event_count=ec, sn=s_sn, nesn=s_nesn)
+                    for name, powers, counterpart in s_rx:
+                        trace.record(t_end_r, name, "rx",
+                                     frame_id=frame_id_s, corrupted=False,
+                                     rssi_dbm=powers[i])
+                        if counterpart:
+                            trace.record(t_end_r, m_name, "slave-heard",
+                                         event_count=ec, sn=s_sn,
+                                         nesn=s_nesn)
             if metrics.enabled:
                 medium._m_tx.inc(2 * k)
-                medium._m_rx.inc(2 * k)
+                medium._m_rx.inc((len(m_receivers) + len(s_receivers)) * k)
                 for ch in channels[:k]:
                     airtime = medium._m_airtime.get(ch)
                     if airtime is None:
@@ -761,6 +963,15 @@ class QuietCycleEngine:
                             f"medium.airtime_us.ch{ch:02d}")
                     airtime.inc(frame_dur)
                     airtime.inc(frame_dur)
+                if lane is not None:
+                    # Every followed event is heard: one anchor each, and
+                    # its drift against the anchor the sniffer predicted.
+                    lane._m_events.inc(k)
+                    lane._m_anchors.inc(k)
+                    predicted = [a_predicted] + a_next[:k - 1].tolist()
+                    for t_anchor, t_predicted in zip(t_m[:k].tolist(),
+                                                     predicted):
+                        lane._m_drift.observe(t_anchor - t_predicted)
 
             # Only frames ending within the recent horizon of the last
             # response survive into the medium's recent window.
@@ -773,16 +984,19 @@ class QuietCycleEngine:
                 if end >= prune_before:
                     retained.append((first_id + 2 * i, start, end,
                                      channels[i], *m_pdu,
-                                     float(p_slave[i]), mr, sr_tid,
-                                     m_seq + i))
+                                     [(tid, float(powers[i]))
+                                      for tid, powers in m_receivers],
+                                     mr, m_seq + i))
                 retained.append((first_id + 2 * i + 1, float(t_resp[i]),
                                  float(end_r_k[i]), channels[i], *s_pdu,
-                                 float(p_master[i]), sr, mr_tid, s_seq + i))
+                                 [(tid, float(powers[i]))
+                                  for tid, powers in s_receivers],
+                                 sr, s_seq + i))
 
             # -- roll the state to the first cycle after the block -------
             last = k - 1
             last_par = last & 1
-            fired += 6 * k + int(np.count_nonzero(seven[:k]))
+            fired += per_cycle * k + int(np.count_nonzero(seven[:k]))
             m_seq += k
             s_seq += k
             last_m_bits = (m_sn0 ^ last_par, m_nesn0 ^ last_par)
@@ -793,6 +1007,7 @@ class QuietCycleEngine:
             s_desc = s_desc0 if k == 1 else _EMPTY_DESC
             last_end_m, last_end_r = float(end_m[last]), float(end_r[last])
             last_anchor_s = float(anchor_s[last])
+            last_t_m = float(t_m[last])
             s_lv = last_end_m * rate_s
             m_lv = last_end_r * rate_m
             m_anchor = float(anchors[k])
@@ -804,6 +1019,13 @@ class QuietCycleEngine:
             t_open = float(next_open[last])
             t_close = float(next_close[last])
             t_master = max(float(unclamped[last]), last_end_r)
+            if lane is not None:
+                last_sniff_open = float(a_open[last])
+                last_sniff_close = float(a_close[last])
+                t_sniff_open = float(open_next[last])
+                t_sniff_close = float(close_next[last])
+                a_predicted = float(a_next[last])
+                a_event_count = (a_event_count + k) & 0xFFFF
             if bail < valid or next_cycle_bails():
                 break
 
@@ -816,13 +1038,16 @@ class QuietCycleEngine:
         # ------------------------------------------------------------------
         s_jitter.unwind()
         m_jitter.unwind()
+        if not fired:
+            return 0
 
-        sim._now = last_end_r
-        ev_open.cancel()
-        ev_close.cancel()
-        ev_master.cancel()
+        sim._now = last_end_r if lane is None else last_sniff_close
+        for event in queued:
+            if event is not None:
+                event.cancel()
         # Recreate the trio in the reference's creation order (window-open,
-        # window-close, master event) so time ties break identically.
+        # window-close, master event, then the follower's pair) so time
+        # ties break identically.
         sim.schedule_at(t_open,
                         lambda ch=channel: slave._window_open(ch),
                         self._wo_label)
@@ -863,16 +1088,38 @@ class QuietCycleEngine:
         mr._rx_channel = mr._rx_since_us = None
         sr._rx_channel = sr._rx_since_us = None
 
+        if lane is not None:
+            # The sniffer has heard every frame and re-armed its window at
+            # the last sniff-close: a fresh event, the last anchor, the
+            # last bits of each side, its radio still on the last channel.
+            aconn.event_count = a_event_count
+            aconn.events_since_anchor = 1
+            aconn.last_anchor_us = last_t_m
+            aconn.current_channel = channel
+            if not use_csa2:
+                aconn.selector._last_unmapped = unmapped
+            for bits, (sn, nesn) in ((aconn.master_bits, last_m_bits),
+                                     (aconn.slave_bits, last_s_bits)):
+                bits.sn, bits.nesn, bits.seen = sn, nesn, True
+            lane._current = replace(a_current, event_count=a_event_count,
+                                    channel=channel)
+            lane._silent_events = 0
+            if a_radio._rx_channel != last_channel:
+                medium.note_listen(a_radio, a_radio._rx_channel, last_channel)
+            a_radio._rx_channel = last_channel
+            a_radio._rx_since_us = last_sniff_open
+            lane._arm(channel, t_sniff_open, t_sniff_close)
+
         medium._tx_seq[mr_tid] = m_seq
         medium._tx_seq[sr_tid] = s_seq
-        for frame_id, start, _end, frame_ch, pdu_bytes, crc, power, sender, \
-                rx_tid, seq in retained:
+        for frame_id, start, _end, frame_ch, pdu_bytes, crc, powers, sender, \
+                seq in retained:
             frame = RadioFrame(
                 access_address=aa, pdu=pdu_bytes, crc=crc, channel=frame_ch,
                 start_us=start, tx_power_dbm=sender.tx_power_dbm, phy=phy,
                 sender_id=sender.medium_id, frame_id=frame_id)
             transmission = _ActiveTransmission(frame, sender, seq)
-            transmission.rx_power_dbm[rx_tid] = power
+            transmission.rx_power_dbm.update(powers)
             medium._append_recent(transmission)
 
         global _events_fast_forwarded

@@ -212,6 +212,13 @@ class _LinkShadow:
         draws = block[max(seq, base) - base:end - base]
         return np.concatenate((np.array(claimed), draws)) if claimed else draws
 
+    def give_back(self, seq: int, draws: np.ndarray) -> None:
+        """Return draws :meth:`take` produced for indexes ``seq..`` that
+        went unused; later requests for those indexes get them unchanged.
+        """
+        self._pending.update(zip(range(seq, seq + len(draws)),
+                                 draws.tolist()))
+
     def _prune(self) -> None:
         pending = self._pending
         if len(pending) > self._PENDING_MAX:

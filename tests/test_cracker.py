@@ -36,7 +36,8 @@ def build_paired_world(seed=90, tk_pin=None):
     prev = attacker.sniffer.on_event
 
     def hook(event):
-        prev(event)
+        if prev is not None:
+            prev(event)
         pairing.on_event(event)
         if (event.master_pdu is not None and event.master_pdu.payload
                 and not event.master_pdu.is_control):

@@ -14,10 +14,14 @@ serialize identically (after canonicalizing process-global frame ids).
 
 from __future__ import annotations
 
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 
 from repro.experiments import (
     ablations,
+    common,
     distance,
     hop_interval,
     payload_size,
@@ -102,11 +106,29 @@ def _assert_world_differential(run_world, trial,
 
 
 def _assert_trial_differential(trial: InjectionTrial) -> None:
+    """Reference vs fast on one trial world, continued to the deadline.
+
+    The fast engine must have fast-forwarded events before the attack
+    starts, i.e. in the connection set-up the attacker spends following
+    the link: engaging only in the settle after the report would leave
+    the follower lane of the kernel untested.
+    """
+    before_attack: list = []
+    run_attack = common.run_attack
+
+    def counting_run_attack(*args, **kwargs):
+        before_attack.append(fastforward.events_fast_forwarded())
+        return run_attack(*args, **kwargs)
+
     fastforward.reset_fast_forward_count()
-    _assert_world_differential(run_trial_world, trial,
-                               continue_to_us=TRIAL_DEADLINE_US)
-    assert fastforward.events_fast_forwarded() > 0, (
-        "fast engine never engaged — the differential test is vacuous")
+    with mock.patch.object(common, "run_attack", counting_run_attack):
+        _assert_world_differential(run_trial_world, trial,
+                                   continue_to_us=TRIAL_DEADLINE_US)
+    # One reading per engine; the reference run leaves the counter at 0.
+    assert before_attack[0] == 0
+    assert before_attack[1] > 0, (
+        "fast engine never engaged during set-up — the follower lane is "
+        "untested")
 
 
 class TestExperimentPanels:
@@ -117,12 +139,10 @@ class TestExperimentPanels:
             hop_interval.trial_units(n_connections=1)))
 
     def test_payload_size(self):
-        # Skip the pdu_len=4 (LL_TERMINATE_IND) grid point: it tears the
-        # connection down, so no quiet phase exists for the engine to
-        # fast-forward and the engagement assertion would be vacuous.
-        units = payload_size.trial_units(n_connections=1)
-        trial = next(t for _, t in units if t.pdu_len >= 9)
-        _assert_trial_differential(trial)
+        # Every grid point, the LL_TERMINATE_IND one (pdu_len=4) included:
+        # it tears the connection down, but its set-up is as quiet as any.
+        for _, trial in payload_size.trial_units(n_connections=1):
+            _assert_trial_differential(trial)
 
     def test_distance(self):
         _assert_trial_differential(_first_trial(
@@ -147,6 +167,27 @@ class TestExperimentPanels:
                            fastforward.ENGINE_FAST)
         fast = run_scenario_trial(trial)
         assert ref == fast
+
+
+class TestTrialMetrics:
+    """Metrics-enabled trials: the fast engine must reproduce every
+    counter and histogram bucket, the follower's included."""
+
+    @pytest.mark.parametrize("trial", [
+        _first_trial(hop_interval.trial_units(n_connections=1)),
+        distance.trial_units(n_connections=1)[-1][1],  # F (10 m)
+    ], ids=["hop", "distance-F"])
+    def test_metrics_snapshots_equal(self, trial):
+        trial = replace(trial, collect_metrics=True)
+        snapshots = {
+            engine: run_trial_world(trial, engine=engine)[0].metrics
+            for engine in (fastforward.ENGINE_REFERENCE,
+                           fastforward.ENGINE_FAST)}
+        reference = snapshots[fastforward.ENGINE_REFERENCE]
+        assert snapshots[fastforward.ENGINE_FAST] == reference
+        drift = reference["histograms"]["sniffer.anchor_drift_us"]
+        assert drift["count"] > 0
+        assert reference["counters"]["sniffer.events"] > 0
 
 
 class TestTappedWorlds:

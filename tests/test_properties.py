@@ -332,6 +332,70 @@ def _run_quiet_world(engine, world):
     return result, sim
 
 
+#: Quiet worlds with an attacker following the link from its CONNECT_REQ:
+#: victims 2 m apart, the attacker on the far side of the Peripheral,
+#: behind a wall when ``wall_db`` > 0.  Its distance, the wall and the
+#: shadowing decide whether it hears every frame, misses some, or is
+#: provably deaf (when the follower lane must stand down).
+FOLLOWER_WORLDS = st.fixed_dictionaries({
+    "seed": st.integers(0, 1 << 16),
+    "interval": st.integers(6, 80),
+    "attacker_distance_m": st.floats(1.5, 40.0),
+    "wall_db": st.sampled_from([0.0, 8.0, 20.0]),
+    "sigma_db": st.one_of(st.just(0.0), st.floats(0.5, 5.0)),
+    "seconds": st.just(3),
+})
+
+#: An attacker near its sensitivity floor: about one frame in a hundred
+#: fades below it, so a miss cuts a block in the middle of an engagement.
+NEAR_FLOOR_WORLD = {
+    "seed": 2, "interval": 6, "attacker_distance_m": 11.0,
+    "wall_db": 20.0, "sigma_db": 3.0, "seconds": 3,
+}
+
+
+def _run_follower_world(engine, world):
+    """Build and run one quiet world with a following attacker; its
+    result and simulator."""
+    from repro.core.attacker import Attacker
+    from repro.devices.lightbulb import Lightbulb
+    from repro.experiments.common import TrialResult
+    from repro.ll.master import MasterLinkLayer
+    from repro.phy.path_loss import PathLossModel
+    from repro.sim.fastforward import install_engine
+    from repro.sim.medium import Medium
+    from repro.sim.simulator import Simulator
+    from repro.sim.topology import Topology
+
+    sim = Simulator(seed=world["seed"], trace_enabled=True,
+                    metrics_enabled=True)
+    topo = Topology()
+    topo.place("peripheral", 0.0, 0.0)
+    topo.place("central", 2.0, 0.0)
+    topo.place("attacker", -world["attacker_distance_m"], 0.0)
+    if world["wall_db"] > 0:
+        topo.add_wall(-1.0, -50.0, -1.0, 50.0,
+                      attenuation_db=world["wall_db"])
+    medium = Medium(sim, topo, path_loss=PathLossModel(
+        shadowing_sigma_db=world["sigma_db"]))
+    bulb = Lightbulb(sim, medium, "peripheral")
+    central = MasterLinkLayer(
+        sim, medium, "central", BdAddress.from_str("C0:FF:EE:00:00:08"),
+        interval=world["interval"], timeout=300)
+    attacker = Attacker(sim, medium, "attacker")
+    install_engine(sim, medium, central, bulb.ll, engine=engine,
+                   follower=attacker.sniffer)
+    attacker.sniff_new_connections()
+    bulb.power_on()
+    central.connect(bulb.address)
+    sim.run(until_us=world["seconds"] * 1_000_000)
+    result = TrialResult(
+        success=attacker.synchronized, attempts=0,
+        connection_survived=central.is_connected and bulb.ll.is_connected,
+        metrics=sim.metrics.snapshot())
+    return result, sim
+
+
 class TestFastForwardProperties:
     @settings(max_examples=6, deadline=None)
     @given(world=QUIET_WORLDS)
@@ -348,6 +412,57 @@ class TestFastForwardProperties:
 
         run_both_engines(build_and_run)
         assert results["reference"] == results["fast"]
+
+    @settings(max_examples=6, deadline=None)
+    @given(world=FOLLOWER_WORLDS)
+    @example(world=NEAR_FLOOR_WORLD)
+    def test_engines_agree_with_a_following_attacker(self, world):
+        from tests.test_engine_differential import run_both_engines
+
+        results = {}
+
+        def build_and_run(engine):
+            results[engine], sim = _run_follower_world(engine, world)
+            return sim
+
+        run_both_engines(build_and_run)
+        assert results["reference"] == results["fast"]
+
+    def test_near_floor_miss_cuts_an_engagement(self, monkeypatch):
+        # The near-floor attacker misses a frame now and then: the kernel
+        # must commit the cycles before the miss and hand the missed cycle
+        # to the reference path (the differential above checks the rest).
+        from repro.sim.fastforward import QuietCycleEngine
+        from repro.sim.medium import _LinkShadow
+
+        given_back: list = []
+        cut_engagements: list = []
+        give_back, run = _LinkShadow.give_back, QuietCycleEngine._run
+
+        def spy_give_back(shadow, seq, draws):
+            given_back.append(len(draws))
+            give_back(shadow, seq, draws)
+
+        def spy_run(self, *args):
+            given_back.clear()
+            fired = run(self, *args)
+            if fired and given_back:
+                cut_engagements.append(fired)
+            return fired
+
+        monkeypatch.setattr(_LinkShadow, "give_back", spy_give_back)
+        monkeypatch.setattr(QuietCycleEngine, "_run", spy_run)
+        result, sim = _run_follower_world("fast", NEAR_FLOOR_WORLD)
+        assert result.success, "the attacker never synchronised"
+        data_frames = [r.detail["frame_id"] for r in sim.trace
+                       if r.kind == "tx" and r.detail["channel"] < 37]
+        heard = {r.detail["frame_id"] for r in sim.trace
+                 if r.kind == "rx" and r.source == "attacker"}
+        first = next(i for i, frame in enumerate(data_frames)
+                     if frame in heard)
+        assert any(frame not in heard for frame in data_frames[first:]), (
+            "the attacker missed no data frame once following")
+        assert cut_engagements, "no miss ever cut an engagement"
 
     @staticmethod
     def _engagements(world, monkeypatch):
