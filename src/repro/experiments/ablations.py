@@ -149,7 +149,7 @@ def _run_ids_injectable(seed: int) -> IdsAblationResult:
     CentralHost(central)
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=60))
-    install_engine(sim, medium, central, bulb.ll, follower=attacker.sniffer)
+    install_engine(sim, medium, [(central, bulb.ll, attacker.sniffer)])
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)

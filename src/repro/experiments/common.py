@@ -263,8 +263,8 @@ def run_trial_world(
     central_host = CentralHost(central)
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=100))
-    install_engine(sim, medium, central, bulb.ll, engine=engine,
-                   follower=attacker.sniffer)
+    install_engine(sim, medium, [(central, bulb.ll, attacker.sniffer)],
+                   engine=engine)
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)

@@ -162,7 +162,7 @@ def _build_ambient_world(trial: DefenseTrial, engine: Optional[str],
     victim.ll.readvertise_on_disconnect = False
     phone = Smartphone(sim, medium, "central",
                        interval=EXPERIMENT_HOP_INTERVAL)
-    install_engine(sim, medium, phone.ll, victim.ll, engine=engine)
+    install_engine(sim, medium, [(phone.ll, victim.ll)], engine=engine)
     victim.power_on()
     phone.connect_to(victim.address)
     sim.run(until_us=sim.now + ESTABLISH_US)

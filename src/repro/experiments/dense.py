@@ -130,15 +130,30 @@ class DenseTrial:
 
 
 class _AirtimeMeter:
-    """A wideband tap summing on-air microseconds (occupancy numerator)."""
+    """A wideband tap summing on-air microseconds (occupancy numerator).
+
+    It reads nothing but each frame's airtime, so it declares itself
+    ``airtime_only``: the fast-forward engine then credits it with the
+    durations of the frames it skips instead of standing down.
+    """
 
     __slots__ = ("us",)
+
+    airtime_only = True
 
     def __init__(self):
         self.us = 0.0
 
     def __call__(self, frame) -> None:
         self.us += frame.duration_us
+
+    def credit_airtime(self, durations) -> None:
+        """Add frame durations given in frame-start order, one by one, as
+        per-frame calls would (a float sum depends on its order)."""
+        us = self.us
+        for duration in durations:
+            us += duration
+        self.us = us
 
 
 def _room_origin(room: int) -> tuple[float, float]:
@@ -201,7 +216,8 @@ def build_dense_topology(
 
 
 def populate_background(sim, medium, pairs, wifi_names,
-                        wifi_duty_cycle: float = 0.10) -> list:
+                        wifi_duty_cycle: float = 0.10,
+                        engine=None) -> list:
     """Create and start the ambient population of a dense world.
 
     Background slaves advertise, their masters connect on a staggered
@@ -209,17 +225,20 @@ def populate_background(sim, medium, pairs, wifi_names,
     sweep and the defense bench's dense-ambient worlds; the device
     creation order (and thus every RNG substream draw) is part of the
     determinism contract, so callers must pass ``pairs``/``wifi_names``
-    exactly as :func:`build_dense_topology` returned them.
+    exactly as :func:`build_dense_topology` returned them.  ``engine``, a
+    :class:`~repro.sim.fastforward.QuietCycleEngine` installed on ``sim``
+    (or ``None``), gets every background pair as a link and every
+    interferer as a track.
 
     Returns:
-        the background :class:`~repro.ll.master.MasterLinkLayer`\\ s.
+        the background ``(MasterLinkLayer, SlaveLinkLayer)`` pairs.
     """
     from repro.ll.master import MasterLinkLayer
     from repro.ll.pdu.address import BdAddress
     from repro.ll.slave import SlaveLinkLayer
     from repro.sim.interference import WifiInterferer
 
-    bg_masters = []
+    bg_pairs = []
     for i, (m_name, s_name) in enumerate(pairs):
         bg_slave = SlaveLinkLayer(
             sim, medium, s_name,
@@ -238,11 +257,16 @@ def populate_background(sim, medium, pairs, wifi_names,
             ESTABLISH_STAGGER_US * (i + 1),
             lambda m=bg_master, s=bg_slave: m.connect(s.address),
             "dense-bg-connect")
-        bg_masters.append(bg_master)
+        bg_pairs.append((bg_master, bg_slave))
+        if engine is not None:
+            engine.add_link(bg_master, bg_slave)
     for name in wifi_names:
-        WifiInterferer(sim, medium, name,
-                       duty_cycle=wifi_duty_cycle).start()
-    return bg_masters
+        interferer = WifiInterferer(sim, medium, name,
+                                    duty_cycle=wifi_duty_cycle)
+        interferer.start()
+        if engine is not None:
+            engine.add_track(interferer)
+    return bg_pairs
 
 
 def run_dense_trial(trial: DenseTrial) -> TrialResult:
@@ -279,14 +303,16 @@ def run_dense_trial_world(
     medium = Medium(sim, topo)
     meter = _AirtimeMeter()
     medium.add_tap(meter)
+    quiet_engine = install_engine(sim, medium, engine=engine)
 
-    bg_masters = populate_background(sim, medium, pairs, wifi_names,
-                                     wifi_duty_cycle=trial.wifi_duty_cycle)
+    bg_pairs = populate_background(sim, medium, pairs, wifi_names,
+                                   wifi_duty_cycle=trial.wifi_duty_cycle,
+                                   engine=quiet_engine)
 
     establish_us = (ESTABLISH_SETTLE_US
                     + ESTABLISH_STAGGER_US * trial.connections)
     sim.run(until_us=establish_us)
-    ambient_links = sum(1 for m in bg_masters if m.is_connected)
+    ambient_links = sum(1 for m, _s in bg_pairs if m.is_connected)
     airtime_before = meter.us
     sim.run(until_us=establish_us + OCCUPANCY_WINDOW_US)
     occupancy = (meter.us - airtime_before) \
@@ -304,8 +330,8 @@ def run_dense_trial_world(
     )
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=100))
-    install_engine(sim, medium, central, bulb.ll, engine=engine,
-                   follower=attacker.sniffer)
+    if quiet_engine is not None:
+        quiet_engine.add_link(central, bulb.ll, attacker.sniffer)
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)

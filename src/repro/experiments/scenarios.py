@@ -69,8 +69,8 @@ def build_world(device_cls, seed: int, world_hook: Optional[Callable] = None,
     victim.ll.readvertise_on_disconnect = False
     phone = Smartphone(sim, medium, "phone", interval=36)
     attacker = Attacker(sim, medium, "attacker")
-    install_engine(sim, medium, phone.ll, victim.ll, engine=engine,
-                   follower=attacker.sniffer)
+    install_engine(sim, medium, [(phone.ll, victim.ll, attacker.sniffer)],
+                   engine=engine)
     attacker.sniff_new_connections()
     victim.power_on()
     phone.connect_to(victim.address)

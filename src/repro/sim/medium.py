@@ -636,7 +636,11 @@ class Medium:
 
         Models an SDR-based IDS (RadIoT-style, paper §VIII): the tap sees
         frame metadata (time, channel, AA, duration) but not per-receiver
-        corruption outcomes.
+        corruption outcomes.  A tap that reads nothing but
+        ``frame.duration_us`` may declare ``airtime_only = True`` and offer
+        ``credit_airtime(durations)``: the fast-forward engine then hands
+        it the durations of the frames it skips, in frame-start order,
+        instead of standing down.
         """
         self._taps.append(tap)
 

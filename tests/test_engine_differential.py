@@ -82,9 +82,10 @@ def _first_trial(units) -> InjectionTrial:
 
 
 def _assert_world_differential(run_world, trial,
-                               continue_to_us=None) -> None:
+                               continue_to_us=None) -> dict:
     """``run_world(trial, engine=..., trace_enabled=True)`` for both
-    engines: identical non-empty traces and equal results.
+    engines: identical non-empty traces and equal results, which it
+    returns by engine name.
 
     With ``continue_to_us``, each returned world keeps running to that
     time before the traces are compared.  A trial ends a few seconds
@@ -103,6 +104,7 @@ def _assert_world_differential(run_world, trial,
     sim_ref, _ = run_both_engines(build_and_run)
     assert len(sim_ref.trace) > 0
     assert results["reference"] == results["fast"]
+    return results
 
 
 def _assert_trial_differential(trial: InjectionTrial) -> None:
@@ -169,6 +171,14 @@ class TestExperimentPanels:
         assert ref == fast
 
 
+def _world_metrics(snapshot: dict) -> dict:
+    """``snapshot`` without the fast engine's own ``ff.*`` counters (why
+    it stood down), which describe the engine, not the world."""
+    counters = {name: value for name, value in snapshot["counters"].items()
+                if not name.startswith("ff.")}
+    return dict(snapshot, counters=counters)
+
+
 class TestTrialMetrics:
     """Metrics-enabled trials: the fast engine must reproduce every
     counter and histogram bucket, the follower's included."""
@@ -184,7 +194,10 @@ class TestTrialMetrics:
             for engine in (fastforward.ENGINE_REFERENCE,
                            fastforward.ENGINE_FAST)}
         reference = snapshots[fastforward.ENGINE_REFERENCE]
-        assert snapshots[fastforward.ENGINE_FAST] == reference
+        fast = snapshots[fastforward.ENGINE_FAST]
+        assert _world_metrics(fast) == reference
+        assert any(name.startswith("ff.disengage.")
+                   for name in fast["counters"])
         drift = reference["histograms"]["sniffer.anchor_drift_us"]
         assert drift["count"] > 0
         assert reference["counters"]["sniffer.events"] > 0
@@ -193,16 +206,31 @@ class TestTrialMetrics:
 class TestTappedWorlds:
     """Dense and monitored worlds, reference vs fast.
 
-    Fast-forward engages in neither: the occupancy meter and the detector
-    bank are medium taps, and any tap (``medium._taps`` non-empty) keeps
-    the engine off.  The traces must still match record for record:
-    installing the fast engine must not perturb a world it never skips.
+    The occupancy meter is an airtime-only tap, so the engine runs dense
+    worlds — every background pair, the Wi-Fi tracks and the victim link
+    with its follower — and credits the meter with what it skips.  The
+    detector bank reads more than airtime and keeps the engine off.  The
+    traces must match record for record either way, and the occupancy bit
+    for bit.
     """
 
     def test_idle_apartment_dense_trial(self):
-        _assert_world_differential(
-            run_dense_trial_world,
+        self.test_dense_trial(
             DenseTrial(seed=5, connections=0, wifi_interferers=0))
+
+    @pytest.mark.parametrize("trial", [
+        DenseTrial(seed=5, connections=4, wifi_interferers=1),
+        DenseTrial(seed=7, connections=10, wifi_interferers=2),
+        DenseTrial(seed=3, connections=10, wifi_interferers=2,
+                   layout="stadium"),
+    ], ids=["sparse", "busy", "busy-stadium"])
+    def test_dense_trial(self, trial):
+        fastforward.reset_fast_forward_count()
+        results = _assert_world_differential(run_dense_trial_world, trial)
+        assert results["fast"].occupancy.hex() \
+            == results["reference"].occupancy.hex()
+        assert fastforward.events_fast_forwarded() > 0, (
+            "the fast engine never engaged in the dense world")
 
     @pytest.mark.parametrize("traffic", ["benign", "dense-ambient"])
     def test_defense_trial(self, traffic):
@@ -236,7 +264,7 @@ class TestAdversarialDisengage:
             BdAddress.from_str("C0:FF:EE:00:00:02"),
             interval=36, timeout=300)
         attacker_radio = Transceiver(sim, medium, "attacker")
-        install_engine(sim, medium, central, bulb.ll, engine=engine)
+        install_engine(sim, medium, [(central, bulb.ll)], engine=engine)
         bulb.power_on()
         central.connect(bulb.address)
         sim.run(until_us=2_000_000)
@@ -313,7 +341,7 @@ class TestCsa2Connection:
         from tests.test_csa2_end_to_end import build_csa2_world
 
         sim, medium, bulb, phone, _attacker = build_csa2_world()
-        install_engine(sim, medium, phone, bulb.ll, engine=engine)
+        install_engine(sim, medium, [(phone, bulb.ll)], engine=engine)
         bulb.power_on()
         phone.connect(bulb.address)
         sim.run(until_us=20_000_000)
@@ -360,7 +388,7 @@ class TestIndexedVsBroadcast:
         # Co-located Wi-Fi bursts give collision resolution real work, so
         # the equivalence covers the interference path too.
         WifiInterferer(sim, medium, "wifi", duty_cycle=0.10).start()
-        install_engine(sim, medium, central, bulb.ll, engine=engine)
+        install_engine(sim, medium, [(central, bulb.ll)], engine=engine)
         attacker.sniff_new_connections()
         bulb.power_on()
         central.connect(bulb.address)
@@ -426,5 +454,5 @@ class TestEngineSelection:
 
         sim = Simulator(seed=1)
         assert fastforward.install_engine(
-            sim, None, None, None, engine="reference") is None
+            sim, None, engine="reference") is None
         assert sim._fast_forward is None

@@ -294,6 +294,15 @@ CLAMP_WORLD = dict(MULTI_BLOCK_WORLD, master_jitter_us=3000.0,
                    widening_scale=50.0)
 
 
+def _world_result(result):
+    """A fast run's result without the engine's own ``ff.*`` counters."""
+    from dataclasses import replace
+
+    from tests.test_engine_differential import _world_metrics
+
+    return replace(result, metrics=_world_metrics(result.metrics))
+
+
 def _run_quiet_world(engine, world):
     """Build and run one quiet world; its result and simulator."""
     from repro.devices.lightbulb import Lightbulb
@@ -321,7 +330,7 @@ def _run_quiet_world(engine, world):
     bulb.ll.clock.jitter_us = world["slave_jitter_us"]
     central.clock.jitter_us = world["master_jitter_us"]
     bulb.ll.widening_scale = world["widening_scale"]
-    install_engine(sim, medium, central, bulb.ll, engine=engine)
+    install_engine(sim, medium, [(central, bulb.ll)], engine=engine)
     bulb.power_on()
     central.connect(bulb.address)
     sim.run(until_us=world["seconds"] * 1_000_000)
@@ -383,8 +392,8 @@ def _run_follower_world(engine, world):
         sim, medium, "central", BdAddress.from_str("C0:FF:EE:00:00:08"),
         interval=world["interval"], timeout=300)
     attacker = Attacker(sim, medium, "attacker")
-    install_engine(sim, medium, central, bulb.ll, engine=engine,
-                   follower=attacker.sniffer)
+    install_engine(sim, medium, [(central, bulb.ll, attacker.sniffer)],
+                   engine=engine)
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)
@@ -411,7 +420,7 @@ class TestFastForwardProperties:
             return sim
 
         run_both_engines(build_and_run)
-        assert results["reference"] == results["fast"]
+        assert results["reference"] == _world_result(results["fast"])
 
     @settings(max_examples=6, deadline=None)
     @given(world=FOLLOWER_WORLDS)
@@ -426,7 +435,7 @@ class TestFastForwardProperties:
             return sim
 
         run_both_engines(build_and_run)
-        assert results["reference"] == results["fast"]
+        assert results["reference"] == _world_result(results["fast"])
 
     def test_near_floor_miss_cuts_an_engagement(self, monkeypatch):
         # The near-floor attacker misses a frame now and then: the kernel
@@ -503,3 +512,167 @@ class TestFastForwardProperties:
                               if r.kind == "master-tx"), None)
             clamped += bool(heard) and following == heard[-1]
         assert clamped > 0
+
+
+#: Worlds of several quiet background links, as the dense occupancy worlds
+#: build them: each pair a master at ``(x, y)`` and its slave 2 m away,
+#: on a hop interval of the dense worlds' cycle, all registered with the
+#: engine; a wall through the middle, and optionally a Wi-Fi track.
+MULTI_LINK_WORLDS = st.fixed_dictionaries({
+    "seed": st.integers(0, 1 << 16),
+    "pairs": st.lists(st.tuples(st.sampled_from((24, 36, 48)),
+                                st.floats(0.0, 30.0), st.floats(0.0, 30.0)),
+                      min_size=2, max_size=4),
+    "wall_db": st.sampled_from([0.0, 8.0, 20.0]),
+    "wifi": st.sampled_from([None, {"channels": (11, 12, 13, 14, 15, 16,
+                                                 17, 18, 19, 20),
+                                    "duty_cycle": 0.10}]),
+    "channel_map": st.just((1 << 37) - 1),
+    "seconds": st.just(2),
+})
+
+#: Two co-located links hopping over the same two channels, and a Wi-Fi
+#: track bursting on them at a 30 % duty cycle: a frame overlaps another
+#: on its channel inside nearly every block.
+FORCED_OVERLAP_WORLD = {
+    "seed": 4, "pairs": [(24, 0.0, 0.0), (36, 4.0, 0.0)], "wall_db": 0.0,
+    "wifi": {"channels": (5, 6), "duty_cycle": 0.30},
+    "channel_map": (1 << 5) | (1 << 6), "seconds": 3,
+}
+
+
+def _run_multi_link_world(engine, world):
+    """Build and run one multi-link world; its result and simulator."""
+    from repro.experiments.common import TrialResult
+    from repro.experiments.dense import ESTABLISH_STAGGER_US
+    from repro.ll.master import MasterLinkLayer
+    from repro.ll.slave import SlaveLinkLayer
+    from repro.sim.fastforward import install_engine
+    from repro.sim.interference import WifiInterferer
+    from repro.sim.medium import Medium
+    from repro.sim.simulator import Simulator
+    from repro.sim.topology import Topology
+
+    sim = Simulator(seed=world["seed"], trace_enabled=True,
+                    metrics_enabled=True)
+    topo = Topology()
+    for i, (_interval, x, y) in enumerate(world["pairs"]):
+        topo.place(f"m{i}", x, y)
+        topo.place(f"s{i}", x + 2.0, y)
+    topo.place("wifi", 15.0, 10.0)
+    if world["wall_db"] > 0:
+        topo.add_wall(15.0, -10.0, 15.0, 50.0,
+                      attenuation_db=world["wall_db"])
+    medium = Medium(sim, topo)
+    quiet_engine = install_engine(sim, medium, engine=engine)
+    links = []
+    for i, (interval, _x, _y) in enumerate(world["pairs"]):
+        slave = SlaveLinkLayer(
+            sim, medium, f"s{i}",
+            BdAddress.generate(sim.streams.get(f"addr-s{i}")),
+            adv_interval_ms=40.0 + 7.0 * i)
+        master = MasterLinkLayer(
+            sim, medium, f"m{i}",
+            BdAddress.generate(sim.streams.get(f"addr-m{i}")),
+            interval=interval, timeout=300,
+            channel_map=world["channel_map"])
+        slave.start_advertising()
+        sim.schedule_at(ESTABLISH_STAGGER_US * (i + 1),
+                        lambda m=master, s=slave: m.connect(s.address),
+                        "connect")
+        links.append((master, slave))
+        if quiet_engine is not None:
+            quiet_engine.add_link(master, slave)
+    if world["wifi"] is not None:
+        interferer = WifiInterferer(sim, medium, "wifi", **world["wifi"])
+        interferer.start()
+        if quiet_engine is not None:
+            quiet_engine.add_track(interferer)
+    sim.run(until_us=world["seconds"] * 1_000_000)
+    result = TrialResult(
+        success=False, attempts=0,
+        connection_survived=all(m.is_connected and s.is_connected
+                                for m, s in links),
+        metrics=sim.metrics.snapshot())
+    return result, sim
+
+
+class TestMultiLinkProperties:
+    @settings(max_examples=5, deadline=None)
+    @given(world=MULTI_LINK_WORLDS)
+    @example(world=FORCED_OVERLAP_WORLD)
+    def test_engines_agree_on_multi_link_worlds(self, world):
+        from repro.sim import fastforward
+        from tests.test_engine_differential import run_both_engines
+
+        results = {}
+
+        def build_and_run(engine):
+            results[engine], sim = _run_multi_link_world(engine, world)
+            return sim
+
+        fastforward.reset_fast_forward_count()
+        run_both_engines(build_and_run)
+        assert results["reference"] == _world_result(results["fast"])
+        assert fastforward.events_fast_forwarded() > 0
+
+    def test_cut_cycles_are_not_respeculated(self, monkeypatch):
+        # A cross-link cut hands the cycles it involves to the reference
+        # path; the engine must not speculate on that cut again: each
+        # interaction stops exactly one speculation.
+        from repro.sim.fastforward import QuietCycleEngine
+
+        cuts: list = []
+        first_interaction = QuietCycleEngine._first_interaction
+        run = QuietCycleEngine._run
+
+        def spy_interaction(self, runs, tracks, horizon):
+            hit = first_interaction(self, runs, tracks, horizon)
+            if hit < horizon:
+                cuts[-1].append(hit)
+            return hit
+
+        def spy_run(self, *args):
+            cuts.append([])
+            return run(self, *args)
+
+        monkeypatch.setattr(QuietCycleEngine, "_first_interaction",
+                            spy_interaction)
+        monkeypatch.setattr(QuietCycleEngine, "_run", spy_run)
+        _run_multi_link_world("fast", FORCED_OVERLAP_WORLD)
+        hits = [hit for speculation in cuts for hit in speculation]
+        assert len(hits) > 5, "the forced overlaps never cut a block"
+        assert len(set(hits)) == len(hits), (
+            "a cut was speculated on more than once")
+
+    def test_track_bursts_drawn_past_a_cut_are_taken_over(self,
+                                                          monkeypatch):
+        # A cut leaves a track's stream before its first uncommitted
+        # burst and keeps the bursts drawn past it; the track's next
+        # engagement drops those the reference path has fired since and
+        # takes the rest over when the stream is where they begin.  Fast
+        # and reference must still agree.
+        from repro.sim import fastforward
+        from tests.test_engine_differential import run_both_engines
+
+        takeovers: list = []
+        init = fastforward._TrackRun.__init__
+
+        def spy_init(self, engine, interferer, event, owner):
+            ahead = engine._ahead.get(interferer)
+            init(self, engine, interferer, event, owner)
+            if self.drawn:
+                takeovers.append(ahead[0][0][0] < event.time_us)
+
+        monkeypatch.setattr(fastforward._TrackRun, "__init__", spy_init)
+        results = {}
+
+        def build_and_run(engine):
+            results[engine], sim = _run_multi_link_world(
+                engine, FORCED_OVERLAP_WORLD)
+            return sim
+
+        run_both_engines(build_and_run)
+        assert results["reference"] == _world_result(results["fast"])
+        assert True in takeovers, (
+            "no engagement took over bursts drawn past a cut")
