@@ -32,12 +32,16 @@ follower's listening windows and received power — draws each track's
 bursts ahead from its own stream, and merges every link's and track's
 frames by start time.  It commits everything up to the first cycle it
 cannot replicate: a cycle a link's own audit rejects, or a cross-link
-interaction (two frames overlapping on one channel, a frame starting on a
-channel where another link's radio listens within audible range, or two
-sources' events within float tolerance of each other).  It emits the
-*same* trace records, metric increments, airtime-tap credits and RNG
-stream consumption the reference path would produce, writes the end state
-back and lets the reference engine resume.  Anything it cannot replicate
+interaction (two frames overlapping on one channel, a frame heard in
+another source's listening window unless that contact is *inert*, or two
+sources' events within float tolerance of each other).  A contact is
+inert when the listener locks onto the frame alone on its channel, keeps
+listening past its end and drops it at the access-address check; the
+engine then commits the lock and delivery as bookkeeping (the listener's
+shadowing draw, its ``rx-lock``/``rx`` records and ``medium.rx``).  It
+emits the *same* trace records, metric increments, airtime-tap credits
+and RNG stream consumption the reference path would produce, writes the
+end state back and lets the reference engine resume.  Anything it cannot replicate
 bit-for-bit (pending procedures, queued data, a follower with an
 ``on_event`` callback or one that would miss a frame, a window edge within
 float tolerance of a frame boundary) cuts the block with none of that
@@ -56,7 +60,7 @@ import heapq
 import os
 from dataclasses import replace
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -135,7 +139,11 @@ _RECENT_HORIZON_US = RECENT_HORIZON_US
 #: long) cost more than a per-cycle loop would.  With several sources the
 #: counts are cycles summed over the links, spread in proportion to each
 #: link's event rate; on busy dense worlds 128 also measured cheaper than
-#: 32, 64 or 256.
+#: 32, 64 or 256.  Once inert contacts stopped cutting dense blocks (a
+#: traced round's engagements now fire ~835 events each, not ~475), 256
+#: and 512 each won 4 of 6 alternated ``dense`` rounds against 128
+#: (medians +3 % and +6 %, inside the run-to-run spread), short of a
+#: consistent win, so 128 stands.
 _FIRST_BLOCK_CYCLES = 128
 _BLOCK_CYCLES = 1024
 
@@ -170,6 +178,7 @@ _BURST = -1
 _MAYBE_DOWN = frozenset(("live-count", "link-in-event"))
 
 _TIME = attrgetter("time_us")
+_FIRST = itemgetter(0)
 
 _events_fast_forwarded = 0
 
@@ -304,6 +313,19 @@ def _take_frame_ids(count: int) -> int:
     return first
 
 
+def _with_contacts(receivers: list, heard: Optional[list], i: int,
+                   transceivers: dict) -> list:
+    """A frame's ``(medium id, name, powers, is the counterpart)``
+    receivers with the foreign listeners that ``heard`` it in cycle ``i``
+    merged in, in the ascending medium-id order the medium locks and
+    delivers in."""
+    if not heard:
+        return receivers
+    return sorted(receivers + [(tid, transceivers[tid].name, {i: power},
+                                False) for tid, power in heard],
+                  key=_FIRST)
+
+
 class _Link:
     """A registered link: its devices, and the label of its Slave's
     window-open events (their handlers are per-event closures)."""
@@ -412,7 +434,7 @@ class _LinkRun:
         "t_o", "t_c", "next_open", "next_close", "unclamped", "anchor_s",
         "seven", "a_open", "a_close", "open_next", "close_next", "a_next",
         "ma_draws", "sa_draws", "pa_master", "pa_slave", "channels",
-        "unmapped_seq", "s", "e", "s_after",
+        "unmapped_seq", "s", "e", "s_after", "late",
     )
 
     def __init__(self, engine: "QuietCycleEngine", link: _Link, queued,
@@ -577,6 +599,7 @@ class _LinkRun:
         ``k`` is one the reference path must run, and each cycle's span
         and channel."""
         lane = self.lane
+        self.late = None  # past_until works it out when asked
         # -- draw in bulk: slave jitter per cycle is response, window-open,
         #    window-close; master jitter is the next event ----------------
         s_draws = self.s_jitter.take(3 * n).reshape(n, 3)
@@ -719,6 +742,17 @@ class _LinkRun:
             self.sa_shadow.give_back(self.s_seq + start,
                                      self.sa_draws[start:stop])
 
+    def past_until(self, until_us: Optional[float]) -> bool:
+        """Whether the cycle the link bailed at in this block runs past
+        ``until_us`` or the event budget, rather than being one of its own
+        the reference path must run.  Read for ``ff.cut.*`` only."""
+        if self.late is None:
+            k = self.k
+            self.late = until_us is not None and bool(
+                self.t_m[k] + self.horizon_pad > until_us
+                or (self.lane is not None and self.a_close[k] > until_us))
+        return self.late
+
     def horizon_us(self) -> float:
         """The first event the link alone cannot vouch for."""
         k = self.k
@@ -770,11 +804,12 @@ class _LinkRun:
     # Commit
     # ------------------------------------------------------------------
 
-    def commit(self, ids_m: list, ids_s: list, sink, retained: list) -> None:
+    def commit(self, ids_m: list, ids_s: list, sink, retained: list,
+               contacts: dict) -> None:
         """Emit cycles 0..k-1 with the given frame ids into ``sink`` (a
-        trace), file their recent frames in ``retained`` and roll the
-        state to cycle k.  The engine credits their airtime
-        (:meth:`QuietCycleEngine._credit_airtime`)."""
+        trace), absorb their frames' inert ``contacts``, file their recent
+        frames in ``retained`` and roll the state to cycle k.  The engine
+        credits their airtime (:meth:`QuietCycleEngine._credit_airtime`)."""
         engine, medium, lane = self.engine, self.engine.medium, self.lane
         k = self.k
         channels = self.channels
@@ -806,6 +841,9 @@ class _LinkRun:
             _take_frame_ids(2 * cycle + (1 if check == 0 else 2))
             raise SimulationError(_FAULTS[check])
 
+        # Foreign listeners that lock onto a frame and drop it, per cycle.
+        heard_m = engine._absorb(contacts, self.mr, self.m_seq, k)
+        heard_s = engine._absorb(contacts, self.sr, self.s_seq, k)
         mr_tid, sr_tid = self.mr_tid, self.sr_tid
         # Each frame's receivers in lock order (ascending medium id, the
         # order the medium locks and delivers in) with their received
@@ -846,12 +884,14 @@ class _LinkRun:
                 t_resp[:k].tolist(), end_r_k.tolist())
             transceivers = medium._transceivers
             s_name, m_name = self.slave.name, self.master.name
-            # (name, powers, is the counterpart) per receiver.
-            m_rx = [(transceivers[tid].name, powers.tolist(),
-                     tid == sr_tid) for tid, powers in m_receivers]
-            s_rx = [(transceivers[tid].name, powers.tolist(),
-                     tid == mr_tid) for tid, powers in s_receivers]
+            # (medium id, name, powers, is the counterpart) per receiver.
+            m_all = [(tid, transceivers[tid].name, powers.tolist(),
+                      tid == sr_tid) for tid, powers in m_receivers]
+            s_all = [(tid, transceivers[tid].name, powers.tolist(),
+                      tid == mr_tid) for tid, powers in s_receivers]
             for i in range(k):
+                m_rx = _with_contacts(m_all, heard_m.get(i), i, transceivers)
+                s_rx = _with_contacts(s_all, heard_s.get(i), i, transceivers)
                 ch = channels[i]
                 ec = (event_count + i) & 0xFFFF
                 frame_id_m = ids_m[i]
@@ -862,7 +902,7 @@ class _LinkRun:
                 t_response, t_end_r = t_resp_l[i], end_r_l[i]
                 sink.record(t_o_l[i], s_name, "window-open",
                             channel=ch, event_count=ec)
-                for name, powers, _ in m_rx:
+                for _, name, powers, _ in m_rx:
                     sink.record(t_cycle, name, "rx-lock",
                                 frame_id=frame_id_m, channel=ch,
                                 rssi_dbm=powers[i])
@@ -872,7 +912,7 @@ class _LinkRun:
                 sink.record(t_cycle, m_name, "master-tx",
                             event_count=ec, sn=m_sn, nesn=m_nesn,
                             channel=ch)
-                for name, powers, counterpart in m_rx:
+                for _, name, powers, counterpart in m_rx:
                     sink.record(t_end_m, name, "rx",
                                 frame_id=frame_id_m, corrupted=False,
                                 rssi_dbm=powers[i])
@@ -880,7 +920,7 @@ class _LinkRun:
                         sink.record(t_end_m, s_name, "anchor",
                                     event_count=ec, anchor_us=t_cycle,
                                     frame_id=frame_id_m)
-                for name, powers, _ in s_rx:
+                for _, name, powers, _ in s_rx:
                     sink.record(t_response, name, "rx-lock",
                                 frame_id=frame_id_s, channel=ch,
                                 rssi_dbm=powers[i])
@@ -889,7 +929,7 @@ class _LinkRun:
                             frame_id=frame_id_s)
                 sink.record(t_response, s_name, "slave-response",
                             sn=s_sn, nesn=s_nesn, event_count=ec)
-                for name, powers, counterpart in s_rx:
+                for _, name, powers, counterpart in s_rx:
                     sink.record(t_end_r, name, "rx",
                                 frame_id=frame_id_s, corrupted=False,
                                 rssi_dbm=powers[i])
@@ -922,12 +962,14 @@ class _LinkRun:
             if end >= prune_before:
                 retained.append((end, ids_m[i], start, channels[i], *m_pdu,
                                  [(tid, float(powers[i]))
-                                  for tid, powers in m_receivers],
+                                  for tid, powers in m_receivers]
+                                 + heard_m.get(i, []),
                                  mr, m_seq + i, aa, phy))
             retained.append((float(end_r_k[i]), ids_s[i], float(t_resp[i]),
                              channels[i], *s_pdu,
                              [(tid, float(powers[i]))
-                              for tid, powers in s_receivers],
+                              for tid, powers in s_receivers]
+                             + heard_s.get(i, []),
                              sr, s_seq + i, aa, phy))
 
         # -- roll the state to the first cycle after the block -----------
@@ -1210,24 +1252,41 @@ class _TrackRun:
         for a sent one, its medium-finish."""
         return sum(1 if b[1] is None else 2 for b in self.drawn[:count])
 
-    def commit(self, count: int, ids: list, sink, retained: list) -> None:
+    def commit(self, count: int, ids: list, sink, retained: list,
+               contacts: dict) -> None:
         """Emit the first ``count`` drawn bursts with the given frame ids
-        (one per sent burst, in order)."""
+        (one per sent burst, in order) and absorb their inert
+        ``contacts``."""
         engine = self.engine
         medium = engine.medium
         bursts, self.drawn = self.drawn[:count], self.drawn[count:]
         name = self.radio.name
         sent = 0
         seq = self.seq
+        heard = engine._absorb(contacts, self.radio, seq, len(ids))
+        out = None
+        if heard and sink.enabled:
+            # A burst's end records may fall after the next burst's start;
+            # sort this block's records by time before handing them on.
+            out, sink = sink, Trace()
         for t, end, channel, pdu_len, _after, _state, _dur in bursts:
             if end is not None:
                 frame_id = ids[sent]
+                listeners = heard.get(sent, ())
                 if sink.enabled:
+                    for tid, power in listeners:
+                        sink.record(t, medium._transceivers[tid].name,
+                                    "rx-lock", frame_id=frame_id,
+                                    channel=channel, rssi_dbm=power)
                     sink.record(t, name, "tx", channel=channel,
                                 aa=NOISE_ACCESS_ADDRESS, pdu_len=pdu_len,
                                 frame_id=frame_id)
+                    for tid, power in listeners:
+                        sink.record(end, medium._transceivers[tid].name,
+                                    "rx", frame_id=frame_id,
+                                    corrupted=False, rssi_dbm=power)
                 retained.append((end, frame_id, t, channel, bytes(pdu_len),
-                                 0, [], self.radio, seq + sent,
+                                 0, listeners, self.radio, seq + sent,
                                  NOISE_ACCESS_ADDRESS, PhyMode.LE_1M))
                 sent += 1
                 self.radio._tx_until_us = end
@@ -1235,6 +1294,8 @@ class _TrackRun:
             else:
                 self.last_us = max(self.last_us, t)
             self.last_created = t
+        if out is not None:
+            out._records.extend(sorted(sink._records, key=_TIME))
         if medium._metrics.enabled:
             medium._m_tx.inc(sent)
         self.seq += sent
@@ -1281,12 +1342,15 @@ class QuietCycleEngine:
     loop consults :meth:`advance` once per iteration.  The engine is
     default-closed: every condition it cannot prove is a disengage, and the
     cycle in question consumes no RNG draw or frame id.  With metrics
-    enabled, each disengage counts as ``ff.disengage.<reason>``.
+    enabled, each disengage counts as ``ff.disengage.<reason>``, each
+    engagement's end as ``ff.cut.<rule>`` (``overlap``, ``listener``,
+    ``tie``, ``link-bail`` or ``horizon``) and each absorbed contact as
+    ``ff.contact.inert``.
     """
 
     __slots__ = ("sim", "medium", "links", "tracks", "_owners", "_base",
                  "_followers", "_live_counts", "_ahead", "_metrics",
-                 "_m_reasons", "_pdu_cache", "_csa1_tables", "_audible",
+                 "_m_counters", "_pdu_cache", "_csa1_tables", "_audible",
                  "_audible_version")
 
     def __init__(self, sim: Simulator, medium: Medium,
@@ -1305,7 +1369,7 @@ class QuietCycleEngine:
         #: Per track, the bursts its last engagement drew past its end.
         self._ahead: dict = {}
         self._metrics = sim.metrics
-        self._m_reasons: dict = {}
+        self._m_counters: dict = {}
         # (llid, md, sn, nesn, crc_init) -> (pdu_bytes, crc)
         self._pdu_cache: dict = {}
         # channel map -> CSA#1 unmapped-index table
@@ -1356,15 +1420,20 @@ class QuietCycleEngine:
         between-cycles check for as long as it stays down; those exits
         count as ``link-not-connected``.
         """
-        metrics = self._metrics
         if reason in _MAYBE_DOWN and any(map(self._link_down, self.links)):
             reason = "link-not-connected"
+        self._count(f"disengage.{reason}")
+
+    def _count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the ``ff.<name>`` counter, bound on first use;
+        callers check ``metrics.enabled`` first."""
+        metrics = self._metrics
         if metrics.enabled:
-            counter = self._m_reasons.get(reason)
+            counter = self._m_counters.get(name)
             if counter is None:
-                counter = self._m_reasons[reason] = metrics.counter(
-                    f"ff.disengage.{reason}")
-            counter.inc()
+                counter = self._m_counters[name] = metrics.counter(
+                    f"ff.{name}")
+            counter.inc(n)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -1778,20 +1847,22 @@ class QuietCycleEngine:
                     n = min(n, int((until_us - run.t_master)
                                    / run.period_us) + 2)
                 if n < 1:
-                    run.k, run.bailed = 0, True
+                    run.k, run.bailed, run.late = 0, True, True
                     continue
                 run.speculate(n, until_us)
             total = min(8 * total, _BLOCK_CYCLES)
 
             # -- 2. the first cycle any source, or any interaction between
             #    sources, leaves to the reference path --------------------
-            horizon, stop, counts, sent = self._block_horizon(
+            horizon, stop, counts, sent, contacts = self._block_horizon(
                 runs, tracks, until_us, span_us)
             events = sum(run.events_in(c) for run, c in zip(runs, counts)) \
                 + sum(track.events_in(c) for track, c in zip(tracks, sent))
             if not events or fired + events > budget:
                 for run in runs:
                     run.cut(0)
+                if events or stop is None:
+                    stop = "horizon"  # the event budget
                 break
 
             # -- 3. frame ids in start order across every source --------
@@ -1838,7 +1909,7 @@ class QuietCycleEngine:
                 sinks.append(sink)
                 run.commit(ids_list[offset:offset + c],
                            ids_list[offset + c:offset + 2 * c],
-                           sink, retained)
+                           sink, retained, contacts)
                 offset += 2 * c
             for track, c, frames in zip(tracks, sent, sent_bursts):
                 if not c:
@@ -1847,7 +1918,7 @@ class QuietCycleEngine:
                 sink = Trace() if merge else trace
                 sinks.append(sink)
                 track.commit(c, ids_list[offset:offset + n_sent], sink,
-                             retained)
+                             retained, contacts)
                 offset += n_sent
             if merge:
                 trace._records.extend(heapq.merge(
@@ -1856,7 +1927,14 @@ class QuietCycleEngine:
             prune_before = horizon - _RECENT_HORIZON_US
             retained = [frame for frame in retained
                         if frame[0] >= prune_before]
-            if stop or any(run.next_cycle_bails(until_us) for run in runs):
+            if stop is not None:
+                break
+            bails = [run for run in runs if run.next_cycle_bails(until_us)]
+            if bails:
+                stop = "link-bail"
+                if self._metrics.enabled and not any(
+                        run.next_cycle_bails(None) for run in bails):
+                    stop = "horizon"
                 break
 
         # ------------------------------------------------------------------
@@ -1877,6 +1955,8 @@ class QuietCycleEngine:
                 last_us = max(last_us, track.last_us)
         if not fired:
             return 0
+        if self._metrics.enabled:
+            self._count(f"cut.{stop}")
         sim._now = last_us
         # Recreate the queued events in the order the reference created
         # them, so time ties break identically.
@@ -1905,8 +1985,10 @@ class QuietCycleEngine:
     def _block_horizon(self, runs: list, tracks: list,
                         until_us: Optional[float], span_us: float):
         """The time before which every source's speculated block commits,
-        whether the engagement must stop there, and how many cycles of
-        each link and bursts of each track lie before it.
+        the rule that stops the engagement there (``None`` if it goes on;
+        with metrics off, a link's own bail reads ``"link-bail"`` whatever
+        its cause), how many cycles of each link and bursts of each track
+        lie before it, and the inert contacts of the block.
 
         The horizon starts at the first cycle a link cannot vouch for,
         comes forward to the first cross-link interaction, and then to the
@@ -1917,7 +1999,13 @@ class QuietCycleEngine:
         speculates only after every involved cycle has run, never twice on
         one cut.
         """
-        stop = any(run.bailed for run in runs)
+        stop = None
+        bailed = [run for run in runs if run.bailed]
+        if bailed:
+            stop = "link-bail"
+            if self._metrics.enabled and all(
+                    run.past_until(until_us) for run in bailed):
+                stop = "horizon"
         if runs:
             horizon = min(run.horizon_us() for run in runs)
         else:
@@ -1926,9 +2014,9 @@ class QuietCycleEngine:
             horizon = min(horizon, until_us)
         for track in tracks:
             track.draw_until(horizon)
-        hit = self._first_interaction(runs, tracks, horizon)
+        hit, rule, contacts = self._first_interaction(runs, tracks, horizon)
         if hit < horizon:
-            horizon, stop = hit, True
+            horizon, stop = hit, rule
         while True:
             counts = [int(np.searchsorted(run.s, horizon)) if run.k else 0
                       for run in runs]
@@ -1943,7 +2031,7 @@ class QuietCycleEngine:
                 if start is not None:
                     horizon, moved = start, True
             if not moved:
-                return horizon, stop, counts, sent
+                return horizon, stop, counts, sent, contacts
 
     @staticmethod
     def _clamp_handover(run: _LinkRun, c: int, horizon: float, runs: list,
@@ -1971,40 +2059,49 @@ class QuietCycleEngine:
         return True
 
     def _first_interaction(self, runs: list, tracks: list,
-                           horizon: float) -> float:
+                           horizon: float):
         """The earliest time two sources' speculated activity before the
-        horizon would meet, or ``inf``:
+        horizon would meet (``inf`` if never), the rule that found it
+        (``"overlap"``, ``"listener"`` or ``"tie"``; ``None`` if none did),
+        and the inert contacts before it:
 
         * two frames overlap on one channel (any co-channel overlap with a
           delivered frame draws from ``medium-collision``);
         * a frame starts on a channel where another source's radio listens
-          and is not provably deaf to its sender;
+          and is not provably deaf to its sender, unless the contact is
+          inert (:meth:`_inert`);
         * two sources' events fall within ``TIME_EPS_US`` of each other,
           so queue order would decide which fires first.
+
+        Contacts map a sender's medium id to its ``(transmission index,
+        listener)`` pairs; the commits absorb those of committed frames.
         """
+        contacts: dict = {}
         if len(runs) + len(tracks) < 2:
-            return np.inf  # a lone source meets nobody
+            return np.inf, None, contacts  # a lone source meets nobody
         crossing = _Crossing()
         for run in runs:
             c = int(np.searchsorted(run.s, horizon)) if run.k else 0
             if c:
                 run.cross(c, crossing)
             if run.lane is not None:
-                # The follower stays parked on its last channel until its
-                # next sniff-open.
+                # The follower stays parked on its last channel, tuned in
+                # since its last sniff-open, until its next one.
                 radio = run.a_radio
-                parked = run.last_channel if run.committed \
-                    else radio._rx_channel
+                if run.committed:
+                    parked, since = run.last_channel, run.last_sniff_open
+                else:
+                    parked, since = radio._rx_channel, radio._rx_since_us
                 if parked is not None:
-                    crossing.windows([parked], [-np.inf], [run.t_sniff_open],
+                    crossing.windows([parked], [since], [run.t_sniff_open],
                                      radio, run.owner)
         for track in tracks:
             c = track.due_before(horizon)
             if c:
                 track.cross(c, crossing)
         if not crossing.f_sender:
-            return np.inf
-        hit = np.inf
+            return np.inf, None, contacts
+        hit, rule = np.inf, None
         expand = crossing.expand
         fch, fs, fe, f_seq = (np.concatenate(column)
                               for column in crossing.f_cols)
@@ -2031,6 +2128,9 @@ class QuietCycleEngine:
             return channels * stride + (np.maximum(times, t0 - 1.0) - t0)
 
         s_key, e_key = keys(fch, fs), keys(fch, fe)
+        # Whether each frame overlaps (or all but touches) another on its
+        # channel: an inert contact must be alone on air.
+        crowded = np.zeros(len(fs), dtype=bool)
         if len(fs) > 1:
             # In (channel, start) order, a frame overlaps an earlier one
             # when the running maximum end before it passes its start;
@@ -2043,12 +2143,19 @@ class QuietCycleEngine:
             before = np.maximum.accumulate(ends)[:-1]
             before_delivered = np.maximum.accumulate(
                 np.where(delivered, ends, -np.inf))[:-1]
-            overlap = (delivered[1:] & (before > starts[1:])) \
+            after = before > starts[1:]
+            overlap = (delivered[1:] & after) \
                 | (before_delivered > starts[1:])
             if overlap.any():
                 # The other frame of the pair may start first; the
                 # horizon's straddle rule then pulls back to it.
-                hit = float(fs[order][1:][overlap].min())
+                hit, rule = float(fs[order][1:][overlap].min()), "overlap"
+            # A frame that overlaps a later one also overlaps the next one
+            # in that order, which starts first among them; so flagging
+            # each overlapping frame and the one before it in that order
+            # flags every crowded frame (and, rarely, a lone one too).
+            crowded[order[1:]] = after
+            crowded[order[:-1]] |= after
         if windows:
             w_listener = expand(crossing.w_listener)
             w_owner = expand(crossing.w_owner)
@@ -2060,20 +2167,33 @@ class QuietCycleEngine:
                                   "left")
             candidates = np.flatnonzero(inside > own_all)
             if len(candidates):
-                listeners = list(crossing.radios)
+                radios = list(crossing.radios)
                 for i in candidates[np.argsort(fs[candidates])].tolist():
                     start = fs[i]
                     if start >= hit:
                         break
-                    sender = listeners[int(f_sender[i])]
+                    sender = radios[int(f_sender[i])]
+                    seq = int(f_seq[i])
                     foreign = np.flatnonzero(
                         (wch == fch[i]) & (lo <= start) & (start <= hi)
-                        & (w_owner != f_owner[i]))
-                    if any(self._heard(sender, int(f_seq[i]),
-                                       listeners[int(w_listener[j])])
-                           for j in foreign.tolist()):
-                        hit = float(start)
+                        & (w_owner != f_owner[i])).tolist()
+                    heard = [j for j in foreign
+                             if self._heard(sender, seq,
+                                            radios[int(w_listener[j])])]
+                    if not heard:
+                        continue
+                    if crowded[i] or not all(
+                            self._inert(runs, int(f_owner[i]), float(start),
+                                        float(fe[i]),
+                                        radios[int(w_listener[j])],
+                                        int(w_owner[j]), float(ws[j]),
+                                        float(we[j]))
+                            for j in heard):
+                        hit, rule = float(start), "listener"
                         break
+                    contacts.setdefault(sender.medium_id, []).extend(
+                        (seq, listener) for listener in dict.fromkeys(
+                            radios[int(w_listener[j])] for j in heard))
         times = np.concatenate(crossing.e_times)
         order = np.argsort(times, kind="stable")
         t_sorted = times[order]
@@ -2081,8 +2201,81 @@ class QuietCycleEngine:
         tie = (np.diff(t_sorted) <= TIME_EPS_US) \
             & (o_sorted[1:] != o_sorted[:-1])
         if tie.any():
-            hit = min(hit, float(t_sorted[:-1][tie].min()))
-        return hit
+            first_tie = float(t_sorted[:-1][tie].min())
+            if first_tie < hit:
+                hit, rule = first_tie, "tie"
+        return hit, rule, contacts
+
+    @staticmethod
+    def _inert(runs: list, sender_owner: int, start: float,
+               end: float, listener: "Transceiver", owner: int,
+               opened: float, closes: float) -> bool:
+        """Whether a frame of source ``sender_owner`` on air from ``start``
+        to ``end``, heard by ``listener`` of link ``owner`` in its window
+        from ``opened`` to ``closes``, is an inert contact: the listener
+        locks onto it and its handler drops it at the access-address check.
+
+        That holds when the frame carries another access address, the
+        listener tuned in before it started and stays on the channel past
+        its end (so no window close, retune or frame it wants finds it
+        locked), and it demodulates the frame's PHY through the link's own
+        handler.  The caller has checked that no other frame of the block
+        overlaps it, so the lock draws nothing from ``medium-collision``.
+        """
+        run = runs[owner]
+        if sender_owner < len(runs):
+            sent = runs[sender_owner]
+            aa, phy = sent.aa, sent.phy
+        else:
+            aa, phy = NOISE_ACCESS_ADDRESS, PhyMode.LE_1M
+        if aa == run.aa or listener.rx_phy is not phy:
+            return False
+        if not (opened + TIME_EPS_US < start and end < closes - TIME_EPS_US):
+            return False
+        if listener is run.sr:
+            handler = run.slave._on_frame
+        elif listener is run.mr:
+            handler = run.master._on_frame
+        else:
+            handler = run.lane._on_follow_frame
+        return listener.on_frame == handler
+
+    # ------------------------------------------------------------------
+    # Inert contacts
+    # ------------------------------------------------------------------
+
+    def _absorb(self, contacts: dict, sender: "Transceiver", first: int,
+                count: int) -> dict:
+        """Commit the inert contacts of ``sender``'s transmissions
+        ``first .. first + count - 1``: each listener's shadowing draw
+        taken as the medium's ``_power_at`` takes it, and one
+        ``medium.rx``.  Returns, per transmission offset, its listeners'
+        ``(medium id, received power)`` pairs in ascending medium id (the
+        order the medium locks and delivers in), for the trace and the
+        recent window."""
+        heard: dict = {}
+        mine = contacts.get(sender.medium_id)
+        if not mine:
+            return heard
+        medium = self.medium
+        shadowed = medium.path_loss.shadowing_sigma_db > 0.0
+        for seq, listener in mine:
+            offset = seq - first
+            if not 0 <= offset < count:
+                continue
+            tid = listener.medium_id
+            loss = self._mean_loss(sender, listener)
+            if shadowed:
+                loss += medium._link_shadow(sender, tid).value(seq)
+            heard.setdefault(offset, []).append(
+                (tid, sender.tx_power_dbm - loss))
+        for listeners in heard.values():
+            listeners.sort(key=_FIRST)
+        if heard and self._metrics.enabled:
+            absorbed = sum(map(len, heard.values()))
+            medium._m_rx.inc(absorbed)
+            self._count("contact.inert", absorbed)
+        return heard
 
     # ------------------------------------------------------------------
     # Airtime

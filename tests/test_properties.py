@@ -363,15 +363,54 @@ NEAR_FLOOR_WORLD = {
 }
 
 
-def _run_follower_world(engine, world):
+class _ScriptedStream:
+    """Stands in for a Wi-Fi track's numpy stream: hands out preset values
+    in order, whatever distribution is asked for (gaps, burst lengths and
+    channel indexes alike).  Its state is its position, which the fast
+    engine saves and restores like a bit generator's."""
+
+    def __init__(self, values):
+        self._values = list(values)
+        self.state = 0
+        self.bit_generator = self
+
+    def _next(self):
+        value = self._values[self.state]
+        self.state += 1
+        return value
+
+    def exponential(self, scale=1.0):
+        return self._next()
+
+    def integers(self, low, high=None):
+        return self._next()
+
+    def choice(self, options):
+        return options[self.integers(0, len(options))]
+
+
+def _one_burst(start_us, pdu_len):
+    """A scripted track's stream for one burst of ``pdu_len`` bytes at
+    ``start_us`` (the track starting at time 0) on its first channel,
+    then silence."""
+    return [start_us, 8.0 * (pdu_len + 8) + 4.0, 0] + [1e12] * 8
+
+
+def _run_follower_world(engine, world, tracks=()):
     """Build and run one quiet world with a following attacker; its
-    result and simulator."""
+    result and simulator.
+
+    ``tracks`` adds Wi-Fi tracks next to the attacker, each a
+    ``(name, channel, stream values)`` triple played through a
+    :class:`_ScriptedStream`.
+    """
     from repro.core.attacker import Attacker
     from repro.devices.lightbulb import Lightbulb
     from repro.experiments.common import TrialResult
     from repro.ll.master import MasterLinkLayer
     from repro.phy.path_loss import PathLossModel
     from repro.sim.fastforward import install_engine
+    from repro.sim.interference import WifiInterferer
     from repro.sim.medium import Medium
     from repro.sim.simulator import Simulator
     from repro.sim.topology import Topology
@@ -392,8 +431,15 @@ def _run_follower_world(engine, world):
         sim, medium, "central", BdAddress.from_str("C0:FF:EE:00:00:08"),
         interval=world["interval"], timeout=300)
     attacker = Attacker(sim, medium, "attacker")
-    install_engine(sim, medium, [(central, bulb.ll, attacker.sniffer)],
-                   engine=engine)
+    quiet_engine = install_engine(
+        sim, medium, [(central, bulb.ll, attacker.sniffer)], engine=engine)
+    for i, (name, channel, values) in enumerate(tracks):
+        topo.place(name, -world["attacker_distance_m"], 1.0 + i)
+        interferer = WifiInterferer(sim, medium, name, channels=(channel,))
+        interferer._rng = _ScriptedStream(values)
+        interferer.start()
+        if quiet_engine is not None:
+            quiet_engine.add_track(interferer)
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)
@@ -541,8 +587,38 @@ FORCED_OVERLAP_WORLD = {
 }
 
 
+#: Two co-located links on the same two channels, an attacker following
+#: the first from its CONNECT_REQ, and a Wi-Fi track of short, sparse
+#: bursts on both channels: the attacker stays parked on the first link's
+#: channel between its events, so bursts and the second link's frames land
+#: in its open window in most blocks, and it drops them at the
+#: access-address check (inert contacts).
+FORCED_CONTACT_WORLD = {
+    "seed": 4, "pairs": [(24, 0.0, 0.0), (36, 4.0, 0.0)], "wall_db": 0.0,
+    "wifi": {"channels": (5, 6), "duty_cycle": 0.02, "mean_burst_us": 60.0},
+    "channel_map": (1 << 5) | (1 << 6), "seconds": 3, "follower": True,
+}
+
+#: Two links whose Masters stand at one spot, the attacker following the
+#: first: now and then a burst lands in a Master's response window while
+#: the attacker listens on the same channel, so two foreign listeners,
+#: in window order not medium-id order, absorb one burst.
+TWO_LISTENER_WORLD = {
+    "seed": 222, "pairs": [(24, 0.0, 0.0), (24, 0.0, 0.0)], "wall_db": 0.0,
+    "wifi": {"channels": (5, 6), "duty_cycle": 0.02, "mean_burst_us": 60.0},
+    "channel_map": (1 << 5) | (1 << 6) | (1 << 7), "seconds": 2,
+    "follower": True,
+}
+
+
 def _run_multi_link_world(engine, world):
-    """Build and run one multi-link world; its result and simulator."""
+    """Build and run one multi-link world; its result and simulator.
+
+    With ``world["follower"]``, an attacker camps on an advertising
+    channel from the start and follows the first link, the first to
+    connect; the engine registers it as that link's follower.
+    """
+    from repro.core.attacker import Attacker
     from repro.experiments.common import TrialResult
     from repro.experiments.dense import ESTABLISH_STAGGER_US
     from repro.ll.master import MasterLinkLayer
@@ -565,6 +641,11 @@ def _run_multi_link_world(engine, world):
                       attenuation_db=world["wall_db"])
     medium = Medium(sim, topo)
     quiet_engine = install_engine(sim, medium, engine=engine)
+    attacker = None
+    if world.get("follower"):
+        topo.place("attacker", 1.0, 2.0)
+        attacker = Attacker(sim, medium, "attacker")
+        attacker.sniff_new_connections()
     links = []
     for i, (interval, _x, _y) in enumerate(world["pairs"]):
         slave = SlaveLinkLayer(
@@ -582,7 +663,9 @@ def _run_multi_link_world(engine, world):
                         "connect")
         links.append((master, slave))
         if quiet_engine is not None:
-            quiet_engine.add_link(master, slave)
+            quiet_engine.add_link(master, slave, attacker.sniffer
+                                  if attacker is not None and i == 0
+                                  else None)
     if world["wifi"] is not None:
         interferer = WifiInterferer(sim, medium, "wifi", **world["wifi"])
         interferer.start()
@@ -601,6 +684,8 @@ class TestMultiLinkProperties:
     @settings(max_examples=5, deadline=None)
     @given(world=MULTI_LINK_WORLDS)
     @example(world=FORCED_OVERLAP_WORLD)
+    @example(world=FORCED_CONTACT_WORLD)
+    @example(world=TWO_LISTENER_WORLD)
     def test_engines_agree_on_multi_link_worlds(self, world):
         from repro.sim import fastforward
         from tests.test_engine_differential import run_both_engines
@@ -627,10 +712,10 @@ class TestMultiLinkProperties:
         run = QuietCycleEngine._run
 
         def spy_interaction(self, runs, tracks, horizon):
-            hit = first_interaction(self, runs, tracks, horizon)
-            if hit < horizon:
-                cuts[-1].append(hit)
-            return hit
+            found = first_interaction(self, runs, tracks, horizon)
+            if found[0] < horizon:
+                cuts[-1].append(found[0])
+            return found
 
         def spy_run(self, *args):
             cuts.append([])
@@ -644,6 +729,30 @@ class TestMultiLinkProperties:
         assert len(hits) > 5, "the forced overlaps never cut a block"
         assert len(set(hits)) == len(hits), (
             "a cut was speculated on more than once")
+
+    def test_forced_contacts_are_absorbed(self, monkeypatch):
+        # Most blocks of the forced-contact world hear foreign frames in
+        # the attacker's window; the kernel absorbs them instead of
+        # cutting, and says why each engagement ended: one ff.cut.* count
+        # per engagement.
+        from repro.sim.fastforward import QuietCycleEngine
+
+        engagements: list = []
+        advance = QuietCycleEngine.advance
+
+        def spy(self, until_us, budget):
+            fired = advance(self, until_us, budget)
+            if fired:
+                engagements.append(fired)
+            return fired
+
+        monkeypatch.setattr(QuietCycleEngine, "advance", spy)
+        result, _ = _run_multi_link_world("fast", FORCED_CONTACT_WORLD)
+        counters = result.metrics["counters"]
+        cuts = sum(count for name, count in counters.items()
+                   if name.startswith("ff.cut."))
+        assert cuts == len(engagements) > 0
+        assert counters["ff.contact.inert"] > 10 * len(engagements)
 
     def test_track_bursts_drawn_past_a_cut_are_taken_over(self,
                                                           monkeypatch):
@@ -676,3 +785,125 @@ class TestMultiLinkProperties:
         assert results["reference"] == _world_result(results["fast"])
         assert True in takeovers, (
             "no engagement took over bursts drawn past a cut")
+
+
+class TestInertContacts:
+    """A foreign frame heard inside a listener's window is absorbed only
+    when the listener's handler drops it and nothing else can tell; any
+    near miss of that rule still cuts the block.  Fast = reference on
+    every world either way."""
+
+    WORLD = {"seed": 5, "interval": 24, "attacker_distance_m": 3.0,
+             "wall_db": 0.0, "sigma_db": 2.0, "seconds": 3}
+
+    #: Bytes of every scripted burst, and its air time.
+    PDU_LEN = 20
+
+    @classmethod
+    def _parked_window(cls, monkeypatch):
+        """The channel the attacker is parked on before one of its
+        sniff-opens 1.5 s in, that sniff-open's time and the victims'
+        access address, from a reference run: no frame of the victims'
+        falls within 1 ms before the sniff-open."""
+        from repro.core.sniffer import ConnectionSniffer
+
+        arms = []
+        arm = ConnectionSniffer._arm
+
+        def spy(self, channel, open_us, close_us):
+            arms.append((channel, open_us, close_us,
+                         self.connection.params.access_address))
+            arm(self, channel, open_us, close_us)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ConnectionSniffer, "_arm", spy)
+            _run_follower_world("reference", cls.WORLD)
+        k = next(i for i, arm in enumerate(arms) if arm[1] > 1_500_000.0)
+        channel, _, last_close, _ = arms[k - 1]
+        _, open_us, _, access_address = arms[k]
+        assert last_close < open_us - 1_000.0
+        return channel, open_us, access_address
+
+    def _run(self, monkeypatch, starts):
+        """Bursts of one scripted track each at ``starts``, on the parked
+        channel; both engines' traces compared.  The fast run's metrics
+        and the reference trace."""
+        from tests.test_engine_differential import run_both_engines
+
+        channel = self._parked_window(monkeypatch)[0]
+        tracks = [(f"wifi-{i}", channel, _one_burst(start, self.PDU_LEN))
+                  for i, start in enumerate(starts)]
+        results = {}
+
+        def build_and_run(engine):
+            results[engine], sim = _run_follower_world(engine, self.WORLD,
+                                                       tracks)
+            return sim
+
+        sim_ref, _ = run_both_engines(build_and_run)
+        assert results["reference"] == _world_result(results["fast"])
+        counters = results["fast"].metrics["counters"]
+        return counters, list(sim_ref.trace)
+
+    @classmethod
+    def _air_us(cls):
+        from repro.phy.modulation import PhyMode, air_time_us
+
+        return air_time_us(cls.PDU_LEN, PhyMode.LE_1M)
+
+    @staticmethod
+    def _attacker(records, kind):
+        return [r for r in records
+                if r.source == "attacker" and r.kind == kind]
+
+    def test_burst_inside_the_parked_window_is_absorbed(self, monkeypatch):
+        open_us = self._parked_window(monkeypatch)[1]
+        counters, records = self._run(monkeypatch, [open_us - 700.0])
+        assert len(self._attacker(records, "rx")) > 0
+        assert counters.get("ff.contact.inert") == 1
+
+    def test_burst_ending_at_the_retune_cuts(self, monkeypatch):
+        from repro.sim.events import TIME_EPS_US
+
+        open_us = self._parked_window(monkeypatch)[1]
+        start = open_us - 0.5 * TIME_EPS_US - self._air_us()
+        counters, records = self._run(monkeypatch, [start])
+        burst = next(r for r in records
+                     if r.source == "wifi-0" and r.kind == "tx")
+        end = burst.time_us + self._air_us()
+        assert abs(end - open_us) <= TIME_EPS_US
+        assert any(r.detail["frame_id"] == burst.detail["frame_id"]
+                   for r in self._attacker(records, "rx"))
+        assert "ff.contact.inert" not in counters
+
+    def test_follower_retuning_while_locked_cuts(self, monkeypatch):
+        open_us = self._parked_window(monkeypatch)[1]
+        counters, records = self._run(monkeypatch, [open_us - 100.0])
+        assert self._attacker(records, "rx-abandoned")
+        assert "ff.contact.inert" not in counters
+
+    def test_overlapping_bursts_in_the_window_cut(self, monkeypatch):
+        open_us = self._parked_window(monkeypatch)[1]
+        counters, records = self._run(monkeypatch,
+                                      [open_us - 700.0, open_us - 600.0])
+        assert self._attacker(records, "rx-busy")
+        assert "ff.contact.inert" not in counters
+
+    def test_burst_with_the_listeners_access_address_cuts(self,
+                                                          monkeypatch):
+        # A burst carrying the victims' access address: the attacker takes
+        # it for the Master's frame and anchors on it, so the contact is
+        # not inert.
+        from repro.sim import fastforward, interference
+
+        victims_aa = self._parked_window(monkeypatch)[2]
+        for module in (interference, fastforward):
+            monkeypatch.setattr(module, "NOISE_ACCESS_ADDRESS", victims_aa)
+        open_us = self._parked_window(monkeypatch)[1]
+        counters, records = self._run(monkeypatch, [open_us - 700.0])
+        burst = next(r for r in records
+                     if r.source == "wifi-0" and r.kind == "tx")
+        assert burst.detail["aa"] == victims_aa
+        assert any(r.detail["frame_id"] == burst.detail["frame_id"]
+                   for r in self._attacker(records, "rx"))
+        assert "ff.contact.inert" not in counters
