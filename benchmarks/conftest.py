@@ -12,10 +12,7 @@ Environment knobs:
 * ``REPRO_BENCH_CONNECTIONS`` — per-configuration sample size
   (paper-faithful default: 25);
 * ``REPRO_BENCH_JOBS`` — worker processes per sweep (default 1 = serial;
-  0 = all cores).  Results are identical at any job count;
-* ``REPRO_BENCH_CACHE`` — set to ``1`` to reuse/persist trial results in
-  the on-disk cache (``repro cache clear`` resets it).  Off by default so
-  benchmark timings stay honest.
+  0 = all cores).  Results are identical at any job count.
 """
 
 from __future__ import annotations
@@ -33,24 +30,11 @@ N_CONNECTIONS = int(os.environ.get("REPRO_BENCH_CONNECTIONS", "25"))
 #: Worker processes per sweep (1 = serial, 0 = all cores).
 N_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
-#: Whether panels reuse the on-disk trial-result cache.
-USE_CACHE = os.environ.get("REPRO_BENCH_CACHE", "0") == "1"
-
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def trial_cache():
-    """The shared on-disk cache, or ``None`` when ``REPRO_BENCH_CACHE`` is off."""
-    if not USE_CACHE:
-        return None
-    from repro.runner import ResultCache
-
-    return ResultCache()
 
 
 def publish(results_dir: Path, name: str, text: str) -> None:

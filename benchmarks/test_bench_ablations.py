@@ -21,11 +21,11 @@ from repro.experiments.common import success_rate
 
 
 @pytest.mark.benchmark(group="ablations")
-def test_abl1_widening_reduction(benchmark, results_dir, trial_cache):
+def test_abl1_widening_reduction(benchmark, results_dir):
     n = max(6, N_CONNECTIONS // 2)
     results = benchmark.pedantic(
         lambda: run_experiment("widening", base_seed=5, n_connections=n,
-                               jobs=N_JOBS, cache=trial_cache),
+                               jobs=N_JOBS),
         rounds=1, iterations=1,
     )
     rows = [(f"widening x{scale}",
@@ -42,11 +42,11 @@ def test_abl1_widening_reduction(benchmark, results_dir, trial_cache):
 
 
 @pytest.mark.benchmark(group="ablations")
-def test_abl2_encryption(benchmark, results_dir, trial_cache):
+def test_abl2_encryption(benchmark, results_dir):
     n = max(6, N_CONNECTIONS // 2)
     results = benchmark.pedantic(
         lambda: run_encryption_ablation(base_seed=6, n_connections=n,
-                                        jobs=N_JOBS, cache=trial_cache),
+                                        jobs=N_JOBS),
         rounds=1, iterations=1,
     )
     injected = sum(r.injection_succeeded for r in results)

@@ -23,11 +23,11 @@ from repro.experiments.distance import DISTANCE_POSITIONS
 
 
 @pytest.mark.benchmark(group="fig9")
-def test_fig9_distance(benchmark, results_dir, trial_cache):
+def test_fig9_distance(benchmark, results_dir):
     results = benchmark.pedantic(
         lambda: run_experiment("distance", base_seed=3,
                                n_connections=N_CONNECTIONS,
-                               jobs=N_JOBS, cache=trial_cache),
+                               jobs=N_JOBS),
         rounds=1, iterations=1,
     )
     samples = {label: attempts_of(results[label])

@@ -22,11 +22,11 @@ from repro.experiments.hop_interval import HOP_INTERVALS
 
 
 @pytest.mark.benchmark(group="fig9")
-def test_fig9_hop_interval(benchmark, results_dir, trial_cache):
+def test_fig9_hop_interval(benchmark, results_dir):
     results = benchmark.pedantic(
         lambda: run_experiment("hop", base_seed=1,
                                n_connections=N_CONNECTIONS,
-                               jobs=N_JOBS, cache=trial_cache),
+                               jobs=N_JOBS),
         rounds=1, iterations=1,
     )
     samples = {hop: attempts_of(results[hop]) for hop in HOP_INTERVALS}

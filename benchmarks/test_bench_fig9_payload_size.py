@@ -22,11 +22,11 @@ from repro.experiments.payload_size import PAYLOAD_SIZES
 
 
 @pytest.mark.benchmark(group="fig9")
-def test_fig9_payload_size(benchmark, results_dir, trial_cache):
+def test_fig9_payload_size(benchmark, results_dir):
     results = benchmark.pedantic(
         lambda: run_experiment("payload", base_seed=2,
                                n_connections=N_CONNECTIONS,
-                               jobs=N_JOBS, cache=trial_cache),
+                               jobs=N_JOBS),
         rounds=1, iterations=1,
     )
     samples = {size: attempts_of(results[size]) for size in PAYLOAD_SIZES}

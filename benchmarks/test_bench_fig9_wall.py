@@ -24,11 +24,11 @@ from repro.experiments.wall import WALL_DISTANCES
 
 
 @pytest.mark.benchmark(group="fig9")
-def test_fig9_wall(benchmark, results_dir, trial_cache):
+def test_fig9_wall(benchmark, results_dir):
     results = benchmark.pedantic(
         lambda: run_experiment("wall", base_seed=4,
                                n_connections=N_CONNECTIONS,
-                               jobs=N_JOBS, cache=trial_cache),
+                               jobs=N_JOBS),
         rounds=1, iterations=1,
     )
     samples = {f"{d:.0f} m (wall)": attempts_of(results[d])
@@ -46,7 +46,7 @@ def test_fig9_wall(benchmark, results_dir, trial_cache):
     # across the whole sweep, and at the far positions, the cost is clear.
     free = run_experiment(
         "distance", base_seed=4, n_connections=min(N_CONNECTIONS, 10),
-        positions={"B (2 m)": 2.0}, jobs=N_JOBS, cache=trial_cache)
+        positions={"B (2 m)": 2.0}, jobs=N_JOBS)
     free_mean = box_stats(attempts_of(free["B (2 m)"])).mean
     walled_near_mean = box_stats(attempts_of(results[2.0])).mean
     assert walled_near_mean >= free_mean - 1.0

@@ -33,8 +33,10 @@ from repro.campaign.service.coordinator import Coordinator
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ReproError, ServiceError
 
-#: Hard cap on worker-channel line length and HTTP body size (16 MiB) —
-#: a full unit record with merged telemetry fits with huge margin.
+#: Hard cap on a worker-channel line, an HTTP header block and an HTTP
+#: body (16 MiB) — a full unit record with merged telemetry fits with
+#: huge margin.  It is the streams' buffer limit too: a peer that goes
+#: past it gets a 400 (HTTP) or a closed connection (worker channel).
 MAX_MESSAGE_BYTES = 16 * 1024 * 1024
 
 _HTTP_STATUS_TEXT = {
@@ -110,7 +112,8 @@ class ServiceServer:
     async def start(self) -> None:
         """Bind and start accepting connections."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port)
+            self._handle_connection, self.host, self._requested_port,
+            limit=MAX_MESSAGE_BYTES)
 
     async def stop(self) -> None:
         """Stop accepting, then close every open connection."""
@@ -160,13 +163,14 @@ class ServiceServer:
         """Request/response loop: one JSON object per line, each way."""
         pending: bytes = first
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return  # a line over MAX_MESSAGE_BYTES: drop the peer
             if pending:
                 line, pending = pending + line, b""
             if not line:
                 return
-            if len(line) > MAX_MESSAGE_BYTES:
-                raise ServiceError("worker message exceeds size cap")
             try:
                 message = json.loads(line)
             except ValueError:
@@ -218,7 +222,10 @@ class ServiceServer:
             self, first: bytes, reader: asyncio.StreamReader,
     ) -> Tuple[str, str, Dict[str, str], bytes]:
         """Read request line, headers, and Content-Length-framed body."""
-        head = first + await reader.readuntil(b"\r\n\r\n")
+        try:
+            head = first + await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            raise ServiceError("header block exceeds size cap")
         request_line, _, header_blob = head.partition(b"\r\n")
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
@@ -232,6 +239,8 @@ class ServiceServer:
                 try:
                     length = int(value.strip())
                 except ValueError:
+                    length = -1
+                if length < 0:
                     raise ServiceError(f"bad Content-Length: {value!r}")
         if length > MAX_MESSAGE_BYTES:
             raise ServiceError("request body exceeds size cap")

@@ -46,7 +46,8 @@ at the 100+ connection dense-RF worlds the occupancy sweep runs):
 
 ``Medium(indexed=False)`` keeps the original broadcast behaviour (every
 frame eagerly sampled at every transceiver) as a differential baseline;
-``benchmarks/test_bench_medium.py`` measures one against the other.
+``tests/test_sim_medium.py`` checks one against the other and
+``tests/test_speed_floors.py`` times them.
 
 Hot-path notes
 --------------

@@ -52,6 +52,7 @@ from repro.campaign.service import (
     spawn_worker,
     submit_campaign,
 )
+from repro.campaign.service import server as server_module
 from repro.campaign.service.coordinator import unit_record_payload
 from repro.cli import main
 from repro.errors import ConfigurationError, ServiceError
@@ -417,6 +418,49 @@ class TestHttpApi:
         assert not_found[0] == 404
         assert wrong_method[0] == 405
         assert health[0] == 200 and json.loads(health[1]) == {"ok": True}
+
+    def test_malformed_requests_get_400_or_a_quiet_close(self, monkeypatch):
+        """Framing errors end in a response or a dropped peer, never in an
+        exception that escapes the connection task.  A small size cap
+        keeps the oversized inputs small."""
+        cap = 1024
+        monkeypatch.setattr(server_module, "MAX_MESSAGE_BYTES", cap)
+
+        async def exchange(port, blob):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(blob)
+            await writer.drain()
+            try:
+                return await reader.read()
+            except ConnectionResetError:
+                return b""
+            finally:
+                writer.close()
+
+        async def body(coordinator, server, url):
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            negative = await exchange(
+                server.port,
+                b"POST /campaign HTTP/1.1\r\nContent-Length: -1\r\n\r\n")
+            long_head = await exchange(
+                server.port, b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                + b"a" * (cap + 100) + b"\r\n\r\n")
+            long_line = await exchange(
+                server.port, b'{"op": "' + b"a" * (cap + 100) + b'"}\n')
+            health = await exchange(
+                server.port, b"GET /healthz HTTP/1.1\r\n\r\n")
+            return unhandled, negative, long_head, long_line, health
+
+        unhandled, negative, long_head, long_line, health = \
+            _run_server(_with_server(body))
+        assert negative.startswith(b"HTTP/1.1 400 ")
+        assert b"bad Content-Length" in negative
+        assert long_head.startswith(b"HTTP/1.1 400 ")
+        assert long_line == b""
+        assert health.startswith(b"HTTP/1.1 200 ")
+        assert unhandled == []
 
     def test_url_and_endpoint_parsing(self):
         assert parse_url("http://127.0.0.1:8000") == ("127.0.0.1", 8000)

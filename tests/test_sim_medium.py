@@ -298,6 +298,64 @@ class TestGridIndex:
 
         assert run(indexed=True) == run(indexed=False)
 
+    @pytest.mark.parametrize("n_pairs", [8, 32])
+    def test_paired_world_delivery_matches_broadcast(self, n_pairs):
+        def run(indexed):
+            sim, sent, got = paired_world(n_pairs, indexed=indexed)
+            sim.run(until_us=PAIRED_WORLD_US)
+            return sent, got
+
+        sent, got = run(indexed=True)
+        assert sent and got
+        assert (sent, got) == run(indexed=False)
+
+
+#: Simulated stretch of a :func:`paired_world`; one frame per 2 ms per pair.
+PAIRED_WORLD_US = 200_000.0
+_PAIR_FRAME_PERIOD_US = 2_000.0
+
+
+def paired_world(n_pairs, indexed=True):
+    """``n_pairs`` transmitter/receiver pairs on a 4 m x 8 m grid.
+
+    Pair ``i`` uses data channel ``i % 37``, and its transmitter sends a
+    12-byte PDU every 2 ms from a start staggered by pair.  There is no
+    link layer: the world loads only the medium (interest sets, locks,
+    power sampling), and every receiver in range of a pair's channel
+    hears its frames.  Returns ``(sim, sent, deliveries)``; run ``sim``
+    to :data:`PAIRED_WORLD_US`.  ``sent`` lists every transmission as
+    ``(pair, time)`` and ``deliveries`` every frame received as
+    ``(pair, pdu, rssi, corrupted)``.
+    """
+    sim = Simulator(seed=42, trace_enabled=False)
+    topo = Topology()
+    for i in range(n_pairs):
+        x, y = 4.0 * (i % 10), 8.0 * (i // 10)
+        topo.place(f"tx{i:03d}", x, y)
+        topo.place(f"rx{i:03d}", x + 2.0, y)
+    medium = Medium(sim, topo, indexed=indexed)
+    sent: list = []
+    deliveries: list = []
+
+    def fire(n, radio, channel):
+        radio.transmit(0x50000000 + n, bytes(12), 0, channel)
+        sent.append((n, sim.now))
+        at = sim.now + _PAIR_FRAME_PERIOD_US
+        if at < PAIRED_WORLD_US:
+            sim.schedule_at(at, lambda: fire(n, radio, channel))
+
+    for i in range(n_pairs):
+        tx = Transceiver(sim, medium, f"tx{i:03d}")
+        rx = Transceiver(sim, medium, f"rx{i:03d}")
+        channel = i % 37
+        rx.listen(channel)
+        rx.on_frame = (lambda frame, rssi, n=i:
+                       deliveries.append((n, frame.pdu, rssi,
+                                          frame.corrupted)))
+        sim.schedule_at(float(7 * i % 1000),
+                        lambda n=i, tx=tx, ch=channel: fire(n, tx, ch))
+    return sim, sent, deliveries
+
 
 class TestLinkShadow:
     """Per-link counter-indexed shadowing draws are pure in (link, seq)."""

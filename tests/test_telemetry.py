@@ -5,7 +5,17 @@ import pickle
 
 import pytest
 
-from repro.experiments.common import InjectionTrial, run_single_trial
+from repro.experiments.common import (
+    InjectionTrial,
+    run_single_trial,
+    run_trial_world,
+)
+from repro.experiments.dense import (
+    OCCUPANCY_LOAD_LEVELS,
+    DenseTrial,
+    run_dense_trial_world,
+)
+from repro.sim import fastforward
 from repro.sim.simulator import Simulator
 from repro.sim.trace import Trace, TraceRecord
 from repro.telemetry import (
@@ -229,3 +239,59 @@ class TestSimulatorWiring:
         result = run_single_trial(
             InjectionTrial(seed=71_0002, hop_interval=75))
         assert result.metrics is None
+
+
+def _spy_on_telemetry(monkeypatch) -> dict:
+    """Count every call of the four telemetry recording methods."""
+    calls = {}
+
+    def counting(key, original):
+        def spy(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    for cls, name in ((Counter, "inc"), (Gauge, "set"),
+                      (Histogram, "observe"), (Trace, "record")):
+        key = f"{cls.__name__}.{name}"
+        calls[key] = 0
+        monkeypatch.setattr(cls, name, counting(key, getattr(cls, name)))
+    return calls
+
+
+def _injection_world(collect_metrics):
+    return run_trial_world(InjectionTrial(seed=71_0003, hop_interval=75,
+                                          collect_metrics=collect_metrics))
+
+
+def _busy_apartment_world(collect_metrics):
+    connections, wifi = OCCUPANCY_LOAD_LEVELS["busy (10 bg + 2 wifi)"]
+    return run_dense_trial_world(DenseTrial(
+        seed=7, connections=connections, wifi_interferers=wifi,
+        layout="apartment", collect_metrics=collect_metrics))
+
+
+@pytest.mark.parametrize("world", [_injection_world, _busy_apartment_world],
+                         ids=["injection", "busy-apartment"])
+class TestTelemetryOffIsFree:
+    """With metrics and trace off, no hot path may reach an instrument.
+
+    Every call site guards on ``metrics.enabled`` / ``trace.enabled``;
+    a missing guard shows up here as a counted call.  The worlds inject
+    and fast-forward, so the medium, the link layers, the attacker and
+    the quiet-cycle kernel all run.
+    """
+
+    def test_disabled_worlds_make_no_telemetry_calls(self, world,
+                                                     monkeypatch):
+        calls = _spy_on_telemetry(monkeypatch)
+        fastforward.reset_fast_forward_count()
+        result, _sim = world(collect_metrics=False)
+        assert result.attempts > 0
+        assert fastforward.events_fast_forwarded() > 0
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_enabled_worlds_do_call_the_spies(self, world, monkeypatch):
+        calls = _spy_on_telemetry(monkeypatch)
+        world(collect_metrics=True)
+        assert calls["Counter.inc"] > 0
