@@ -26,8 +26,8 @@ Quickstart::
 
     # forge and inject an ATT Write Request turning the bulb off ...
 
-See ``examples/`` for complete scripts and ``benchmarks/`` for the
-reproduction of every evaluation figure.
+See ``examples/`` for complete scripts and ``repro claims EXPERIMENTS.md``
+(:mod:`repro.claims`) for the reproduction of every evaluation figure.
 """
 
 from repro.core.attacker import Attacker

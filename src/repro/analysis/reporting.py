@@ -1,8 +1,8 @@
 """Text rendering of experiment results.
 
-The benchmarks print these tables so a run of ``pytest benchmarks/``
-regenerates the content of each figure panel as rows (configuration value →
-attempt distribution), which EXPERIMENTS.md compares against the paper.
+The CLI prints these tables, and ``repro claims`` renders them into
+EXPERIMENTS.md: each figure panel as rows (configuration value → attempt
+distribution) next to the paper claims checked against it.
 """
 
 from __future__ import annotations

@@ -47,3 +47,16 @@ def box_stats(values: list) -> BoxStats:
         mean=float(arr.mean()),
         variance=float(arr.var(ddof=1)) if arr.size > 1 else 0.0,
     )
+
+
+def spearman_rho(xs: list, ys: list) -> float:
+    """Spearman rank correlation of two equal-length samples (tied values
+    share their average rank)."""
+    return float(np.corrcoef(_ranks(xs), _ranks(ys))[0, 1])
+
+
+def _ranks(values: list) -> np.ndarray:
+    """1-based ranks, ties averaged."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]

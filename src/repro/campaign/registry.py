@@ -11,7 +11,7 @@ Two registries decouple the engine from the experiment modules:
   (:func:`run_unit_trial` dispatches per unit inside the worker).
 
 :func:`run_experiment` is the one way to run an experiment by name
-outside a campaign (the CLI panels, benchmarks, tests).
+outside a campaign (the CLI panels, ``repro claims``, tests).
 
 Tests register synthetic experiments (e.g. an always-crashing trial) the
 same way the built-ins register themselves; on Linux the fork start

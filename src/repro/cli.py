@@ -9,9 +9,10 @@ Exposes the reproduction's main entry points without writing a script::
     repro metrics hop --jobs 4
     repro campaign run examples/smoke-campaign.json --jobs 4
     repro crack
+    repro claims EXPERIMENTS.md
 
 Each subcommand builds a deterministic world from ``--seed``, runs it, and
-prints the same tables the benchmarks produce.
+prints the same tables ``repro claims`` renders into EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -296,6 +297,14 @@ def _cmd_doccheck(args: argparse.Namespace) -> int:
     else:
         print(report.render_text())
     return 0 if report.ok else 1
+
+
+def _cmd_claims(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.claims import check_claims
+
+    return check_claims(Path(args.file), write=args.write)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -878,6 +887,14 @@ def build_parser() -> argparse.ArgumentParser:
     doccheck.add_argument("--verbose", action="store_true",
                           help="stream per-command progress to stderr")
     doccheck.set_defaults(func=_cmd_doccheck)
+
+    claims = sub.add_parser(
+        "claims", help="re-run the paper's experiments, check every claim "
+                       "over seeds and the results block of a markdown file")
+    claims.add_argument("file", help="markdown file with the claims block")
+    claims.add_argument("--write", action="store_true",
+                        help="rewrite a stale block instead of failing")
+    claims.set_defaults(func=_cmd_claims)
 
     lint = sub.add_parser(
         "lint",

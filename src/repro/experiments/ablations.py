@@ -6,7 +6,8 @@ paper proposes qualitatively:
 * **ABL-1** widening reduction: injection success rate vs the Slave's
   ``widening_scale`` (run it as ``run_experiment("widening", ...)``);
 * **ABL-2** encryption: injection against a paired, AES-CCM-encrypted
-  connection — never yields valid traffic, degrades to DoS;
+  connection — never yields valid traffic, degrades to DoS
+  (``run_experiment("encryption", ...)``);
 * **ABL-3** IDS: detection rate of the double-frame/anchor signatures
   against successful injections, and of jamming against BTLEJack.
 """
@@ -75,40 +76,6 @@ def encryption_trial_units(
             encrypted=True, collect_metrics=collect_metrics,
         ))
         for i in range(n_connections)
-    ]
-
-
-@dataclass
-class EncryptionAblationResult:
-    """ABL-2 outcome for one connection.
-
-    Attributes:
-        injection_succeeded: the forged plaintext was ever accepted (must
-            stay False with encryption on).
-        dos_observed: the Slave dropped the connection (MIC failure) —
-            the residual availability impact the paper predicts.
-    """
-
-    injection_succeeded: bool
-    dos_observed: bool
-
-
-def run_encryption_ablation(base_seed: int = 6, n_connections: int = 15,
-                            jobs: Optional[int] = None, cache=None,
-                            collect_metrics: bool = False,
-                            ) -> list[EncryptionAblationResult]:
-    """ABL-2: inject into encrypted connections."""
-    from repro.campaign.registry import run_experiment
-
-    grouped = run_experiment("encryption", jobs=jobs, cache=cache,
-                             base_seed=base_seed, n_connections=n_connections,
-                             collect_metrics=collect_metrics)
-    return [
-        EncryptionAblationResult(
-            injection_succeeded=outcome.effect_observed,
-            dos_observed=not outcome.connection_survived,
-        )
-        for outcomes in grouped.values() for outcome in outcomes
     ]
 
 

@@ -1,4 +1,4 @@
-"""Scenario end-to-end runners (paper §VI) for benchmarks and the CLI.
+"""Scenario end-to-end runners (paper §VI) for ``repro claims`` and the CLI.
 
 Each runner builds a fresh world (victim device + phone + attacker on the
 2 m triangle), executes one scenario, and verifies the *offensive goal*
@@ -270,20 +270,3 @@ def trial_units(
                                   device=device_name),
                 ))
     return units
-
-
-def run_scenario_suite(
-    base_seed: int = 1000,
-    jobs: Optional[int] = None,
-) -> list[tuple[str, bool, int]]:
-    """Every scenario × every device, each in its own fresh world.
-
-    Seeds follow the historical serial enumeration (``base_seed + 13`` per
-    case, scenario-major), so results match the pre-parallel benchmark
-    byte for byte regardless of ``jobs``.
-    """
-    from repro.campaign.registry import run_experiment
-
-    grouped = run_experiment("scenario", jobs=jobs, base_seed=base_seed)
-    return [(label, result.success, result.attempts)
-            for label, results in grouped.items() for result in results]

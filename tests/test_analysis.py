@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.reporting import render_distribution_table, render_series
-from repro.analysis.stats import box_stats
+from repro.analysis.stats import box_stats, spearman_rho
 from repro.errors import ConfigurationError
 
 
@@ -47,3 +47,9 @@ class TestRendering:
         text = render_series("Scenarios", [("A", "success", 3),
                                            ("B", "success", 2)])
         assert "Scenarios" in text and "A" in text and "B" in text
+
+
+def test_spearman_ties_share_their_average_rank():
+    # Ranks of x: 1.5 1.5 3 4; of y: 1 2 3 4.
+    assert spearman_rho([1, 1, 2, 3], [1, 2, 3, 4]) == pytest.approx(0.9486832980505138)
+    assert spearman_rho([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)

@@ -2,39 +2,15 @@
 
 import pytest
 
-from repro.core.attacker import Attacker
 from repro.core.baselines import BtleJackHijack, BtleJuiceMitm, GattackerMitm
-from repro.devices import Lightbulb, Smartphone
-from repro.host.stack import CentralHost
-from repro.ll.master import MasterLinkLayer
-from repro.ll.pdu.address import BdAddress
-from repro.sim.medium import Medium
-from repro.sim.simulator import Simulator
-from repro.sim.topology import Topology
-
-
-def build_btlejack_world(seed=71, timeout=100):
-    sim = Simulator(seed=seed)
-    topo = Topology.equilateral_triangle(("bulb", "phone", "attacker"))
-    medium = Medium(sim, topo)
-    bulb = Lightbulb(sim, medium, "bulb")
-    phone = MasterLinkLayer(sim, medium, "phone",
-                            BdAddress.from_str("C0:FF:EE:00:00:07"),
-                            interval=36, timeout=timeout)
-    CentralHost(phone)
-    attacker = Attacker(sim, medium, "attacker")
-    attacker.sniff_new_connections()
-    bulb.power_on()
-    phone.connect(bulb.address)
-    sim.run(until_us=1_500_000)
-    assert attacker.synchronized
-    attacker.release_radio()
-    return sim, bulb, phone, attacker
+from repro.devices import Lightbulb
+from repro.experiments.baselines import hijack_world, spoof_world
 
 
 class TestBtleJack:
     def test_hijack_succeeds(self):
-        sim, bulb, phone, attacker = build_btlejack_world()
+        sim, bulb, phone, attacker = hijack_world(71)
+        attacker.release_radio()
         results = []
         hijack = BtleJackHijack(sim, attacker.radio, attacker.connection)
         hijack.start(on_done=results.append)
@@ -42,7 +18,8 @@ class TestBtleJack:
         assert results and results[0].hijacked
 
     def test_master_starved_out(self):
-        sim, bulb, phone, attacker = build_btlejack_world(seed=72)
+        sim, bulb, phone, attacker = hijack_world(72)
+        attacker.release_radio()
         reasons = []
         phone.on_disconnected = reasons.append
         hijack = BtleJackHijack(sim, attacker.radio, attacker.connection)
@@ -51,7 +28,8 @@ class TestBtleJack:
         assert reasons == ["supervision timeout"]
 
     def test_slave_answers_the_attacker(self):
-        sim, bulb, phone, attacker = build_btlejack_world(seed=73)
+        sim, bulb, phone, attacker = hijack_world(73)
+        attacker.release_radio()
         results = []
         hijack = BtleJackHijack(sim, attacker.radio, attacker.connection)
         hijack.start(on_done=results.append)
@@ -63,8 +41,8 @@ class TestBtleJack:
     def test_jamming_cost_scales_with_timeout(self):
         """The paper's stealth argument: jamming needs a frame per event
         for a whole supervision timeout, InjectaBLE needs a handful."""
-        sim, bulb, phone, attacker = build_btlejack_world(seed=74,
-                                                          timeout=100)
+        sim, bulb, phone, attacker = hijack_world(74)
+        attacker.release_radio()
         results = []
         hijack = BtleJackHijack(sim, attacker.radio, attacker.connection)
         hijack.start(on_done=results.append)
@@ -73,21 +51,9 @@ class TestBtleJack:
         assert results[0].jam_frames >= 15
 
 
-def build_spoof_world(seed):
-    sim = Simulator(seed=seed)
-    topo = Topology()
-    topo.place("bulb", 0.0, 0.0)
-    topo.place("phone", 2.0, 0.0)
-    topo.place("attacker", 1.0, 1.0)
-    medium = Medium(sim, topo)
-    bulb = Lightbulb(sim, medium, "bulb")
-    phone = Smartphone(sim, medium, "phone")
-    return sim, medium, bulb, phone
-
-
 class TestGattacker:
     def test_pre_connection_capture(self):
-        sim, medium, bulb, phone = build_spoof_world(seed=81)
+        sim, medium, bulb, phone = spoof_world(seed=81)
         tool = GattackerMitm(sim, medium, "attacker", victim=bulb)
         bulb.power_on()
         tool.start()
@@ -99,7 +65,7 @@ class TestGattacker:
     def test_cannot_attack_established_connection(self):
         """The gap InjectaBLE closes: spoofing tools need the advertising
         phase; once connected, there is nothing to spoof."""
-        sim, medium, bulb, phone = build_spoof_world(seed=82)
+        sim, medium, bulb, phone = spoof_world(seed=82)
         tool = GattackerMitm(sim, medium, "attacker", victim=bulb)
         bulb.power_on()
         phone.connect_to(bulb.address)
@@ -111,7 +77,7 @@ class TestGattacker:
         assert phone.is_connected  # victims unaffected
 
     def test_forwards_writes_to_real_device(self):
-        sim, medium, bulb, phone = build_spoof_world(seed=83)
+        sim, medium, bulb, phone = spoof_world(seed=83)
         tool = GattackerMitm(sim, medium, "attacker", victim=bulb)
         bulb.power_on()
         tool.start()
@@ -130,7 +96,7 @@ class TestGattacker:
 
 class TestBtleJuice:
     def test_pre_connection_interposition(self):
-        sim, medium, bulb, phone = build_spoof_world(seed=84)
+        sim, medium, bulb, phone = spoof_world(seed=84)
         tool = BtleJuiceMitm(sim, medium, "attacker", victim=bulb)
         bulb.power_on()
         tool.start()
@@ -141,7 +107,7 @@ class TestBtleJuice:
         assert tool.result.central_captured
 
     def test_cannot_attack_established_connection(self):
-        sim, medium, bulb, phone = build_spoof_world(seed=85)
+        sim, medium, bulb, phone = spoof_world(seed=85)
         tool = BtleJuiceMitm(sim, medium, "attacker", victim=bulb)
         bulb.power_on()
         phone.connect_to(bulb.address)

@@ -1,5 +1,5 @@
 """Tests for the §VII experiment harness (reduced sample sizes for speed;
-the full 25-connection sweeps run in benchmarks/)."""
+``repro claims EXPERIMENTS.md`` runs the full 25-connection sweeps)."""
 
 import pytest
 
