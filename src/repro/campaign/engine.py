@@ -1,7 +1,7 @@
 """Campaign engine: grid expansion, sharding, execution, resume.
 
 The engine is a thin deterministic layer over
-:func:`repro.runner.execute_trials`:
+:func:`repro.runner.run_units_robust`:
 
 1. :func:`expand_units` turns a :class:`~repro.campaign.spec.CampaignSpec`
    into an ordered list of :class:`TrialUnit` with stable ids — the same
@@ -191,18 +191,16 @@ def open_journal(spec: CampaignSpec, path: Union[str, Path],
             {}, 0)
 
 
-def unit_record(unit: TrialUnit, result: Any, outcome: Any,
-                cached: bool) -> UnitRecord:
-    """Fold one completed unit into its journal record.
+def unit_record(unit: TrialUnit, outcome: Any) -> UnitRecord:
+    """Fold one finished unit into its journal record.
 
-    ``outcome`` is the :class:`~repro.runner.executor.UnitOutcome` from
-    the robust executor (``None`` for cache hits); ``result`` the trial
-    result (placeholder or ``None`` when the outcome failed).  Both the
-    in-process engine and the service workers build records through this
-    one function, so a unit's journal line is byte-identical however it
-    was executed.
+    ``outcome`` is the unit's :class:`~repro.runner.executor.UnitOutcome`
+    from :func:`~repro.runner.run_units_robust`.  Both the in-process
+    engine and the service workers build records through this one
+    function, so a unit's journal line is byte-identical however it was
+    executed.
     """
-    if outcome is not None and not outcome.ok:
+    if not outcome.ok:
         return UnitRecord(
             unit_id=unit.unit_id,
             experiment=unit.experiment,
@@ -211,6 +209,7 @@ def unit_record(unit: TrialUnit, result: Any, outcome: Any,
             failure={"kind": outcome.status, "detail": outcome.detail,
                      "retries": outcome.retries},
         )
+    result = outcome.result
     result_dict = {
         "success": bool(result.success),
         "attempts": int(result.attempts),
@@ -227,7 +226,6 @@ def unit_record(unit: TrialUnit, result: Any, outcome: Any,
         status="ok",
         result=result_dict,
         metrics=result.metrics,
-        cached=cached,
     )
 
 
@@ -236,32 +234,43 @@ def run_campaign(
     journal_path: Union[str, Path],
     jobs: Optional[int] = None,
     shard: Tuple[int, int] = (0, 1),
-    cache: Any = None,
     max_trials: Optional[int] = None,
     progress: Any = None,
     fsync: bool = False,
+    *,
+    cache: Any = None,
 ) -> CampaignState:
     """Run (or continue) a campaign shard, journaling every unit.
+
+    Every unit runs in its own killable worker process under the spec's
+    timeout/retry policy (:func:`repro.runner.run_units_robust`); a unit
+    that times out, crashes or raises is journaled ``failed`` with its
+    failure kind instead of stopping the campaign.
 
     Args:
         spec: the campaign; must match an existing journal's fingerprint.
         journal_path: the append-only checkpoint file; created with a
             header when absent.
-        jobs: worker processes, as in :func:`repro.runner.execute_trials`.
+        jobs: concurrent worker processes (``None`` → ``$REPRO_JOBS`` →
+            1; ``<=0`` → all cores).
         shard: ``(index, count)`` round-robin shard of the grid.
-        cache: trial-result cache selector, as in ``execute_trials``.
-        max_trials: budget — at most this many *fresh* units this
-            invocation (``None`` = all pending); the rest stay pending
-            for a later ``resume``.
+        max_trials: budget — at most this many units this invocation
+            (``None`` = all pending); the rest stay pending for a later
+            ``resume``.
         progress: optional
             :class:`~repro.telemetry.progress.ProgressTracker`; fed one
             update per completed unit.
         fsync: force every journal record to stable storage (see
             :class:`~repro.campaign.journal.JournalWriter`).
+        cache: accepted for callers written against the retired
+            trial-result cache; anything but ``None`` raises ``TypeError``.
 
     Returns:
         The campaign state after this invocation (full-grid view).
     """
+    if cache is not None:
+        raise TypeError("run_campaign() no longer caches results; "
+                        "pass cache=None or omit it")
     units = expand_units(spec)
     writer, records, runs = open_journal(spec, journal_path, fsync=fsync)
     state = CampaignState(spec=spec, fingerprint=spec.fingerprint,
@@ -278,27 +287,24 @@ def run_campaign(
         if not to_run:
             return state
 
-        def on_result(index: int, trial: Any, result: Any, outcome: Any,
-                      cached: bool) -> None:
-            unit = to_run[index]
-            record = unit_record(unit, result, outcome, cached)
+        def on_outcome(outcome: Any) -> None:
+            unit = to_run[outcome.index]
+            record = unit_record(unit, outcome)
             records[unit.unit_id] = record
             writer.record_unit(record)
             if progress is not None:
-                progress.update(record.status, cached=record.cached)
+                progress.update(record.status)
 
-        from repro.runner import execute_trials
+        from repro.runner import run_units_robust
 
-        execute_trials(
+        run_units_robust(
+            run_unit_trial,
             [unit.trial for unit in to_run],
             jobs=jobs,
-            cache=cache,
             timeout_s=spec.timeout_s,
             max_retries=spec.max_retries,
             backoff_s=spec.backoff_s,
-            isolate=True,
-            runner=run_unit_trial,
-            on_result=on_result,
+            on_outcome=on_outcome,
         )
     finally:
         writer.close()

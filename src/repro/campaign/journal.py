@@ -47,9 +47,9 @@ class UnitRecord:
             ``{"kind": "timeout"|"crash"|"error", "detail", "retries"}``.
         metrics: merged telemetry snapshot when the trial was
             instrumented, else ``None``.
-        cached: the result came from the on-disk trial cache (recorded
-            for observability; excluded from reports, which must be
-            byte-identical whether or not the cache was warm).
+        cached: always ``False``; kept so journals stay byte-identical
+            to older ones and readers of the key (``perfbench``'s
+            campaign workload) keep working.
     """
 
     unit_id: str
@@ -166,7 +166,6 @@ def record_from_payload(obj: Dict[str, Any]) -> UnitRecord:
         result=obj.get("result"),
         failure=obj.get("failure"),
         metrics=obj.get("metrics"),
-        cached=bool(obj.get("cached", False)),
     )
 
 

@@ -7,7 +7,7 @@ Two registries decouple the engine from the experiment modules:
   returning ``(config key, trial)`` pairs in deterministic grid order;
 * :data:`TRIAL_RUNNERS` — trial dataclass type → picklable runner, so a
   single campaign batch can mix :class:`InjectionTrial` sweeps and
-  :class:`ScenarioTrial` worlds in one ``execute_trials`` call
+  :class:`ScenarioTrial` worlds in one executor call
   (:func:`run_unit_trial` dispatches per unit inside the worker).
 
 :func:`run_experiment` is the one way to run an experiment by name
@@ -80,9 +80,10 @@ def register_trial_runner(trial_type: Type[Any],
 def run_unit_trial(trial: Any) -> Any:
     """Run one campaign unit by dispatching on its trial type.
 
-    Module-level and therefore picklable: this is the single ``runner``
-    handed to :func:`repro.runner.execute_trials` for a whole campaign
-    batch, however many experiment kinds the batch mixes.
+    Module-level and therefore picklable: this is the single callable
+    handed to :func:`repro.runner.run_units_robust` for a whole campaign
+    batch (and to :func:`repro.runner.execute_trials` for a panel),
+    however many experiment kinds the batch mixes.
     """
     for cls in type(trial).__mro__:
         runner = TRIAL_RUNNERS.get(cls)
@@ -129,19 +130,19 @@ def expand_axis(
         raise ConfigurationError(f"axis {defn.name!r}: {exc}") from exc
 
 
-def run_experiment(name: str, *, jobs: Optional[int] = None, cache=None,
+def run_experiment(name: str, *, jobs: Optional[int] = None,
                    **params: Any) -> Dict[Any, List[Any]]:
     """Run a registered experiment by name; results grouped by config key.
 
     ``params`` are the experiment's ``trial_units()`` keyword arguments
     (e.g. ``base_seed``, ``n_connections``, ``collect_metrics``), bound
-    and validated exactly as a campaign axis's are; ``jobs`` / ``cache``
-    go to :func:`repro.experiments.common.run_trial_units`.
+    and validated exactly as a campaign axis's are; ``jobs`` goes to
+    :func:`repro.experiments.common.run_trial_units`.
     """
     from repro.experiments.common import run_trial_units
 
     return run_trial_units(expand_axis(get_experiment(name), params),
-                           jobs=jobs, cache=cache)
+                           jobs=jobs)
 
 
 def _register_builtins() -> None:

@@ -1,9 +1,8 @@
 """Campaign report rendering.
 
 The report is a pure function of the journal's unit records and the
-spec's deterministic grid expansion — never of wall time, cache
-temperature, worker count, sharding, or how many interruptions it took
-to finish.  That is what makes the acceptance check meaningful: an
+spec's deterministic grid expansion — never of wall time, worker
+count, sharding, or how many interruptions it took to finish.  That is what makes the acceptance check meaningful: an
 interrupted-and-resumed campaign renders byte-identically to an
 uninterrupted one.
 """

@@ -226,7 +226,6 @@ class Coordinator:
         self._publish({"event": "unit",
                        "unit_id": record.unit_id,
                        "status": record.status,
-                       "cached": record.cached,
                        "done": campaign.state.done,
                        "total": campaign.state.total})
         if campaign.complete:

@@ -94,7 +94,7 @@ def _execute_unit(spec: CampaignSpec, unit: TrialUnit) -> Dict[str, Any]:
                                   timeout_s=spec.timeout_s,
                                   max_retries=spec.max_retries,
                                   backoff_s=spec.backoff_s)
-    record = unit_record(unit, outcome.result, outcome, cached=False)
+    record = unit_record(unit, outcome)
     return unit_record_payload(record)
 
 

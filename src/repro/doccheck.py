@@ -329,8 +329,9 @@ def check_docs(paths: Optional[Sequence[Path]] = None,
     """Extract and smoke-run every documented ``repro`` command.
 
     Commands of one fenced block run sequentially in a shared scratch
-    directory (with ``$REPRO_CACHE_DIR`` pointed at a scratch cache), so
-    multi-step examples compose and nothing touches the user's state.
+    directory (with ``$REPRO_CACHE_DIR`` pointed at a scratch lint
+    cache), so multi-step examples compose and nothing touches the
+    user's state.
     """
     root = Path(root) if root is not None else find_repo_root()
     doc_paths = ([Path(p) for p in paths] if paths

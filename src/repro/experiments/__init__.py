@@ -8,7 +8,6 @@ from repro.experiments.common import (
     InjectionTrial,
     TrialResult,
     run_trial_units,
-    run_trials,
 )
 from repro.experiments.hop_interval import HOP_INTERVALS
 from repro.experiments.payload_size import PAYLOAD_SIZES
@@ -33,5 +32,4 @@ __all__ = [
     "TrialResult",
     "WALL_DISTANCES",
     "run_trial_units",
-    "run_trials",
 ]

@@ -95,11 +95,10 @@ class TrialResult:
         metrics: the world's merged metrics snapshot (see
             :meth:`repro.telemetry.metrics.MetricsRegistry.snapshot`) when
             the trial ran with ``collect_metrics=True``, else ``None``.
-        failure: ``None`` for a trial that ran to completion; otherwise the
-            runner's failure taxonomy (``timeout`` / ``crash`` /
-            ``error: ...``) for a trial the robust executor terminated,
-            lost, or quarantined — see
-            :func:`repro.runner.executor.run_units_robust`.
+        failure: always ``None``; kept for readers that still check it
+            (``perfbench``).  A campaign unit that times out, crashes or
+            raises is journaled ``failed`` with its kind instead (see
+            :func:`repro.campaign.engine.unit_record`).
         occupancy: measured ambient band occupancy of the trial's world
             (dense-world trials only, see
             :mod:`repro.experiments.dense`); ``None`` for the 3-device
@@ -298,39 +297,10 @@ def run_trial_world(
     ), sim
 
 
-def run_trials(
-    base_seed: int,
-    n_connections: int,
-    make_trial: Callable[[int], InjectionTrial],
-    *,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> list[TrialResult]:
-    """Run ``n_connections`` independent trials with derived seeds.
-
-    Args:
-        base_seed: per-configuration seed; trial ``i`` gets seed
-            ``base_seed * 10_000 + i``.
-        n_connections: trials to run (the paper uses 25).
-        make_trial: seed → :class:`InjectionTrial` for this configuration.
-        jobs: worker processes (``None`` → ``$REPRO_JOBS`` → serial;
-            ``<= 0`` → all cores).  Results are identical regardless of
-            ``jobs`` — trials are independent and internally seeded.
-        cache: ``True`` for the default on-disk
-            :class:`~repro.runner.cache.ResultCache`, an instance to use it,
-            ``None``/``False`` to recompute.
-    """
-    from repro.runner import execute_trials
-
-    trials = [make_trial(base_seed * 10_000 + i) for i in range(n_connections)]
-    return execute_trials(trials, jobs=jobs, cache=cache)
-
-
 def run_trial_units(
     units: "list[tuple]",
     *,
     jobs: Optional[int] = None,
-    cache=None,
 ) -> dict:
     """Execute ``(config key, trial)`` units and group results by key.
 
@@ -346,8 +316,7 @@ def run_trial_units(
     from repro.runner import execute_trials
 
     results = execute_trials([trial for _, trial in units],
-                             jobs=jobs, cache=cache,
-                             runner=run_unit_trial)
+                             jobs=jobs, runner=run_unit_trial)
     grouped: dict = {}
     for (key, _), result in zip(units, results):
         grouped.setdefault(key, []).append(result)

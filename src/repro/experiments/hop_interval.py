@@ -31,7 +31,7 @@ def trial_units(
 
     Seeds follow the historical panel derivation — configuration ``k``
     seeds at ``base_seed + k*101``, trial ``i`` at ``config_seed*10_000
-    + i`` — so campaign runs and one-shot panels share cache entries and
+    + i`` — so campaign runs and one-shot panels run the same trials and
     produce identical results.
     """
     units = []

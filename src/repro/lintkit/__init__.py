@@ -1,8 +1,8 @@
 """Project-specific static analysis (``repro lint``).
 
 The reproduction's headline guarantee — trial results bit-identical at any
-``--jobs`` count and replayable from the :class:`~repro.runner.cache.ResultCache`
-— rests on a handful of conventions that generic linters cannot express:
+``--jobs`` count — rests on a handful of conventions that generic linters
+cannot express:
 
 * all randomness flows through :mod:`repro.utils.rand` (no ``random``, no
   wall clocks, no ``os.urandom`` in simulation code);
@@ -11,9 +11,8 @@ The reproduction's headline guarantee — trial results bit-identical at any
   come from the canonical constants modules instead of being re-typed;
 * per-event/per-frame classes declare ``__slots__`` and telemetry calls sit
   behind a single ``enabled`` attribute check;
-* objects stored in the trial-result cache never capture a ``Simulator``,
-  ``Medium`` or ``Trace`` reference (they must survive the pickle hop from
-  worker processes and replay across runs).
+* trial results never capture a ``Simulator``, ``Medium`` or ``Trace``
+  reference (they must survive the pickle hop from worker processes).
 
 ``repro.lintkit`` encodes each invariant as an AST checker over the
 package's own source.  Findings can be *grandfathered* via a committed

@@ -1,12 +1,10 @@
-"""Process-safety checker: cached results must not capture world objects.
+"""Process-safety checker: trial results must not capture world objects.
 
-Trial results cross two boundaries: the pickle hop back from worker
-processes (``--jobs N``) and the on-disk
-:class:`~repro.runner.cache.ResultCache` replayed by later runs.  A result
-that captures a ``Simulator``, ``Medium`` or ``Trace`` reference drags the
-whole world graph through pickle — slow at best, unpicklable (lambdas,
-event handlers) or semantics-breaking (replaying a stale simulator) at
-worst.
+Trial results cross a process boundary: the pickle hop back from worker
+processes (``--jobs N`` and every campaign unit).  A result that captures
+a ``Simulator``, ``Medium`` or ``Trace`` reference drags the whole world
+graph through pickle — slow at best, unpicklable (lambdas, event
+handlers) at worst.
 
 The checker finds every *result class* — dataclasses matching
 ``.*(Result|Trial)$`` under ``experiments/`` — and walks the annotation
@@ -25,7 +23,7 @@ from repro.lintkit.checkers.base import Checker
 from repro.lintkit.findings import Finding
 from repro.lintkit.model import ModuleSource, Project
 
-#: Type names that must never be reachable from a cached result.
+#: Type names that must never be reachable from a trial result.
 BANNED_TYPES = (
     "Simulator",
     "Medium",
@@ -79,13 +77,14 @@ class _ClassInfo:
 
 
 class ResultCaptureChecker(Checker):
-    """Cached trial results must stay picklable plain data."""
+    """Trial results must stay picklable plain data."""
 
     id = "result-capture"
-    name = "no live-world references in cached results"
+    name = "no live-world references in trial results"
     description = (
-        "objects returned from trial functions and stored in the "
-        "ResultCache must not reference Simulator/Medium/Trace/callbacks"
+        "objects returned from trial functions are pickled back from "
+        "worker processes and must not reference "
+        "Simulator/Medium/Trace/callbacks"
     )
     scope = ("",)
 
@@ -123,7 +122,7 @@ class ResultCaptureChecker(Checker):
                         yield self.finding(
                             info.module, stmt,
                             f"result field {name}.{field_name} is annotated "
-                            f"with {ident} — cached results must not "
+                            f"with {ident} — trial results must not "
                             f"capture live-world references "
                             f"(store plain data instead)",
                         )

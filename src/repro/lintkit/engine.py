@@ -153,7 +153,8 @@ def run_lint(
         flow: build the project call graph and run the flow-aware
             checkers; ``False`` drops every ``requires_flow`` checker.
         flow_cache: directory for the serialised call-graph cache
-            (keyed by the source-tree hash); ``None`` disables caching.
+            (keyed by a hash of every analysed ``.py`` file); ``None``
+            disables caching.
     """
     if root is None:
         root = default_package_root()

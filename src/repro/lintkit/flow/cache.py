@@ -2,11 +2,10 @@
 
 Building the graph costs a two-pass AST walk over every module — cheap,
 but it dominates a warm ``repro lint`` run.  The serialised graph is
-keyed by :func:`repro.runner.cache.source_tree_token` over the analysed
-root **plus** a digest of the files that token deliberately skips
-(``lintkit/``, ``analysis/``, ``campaign/``, the CLI — excluded there
-because they cannot change trial bytes, but very much analysed here), so
-any source edit anywhere under the root invalidates the cached graph.
+keyed by :func:`flow_tree_token`, one SHA-256 over the path and bytes of
+every ``.py`` file under the analysed root plus
+:data:`FLOW_SCHEMA_VERSION`, so any source edit anywhere under the root
+invalidates the cached graph.
 
 Entries live under ``$REPRO_CACHE_DIR``-or-``~/.cache/repro-injectable``
 ``/flow`` as single JSON files; a corrupt or mismatched entry is treated
@@ -22,11 +21,9 @@ from pathlib import Path
 from typing import Optional
 
 from repro.lintkit.flow.graph import FlowGraph
-from repro.runner.cache import (
-    CACHE_DIR_ENV,
-    _is_result_relevant,
-    source_tree_token,
-)
+
+#: Environment variable overriding the cache root directory.
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Bump when the graph schema or builder semantics change — old cached
 #: graphs must never feed new checkers.
@@ -46,18 +43,13 @@ def default_flow_cache_dir() -> Path:
 def flow_tree_token(root: Path) -> str:
     """Cache key for the analysed tree at ``root``.
 
-    Combines :func:`source_tree_token` with a digest of the source files
-    it skips, so edits to lint/analysis/CLI code (analysed by flow,
-    irrelevant to trial results) still invalidate the cached graph.
+    Files are walked in sorted order and keyed by relative POSIX path, so
+    the token is identical across machines for the same source tree.
     """
     root = Path(root)
-    base = source_tree_token(root, schema_version=FLOW_SCHEMA_VERSION)
-    digest = hashlib.sha256(f"flow:{FLOW_SCHEMA_VERSION}:{base}".encode())
+    digest = hashlib.sha256(f"flow:{FLOW_SCHEMA_VERSION}".encode())
     for path in sorted(root.rglob("*.py")):
-        relpath = path.relative_to(root).as_posix()
-        if _is_result_relevant(relpath):
-            continue  # already folded into ``base``
-        digest.update(relpath.encode())
+        digest.update(path.relative_to(root).as_posix().encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
 

@@ -14,9 +14,7 @@ This module fans them out over a ``ProcessPoolExecutor``:
   semaphores, broken pools mid-run) falls back to in-process execution of
   whatever is still missing.
 
-``execute_trials`` layers the on-disk :class:`~repro.runner.cache.ResultCache`
-on top: cached trials never reach the pool, and fresh results are persisted
-before returning.
+``execute_trials`` is that pool map over trial configs.
 
 For workloads that must *survive* misbehaving units — the campaign engine's
 territory — :func:`run_units_robust` trades the pool's amortised IPC for
@@ -33,10 +31,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Environment variable giving the default worker count for the runner.
 JOBS_ENV = "REPRO_JOBS"
+
+#: Contiguous chunks submitted per worker: enough to balance uneven items,
+#: few enough to amortise the per-task IPC.
+CHUNKS_PER_WORKER = 4
 
 #: Failure kinds that are re-queued (bounded by ``max_retries``); a clean
 #: exception is deterministic in this codebase and therefore never retried.
@@ -81,7 +83,6 @@ def parallel_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
     jobs: Optional[int] = None,
-    chunks_per_worker: int = 4,
 ) -> list:
     """``[fn(x) for x in items]`` over a process pool, order-preserving.
 
@@ -96,7 +97,7 @@ def parallel_map(
     if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
 
-    chunks = _chunk_indices(len(items), jobs * chunks_per_worker)
+    chunks = _chunk_indices(len(items), jobs * CHUNKS_PER_WORKER)
     results: list = [None] * len(items)
     done = [False] * len(chunks)
 
@@ -393,28 +394,12 @@ def _run_one_trial(trial: Any) -> Any:
     return run_single_trial(trial)
 
 
-def _failure_result(outcome: UnitOutcome) -> Any:
-    """A ``TrialResult`` placeholder recording why a trial never finished."""
-    from repro.experiments.common import TrialResult
-
-    detail = outcome.status
-    if outcome.detail:
-        detail = f"{outcome.status}: {outcome.detail}"
-    return TrialResult(success=False, attempts=0, failure=detail)
-
-
 def execute_trials(
     trials: Sequence[Any],
     jobs: Optional[int] = None,
-    cache: Union[None, bool, "ResultCache"] = None,
     *,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 0,
-    backoff_s: float = 0.25,
-    isolate: bool = False,
     runner: Optional[Callable[[Any], Any]] = None,
-    on_result: Optional[Callable[[int, Any, Any, Optional[UnitOutcome],
-                                  bool], None]] = None,
+    cache: Any = None,
 ) -> list:
     """Run a batch of :class:`InjectionTrial` configs, possibly in parallel.
 
@@ -422,83 +407,19 @@ def execute_trials(
         trials: trial configs, one independent simulated world each.
         jobs: worker processes (``None`` → ``$REPRO_JOBS`` → 1; ``<=0`` →
             all cores).
-        cache: ``None``/``False`` disables caching; ``True`` uses the
-            default on-disk :class:`ResultCache`; an instance is used as
-            given.
-        timeout_s: per-trial wall-clock deadline.  Setting it routes
-            execution through :func:`run_units_robust`: a hung trial is
-            terminated and recorded as a failure *result* while every
-            completed trial keeps its full result — including its
-            telemetry snapshot — instead of the whole panel stalling.
-        max_retries: bounded re-queueing of timed-out/crashed trials
-            (exponential backoff, ``backoff_s`` base); a trial that keeps
-            killing its worker is quarantined as failed.
-        backoff_s: base delay between retry attempts.
-        isolate: force the per-trial-process robust path even without a
-            timeout or retries (crash isolation on its own).
         runner: the picklable single-item callable (defaults to running
-            an ``InjectionTrial``); campaign units supply a dispatcher.
-        on_result: streaming hook ``(index, trial, result, outcome,
-            cached)`` fired as each slot resolves — cache hits immediately
-            (``outcome=None, cached=True``), fresh robust results in
-            completion order, plain-pool results in trial order.
+            an ``InjectionTrial``); mixed grids supply a dispatcher.
+        cache: accepted for callers written against the retired
+            trial-result cache; anything but ``None`` raises ``TypeError``.
 
     Returns:
         ``TrialResult`` objects in trial order — bit-identical to serial
-        execution for the same trial list.  Under the robust path, a slot
-        whose trial ultimately failed holds a placeholder result with
-        :attr:`TrialResult.failure` set to the failure taxonomy
-        (``timeout`` / ``crash`` / ``error``) instead of raising.
+        execution for the same trial list.  An exception raised by a trial
+        propagates; :func:`run_units_robust` is the executor that survives
+        misbehaving units.
     """
-    trials = list(trials)
-    if cache is True:
-        from repro.runner.cache import ResultCache
-
-        cache = ResultCache()
-    elif cache is False:
-        cache = None
-    run_fn = runner if runner is not None else _run_one_trial
-
-    results: list = [None] * len(trials)
-    missing: list[int] = []
     if cache is not None:
-        for i, trial in enumerate(trials):
-            hit = cache.get(trial)
-            if hit is not None:
-                results[i] = hit
-                if on_result is not None:
-                    on_result(i, trial, hit, None, True)
-            else:
-                missing.append(i)
-    else:
-        missing = list(range(len(trials)))
-
-    if not missing:
-        return results
-
-    robust = isolate or timeout_s is not None or max_retries > 0
-    if robust:
-        def settle(outcome: UnitOutcome) -> None:
-            slot = missing[outcome.index]
-            result = outcome.result if outcome.ok \
-                else _failure_result(outcome)
-            results[slot] = result
-            if outcome.ok and cache is not None:
-                cache.put(trials[slot], result)
-            if on_result is not None:
-                on_result(slot, trials[slot], result, outcome, False)
-
-        run_units_robust(
-            run_fn, [trials[i] for i in missing], jobs=jobs,
-            timeout_s=timeout_s, max_retries=max_retries,
-            backoff_s=backoff_s, on_outcome=settle,
-        )
-    else:
-        fresh = parallel_map(run_fn, [trials[i] for i in missing], jobs=jobs)
-        for slot, result in zip(missing, fresh):
-            results[slot] = result
-            if cache is not None:
-                cache.put(trials[slot], result)
-            if on_result is not None:
-                on_result(slot, trials[slot], result, None, False)
-    return results
+        raise TypeError("execute_trials() no longer caches results; "
+                        "pass cache=None or omit it")
+    return parallel_map(runner if runner is not None else _run_one_trial,
+                        trials, jobs=jobs)

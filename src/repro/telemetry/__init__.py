@@ -20,7 +20,7 @@ the system of record for that question:
   frame (with per-connection CRC validation learned from CONNECT_REQs)
   and exporting it as PCAP or JSONL.
 * :mod:`repro.telemetry.progress` — wall-clock-free campaign progress
-  counters (ok/failed/cached units) with throttled line output.
+  counters (ok/failed units) with throttled line output.
 """
 
 from repro.telemetry.metrics import (

@@ -14,7 +14,7 @@ from typing import Optional, TextIO
 
 
 class ProgressTracker:
-    """Counts ok/failed/cached unit completions; optionally prints lines.
+    """Counts ok/failed unit completions; optionally prints lines.
 
     Args:
         total: expected number of updates (0 = unknown).
@@ -32,32 +32,28 @@ class ProgressTracker:
         self.done = 0
         self.ok = 0
         self.failed = 0
-        self.cached = 0
 
     def reset(self, total: int) -> None:
         """Re-arm for a new batch of ``total`` expected updates."""
         self.total = total
-        self.done = self.ok = self.failed = self.cached = 0
+        self.done = self.ok = self.failed = 0
 
-    def preload(self, done: int, ok: int, failed: int,
-                cached: int = 0) -> None:
+    def preload(self, done: int, ok: int, failed: int) -> None:
         """Seed the counters from work completed before tracking began.
 
         ``campaign status --follow`` attaches to campaigns mid-flight;
         preloading the journal's counts keeps the printed ``done/total``
         line consistent with the service's own status.
         """
-        self.done, self.ok, self.failed, self.cached = done, ok, failed, cached
+        self.done, self.ok, self.failed = done, ok, failed
 
-    def update(self, status: str, cached: bool = False) -> None:
+    def update(self, status: str) -> None:
         """Record one completed unit (``status``: ``"ok"``/``"failed"``)."""
         self.done += 1
         if status == "ok":
             self.ok += 1
         else:
             self.failed += 1
-        if cached:
-            self.cached += 1
         if self.stream is not None and (
                 self.done % self.every == 0 or self.done == self.total):
             print(self.render(), file=self.stream, flush=True)
@@ -66,4 +62,4 @@ class ProgressTracker:
         """One-line summary of the counters."""
         total = str(self.total) if self.total else "?"
         return (f"{self.label}: {self.done}/{total} "
-                f"ok={self.ok} failed={self.failed} cached={self.cached}")
+                f"ok={self.ok} failed={self.failed}")

@@ -1,4 +1,4 @@
-"""Fixture: cached result capturing the world (result-capture)."""
+"""Fixture: trial result capturing the world (result-capture)."""
 
 from dataclasses import dataclass
 from typing import Optional

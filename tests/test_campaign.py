@@ -174,7 +174,7 @@ class TestExpansionAndSharding:
         assert len(set(ids)) == len(ids)
 
     def test_campaign_seeds_match_the_standalone_panels(self):
-        """Campaign trials must share cache entries with repro experiment."""
+        """Campaign trials must be exactly repro experiment's trials."""
         from repro.experiments.hop_interval import trial_units
 
         campaign_hop = [u.trial for u in expand_units(_small_spec())
@@ -225,8 +225,26 @@ class _EasyTrial:
     seed: int
 
 
+@dataclasses.dataclass(frozen=True)
+class _HangTrial:
+    seed: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _RaiseTrial:
+    seed: int
+
+
 def _run_crash_trial(trial):
     os._exit(9)
+
+
+def _run_hang_trial(trial):
+    time.sleep(60)
+
+
+def _run_raise_trial(trial):
+    raise ValueError(f"bad trial {trial.seed}")
 
 
 def _run_easy_trial(trial):
@@ -244,12 +262,28 @@ def _easy_units(base_seed=0, n_connections=2):
             for i in range(n_connections)]
 
 
+def _hang_units(base_seed=0, n_connections=1):
+    return [("hang", _HangTrial(seed=base_seed + i))
+            for i in range(n_connections)]
+
+
+def _raise_units(base_seed=0, n_connections=1):
+    return [("raise", _RaiseTrial(seed=base_seed + i))
+            for i in range(n_connections)]
+
+
 register_experiment(ExperimentDef(
     "test-crash", _crash_units, "always-crashing fixture"), replace=True)
 register_experiment(ExperimentDef(
     "test-easy", _easy_units, "instant fixture"), replace=True)
+register_experiment(ExperimentDef(
+    "test-hang", _hang_units, "never-finishing fixture"), replace=True)
+register_experiment(ExperimentDef(
+    "test-raise", _raise_units, "always-raising fixture"), replace=True)
 register_trial_runner(_CrashTrial, _run_crash_trial, replace=True)
 register_trial_runner(_EasyTrial, _run_easy_trial, replace=True)
+register_trial_runner(_HangTrial, _run_hang_trial, replace=True)
+register_trial_runner(_RaiseTrial, _run_raise_trial, replace=True)
 
 
 class TestQuarantine:
@@ -279,6 +313,29 @@ class TestQuarantine:
         report = build_report(load_state(journal))
         assert "Failure taxonomy" in report
         assert "crash" in report
+
+    def test_timeouts_and_errors_are_journaled_failed(self, tmp_path):
+        spec = CampaignSpec.from_dict({
+            "name": "timeouts", "seed": 0,
+            "timeout_s": 0.3, "max_retries": 1, "backoff_s": 0.01,
+            "axes": [{"experiment": "test-hang"},
+                     {"experiment": "test-raise"},
+                     {"experiment": "test-easy", "n_connections": 1}],
+        })
+        journal = tmp_path / "campaign.jsonl"
+        state = run_campaign(spec, journal, jobs=2)
+        assert state.done == 3 and state.ok_count == 1
+
+        records = load_state(journal).records
+        (hang,) = [r for u, r in records.items() if "test-hang" in u]
+        (boom,) = [r for u, r in records.items() if "test-raise" in u]
+        assert hang.status == "failed"
+        assert hang.failure["kind"] == "timeout"
+        assert hang.failure["retries"] == 1  # = max_retries
+        assert boom.status == "failed"
+        assert boom.failure["kind"] == "error"
+        assert boom.failure["retries"] == 0  # deterministic: never retried
+        assert "bad trial 0" in boom.failure["detail"]
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -381,9 +438,8 @@ class TestKillAndResume:
         """48 real trials; the worker pool is SIGKILLed mid-campaign.
 
         The interrupted+resumed journal and a separate uninterrupted
-        journal must render byte-identical reports.  A shared result
-        cache keeps the wall-clock cost near one full run: the second
-        (uninterrupted) campaign replays cached trial results.
+        journal, each computed from scratch, must render byte-identical
+        reports.
         """
         spec_path = tmp_path / "grid48.json"
         spec = _grid48_spec()
@@ -393,11 +449,10 @@ class TestKillAndResume:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + \
             env.get("PYTHONPATH", "")
-        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "campaign", "run",
              str(spec_path), "--journal", str(killed),
-             "--jobs", "4", "--cache"],
+             "--jobs", "4"],
             env=env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
@@ -422,19 +477,11 @@ class TestKillAndResume:
         partial = load_state(killed)
         assert 0 < partial.done < 48
 
-        cache_env = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
-        try:
-            resumed = run_campaign(spec, killed, jobs=2, cache=True)
-            assert resumed.done == 48 and not resumed.pending
+        resumed = run_campaign(spec, killed, jobs=2)
+        assert resumed.done == 48 and not resumed.pending
 
-            straight = tmp_path / "straight.jsonl"
-            run_campaign(spec, straight, jobs=4, cache=True)
-        finally:
-            if cache_env is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = cache_env
+        straight = tmp_path / "straight.jsonl"
+        run_campaign(spec, straight, jobs=4)
 
         report_killed = build_report(load_state(killed))
         report_straight = build_report(load_state(straight))

@@ -209,7 +209,7 @@ def _drain_units(coordinator, spec, worker="w"):
         (outcome,) = run_units_robust(run_unit_trial, [unit.trial], jobs=1,
                                       timeout_s=60, max_retries=0,
                                       backoff_s=0.01)
-        record = unit_record(unit, outcome.result, outcome, cached=False)
+        record = unit_record(unit, outcome)
         ack = coordinator.handle_message({
             "op": "result", "worker": worker,
             "fingerprint": spec.fingerprint,
@@ -256,7 +256,7 @@ class TestCoordinator:
         outcome = UnitOutcome(index=0, status="ok", result=result,
                               detail="", retries=0)
         payload = unit_record_payload(
-            unit_record(unit, outcome.result, outcome, cached=False))
+            unit_record(unit, outcome))
 
         stale = coordinator.handle_result("w1", "not-the-fingerprint",
                                           payload)

@@ -1,7 +1,7 @@
 """Tests for the executable-docs checker (``repro doccheck``).
 
 Extraction is tested against synthetic markdown; execution against a
-fixture README whose commands are cheap (cache inspection) so the
+fixture README whose commands are cheap (key cracking, one scenario) so the
 self-test stays fast.  The real README/EXPERIMENTS files get a
 structural extraction check here — actually *running* them is CI's
 dedicated doccheck step.
@@ -59,27 +59,27 @@ repro = "not a command here"
 pip install -e .
 # a comment
 pytest -x
-repro cache info  # trailing comment is stripped
+repro crack  # trailing comment is stripped
 repro doccheck    # never recurses
 repro lint --format json  # doccheck: skip
 ```
 """)
         commands = extract_commands(path)
         assert [list(c.argv) for c in commands] == [
-            ["repro", "cache", "info"],
+            ["repro", "crack"],
         ]
 
     def test_env_assignments_and_python_dash_m(self, tmp_path):
         path = _write(tmp_path, """
 ```bash
 REPRO_JOBS=4 repro experiment distance
-python -m repro cache info
+python -m repro crack
 ```
 """)
         first, second = extract_commands(path)
         assert first.env == (("REPRO_JOBS", "4"),)
         assert list(first.argv) == ["repro", "experiment", "distance"]
-        assert list(second.argv) == ["repro", "cache", "info"]
+        assert list(second.argv) == ["repro", "crack"]
 
     def test_backslash_continuations_are_joined(self, tmp_path):
         path = _write(tmp_path, """
@@ -97,12 +97,12 @@ repro campaign run spec.json \\
     def test_commands_share_block_index_within_a_fence(self, tmp_path):
         path = _write(tmp_path, """
 ```bash
-repro cache info
-repro cache clear
+repro crack
+repro scenario b
 ```
 
 ```bash
-repro cache info
+repro crack
 ```
 """)
         a, b, c = extract_commands(path)
@@ -125,7 +125,7 @@ class TestBudget:
 
     def test_campaign_and_cheap_commands_run_unmodified(self):
         for argv in (["repro", "campaign", "run", "spec.json"],
-                     ["repro", "cache", "info"],
+                     ["repro", "crack"],
                      ["repro", "lint"]):
             assert budget_argv(argv) == argv
 
@@ -139,8 +139,8 @@ class TestExecution:
     def test_good_fixture_passes(self, tmp_path, capsys):
         path = _write(tmp_path, """
 ```bash
-repro cache info
-repro cache clear
+repro crack
+repro scenario b
 ```
 """)
         report = check_docs(paths=[path], root=REPO_ROOT)
@@ -151,7 +151,7 @@ repro cache clear
     def test_flag_drift_is_detected(self, tmp_path):
         path = _write(tmp_path, """
 ```bash
-repro cache info --no-such-flag
+repro crack --no-such-flag
 ```
 """)
         report = check_docs(paths=[path], root=REPO_ROOT)
@@ -173,19 +173,19 @@ repro teleport --to mars
         assert not report.ok
 
     def test_cli_exit_codes(self, tmp_path, capsys):
-        good = _write(tmp_path, "```bash\nrepro cache info\n```\n")
+        good = _write(tmp_path, "```bash\nrepro crack\n```\n")
         assert main(["doccheck", str(good),
                      "--root", str(REPO_ROOT)]) == 0
         capsys.readouterr()
         bad = tmp_path / "BAD.md"
-        bad.write_text("```bash\nrepro cache info --bogus\n```\n")
+        bad.write_text("```bash\nrepro crack --bogus\n```\n")
         assert main(["doccheck", str(bad),
                      "--root", str(REPO_ROOT)]) == 1
         out = capsys.readouterr().out
         assert "failure" in out
 
     def test_json_format(self, tmp_path, capsys):
-        good = _write(tmp_path, "```bash\nrepro cache info\n```\n")
+        good = _write(tmp_path, "```bash\nrepro crack\n```\n")
         assert main(["doccheck", str(good), "--root", str(REPO_ROOT),
                      "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -223,7 +223,7 @@ class TestRealDocs:
         assert all(c.argv[0] == "repro" for c in commands)
         subcommands = {c.argv[1] for c in commands}
         # Every documented surface keeps at least one executable example.
-        assert {"experiment", "scenario", "campaign", "cache",
+        assert {"experiment", "scenario", "campaign", "crack",
                 "lint"} <= subcommands
 
     def test_campaign_chapter_examples_are_extracted(self):

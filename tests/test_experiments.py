@@ -14,9 +14,9 @@ from repro.experiments.common import (
     build_injection_payload,
     run_single_trial,
     run_trial_world,
-    run_trials,
     success_rate,
 )
+from repro.runner import execute_trials
 
 
 def report_time_us(sim) -> float:
@@ -81,15 +81,19 @@ class TestSingleTrial:
         assert sim.now < 8_000_000 < TRIAL_DEADLINE_US
 
 
+def _hop75_trials(base_seed, n):
+    """``n`` hop-interval-75 trials with seeds ``base_seed * 10_000 + i``."""
+    return [InjectionTrial(seed=base_seed * 10_000 + i, hop_interval=75)
+            for i in range(n)]
+
+
 class TestRunTrials:
     def test_collects_n_results(self):
-        results = run_trials(1, 4, lambda seed: InjectionTrial(
-            seed=seed, hop_interval=75))
+        results = execute_trials(_hop75_trials(1, 4))
         assert len(results) == 4
 
     def test_helpers(self):
-        results = run_trials(2, 4, lambda seed: InjectionTrial(
-            seed=seed, hop_interval=75))
+        results = execute_trials(_hop75_trials(2, 4))
         assert 0.0 <= success_rate(results) <= 1.0
         assert len(attempts_of(results)) == \
             sum(1 for r in results if r.success)

@@ -215,10 +215,9 @@ class TestEndToEndDeterminism:
     def test_trial_results_identical_under_reference_kernels(self):
         """The kernel swap must be invisible at the trial-result level.
 
-        This is the property the runner's :class:`ResultCache` rests on:
-        the source-tree hash may *invalidate* cached results, but a cached
-        result replayed against either kernel set must be byte-identical
-        to a fresh run — reports, records and verdicts included.
+        A trial run under either kernel set must be byte-identical —
+        reports, records and verdicts included — so the fast kernels can
+        only speed the paper's results up, never change them.
         """
         from repro.experiments.common import InjectionTrial, run_single_trial
 

@@ -329,6 +329,52 @@ class TestFlowCache:
         # The pre-edit token must not resolve to the post-edit graph.
         assert load_graph(cache, before) is None
 
+    @pytest.mark.parametrize(
+        "rel",
+        ["sim/medium.py", "lintkit/engine.py", "analysis/report.py", "cli.py"],
+        ids=["sim", "lintkit", "analysis", "cli"],
+    )
+    def test_edit_to_any_py_file_changes_token(self, tmp_path, rel):
+        """Lint, analysis and CLI sources are analysed, so they key too."""
+        tree = _write_tree(tmp_path / "tree", {
+            "sim/medium.py": "X = 1\n",
+            "lintkit/engine.py": "Y = 2\n",
+            "analysis/report.py": "Z = 3\n",
+            "cli.py": "W = 4\n",
+        })
+        before = flow_tree_token(tree)
+        (tree / rel).write_text("EDITED = 99\n")
+        assert flow_tree_token(tree) != before
+
+    def test_source_edit_invalidates_cached_graph(self, tmp_path):
+        """End to end: a graph cached before an edit is never replayed."""
+        tree = _write_tree(tmp_path / "tree", {
+            "mod.py": '"""M."""\n\n\ndef f():\n    """F."""\n    return 1\n',
+        })
+        cache = tmp_path / "cache"
+        assert run_lint(tree, flow_cache=cache).flow.source == "built"
+        (tree / "mod.py").write_text(
+            '"""M."""\n\n\ndef f():\n    """F."""\n    return 1\n\n\n'
+            'def g():\n    """G."""\n    return f()\n')
+        after = run_lint(tree, flow_cache=cache)
+        assert after.flow is not None and after.flow.source == "built"
+        assert after.flow.functions == 2
+
+    def test_token_changes_when_a_file_is_added(self, tmp_path):
+        tree = _write_tree(tmp_path / "tree", {"mod.py": "X = 1\n"})
+        before = flow_tree_token(tree)
+        (tree / "extra.py").write_text("")
+        assert flow_tree_token(tree) != before
+
+    def test_schema_version_is_significant(self, tmp_path, monkeypatch):
+        import repro.lintkit.flow.cache as flow_cache
+
+        tree = _write_tree(tmp_path / "tree", {"mod.py": "X = 1\n"})
+        before = flow_tree_token(tree)
+        monkeypatch.setattr(flow_cache, "FLOW_SCHEMA_VERSION",
+                            flow_cache.FLOW_SCHEMA_VERSION + 1)
+        assert flow_tree_token(tree) != before
+
     def test_corrupt_cache_file_is_a_miss(self, tmp_path):
         tree = _write_tree(tmp_path / "tree", {
             "mod.py": '"""M."""\n\n\ndef f():\n    """F."""\n    return 1\n',

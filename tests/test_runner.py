@@ -1,18 +1,15 @@
-"""Tests for the parallel trial runner and the on-disk result cache."""
+"""Tests for the parallel trial runner."""
 
 import pickle
 
 import pytest
 
-from repro.experiments.common import InjectionTrial, run_single_trial, run_trials
+from repro.experiments.common import InjectionTrial, run_single_trial
 from repro.runner import (
-    ResultCache,
     execute_trials,
     merge_trial_metrics,
     parallel_map,
     resolve_jobs,
-    source_tree_token,
-    stable_trial_key,
 )
 from repro.runner.executor import _chunk_indices
 
@@ -24,6 +21,12 @@ def _square(x):
 
 def _quick_trial(seed):
     return InjectionTrial(seed=seed, hop_interval=75)
+
+
+def _run(base_seed, n, make_trial, jobs):
+    """``n`` trials with the derived seeds ``base_seed * 10_000 + i``."""
+    return execute_trials(
+        [make_trial(base_seed * 10_000 + i) for i in range(n)], jobs=jobs)
 
 
 class TestResolveJobs:
@@ -84,182 +87,44 @@ def _metric_trial(seed):
 class TestParallelDeterminism:
     def test_jobs4_equals_jobs1_field_for_field(self):
         """The runner's core contract: job count never changes results."""
-        serial = run_trials(21, 4, _quick_trial, jobs=1)
-        parallel = run_trials(21, 4, _quick_trial, jobs=4)
+        serial = _run(21, 4, _quick_trial, jobs=1)
+        parallel = _run(21, 4, _quick_trial, jobs=4)
         assert parallel == serial  # TrialResult eq covers report/records too
         assert [r.attempts for r in parallel] == [r.attempts for r in serial]
+
+    def test_results_survive_pickle(self):
+        """Results cross the worker boundary by pickle, loss-free."""
+        [result] = execute_trials([_quick_trial(35_0000)], jobs=1)
+        assert pickle.loads(pickle.dumps(result)) == result
+
+    def test_cache_argument_is_refused(self):
+        with pytest.raises(TypeError):
+            execute_trials([_quick_trial(1)], cache=True)
 
 
 class TestWorkerMetricsMerging:
     def test_snapshots_cross_the_process_boundary(self):
-        results = run_trials(22, 2, _metric_trial, jobs=2)
+        results = _run(22, 2, _metric_trial, jobs=2)
         for result in results:
             assert result.metrics is not None
             assert result.metrics["counters"]["medium.tx"] > 0
 
     def test_merged_metrics_identical_at_any_job_count(self):
         """Per-trial snapshots sum to the same campaign aggregate."""
-        serial = merge_trial_metrics(run_trials(23, 3, _metric_trial, jobs=1))
-        pooled = merge_trial_metrics(run_trials(23, 3, _metric_trial, jobs=2))
+        serial = merge_trial_metrics(_run(23, 3, _metric_trial, jobs=1))
+        pooled = merge_trial_metrics(_run(23, 3, _metric_trial, jobs=2))
         assert pooled == serial
         assert serial["counters"]["inject.success"] == 3
 
     def test_merge_skips_metricless_results(self):
-        mixed = (run_trials(24, 1, _metric_trial, jobs=1)
-                 + run_trials(24, 1, _quick_trial, jobs=1))
+        mixed = (_run(24, 1, _metric_trial, jobs=1)
+                 + _run(24, 1, _quick_trial, jobs=1))
         merged = merge_trial_metrics(mixed)
         assert merged["counters"]["inject.success"] == 1
 
     def test_merge_of_nothing_is_empty(self):
-        merged = merge_trial_metrics(run_trials(25, 2, _quick_trial, jobs=1))
+        merged = merge_trial_metrics(_run(25, 2, _quick_trial, jobs=1))
         assert merged == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-class TestTrialKey:
-    def test_key_is_stable(self):
-        trial = _quick_trial(5)
-        assert stable_trial_key(trial, "tok") == stable_trial_key(trial, "tok")
-
-    def test_every_field_is_significant(self):
-        base = InjectionTrial(seed=1)
-        variants = [
-            InjectionTrial(seed=2),
-            InjectionTrial(seed=1, hop_interval=75),
-            InjectionTrial(seed=1, pdu_len=9),
-            InjectionTrial(seed=1, attacker_distance_m=4.0),
-            InjectionTrial(seed=1, wall_attenuation_db=8.0),
-            InjectionTrial(seed=1, widening_scale=0.5),
-            InjectionTrial(seed=1, encrypted=True),
-            InjectionTrial(seed=1, collect_metrics=True),
-        ]
-        keys = {stable_trial_key(t, "tok") for t in [base] + variants}
-        assert len(keys) == len(variants) + 1
-
-    def test_code_token_is_significant(self):
-        trial = _quick_trial(5)
-        assert stable_trial_key(trial, "a") != stable_trial_key(trial, "b")
-
-    def test_non_dataclass_rejected(self):
-        with pytest.raises(TypeError):
-            stable_trial_key({"seed": 1})
-
-
-class TestResultCache:
-    def test_second_run_hits_the_cache(self, tmp_path):
-        cache = ResultCache(root=tmp_path, token="tok")
-        trials = [_quick_trial(31_0000 + i) for i in range(2)]
-        first = execute_trials(trials, jobs=1, cache=cache)
-        assert (cache.hits, cache.misses, cache.stores) == (0, 2, 2)
-        second = execute_trials(trials, jobs=1, cache=cache)
-        assert cache.hits == 2
-        assert second == first
-
-    def test_edited_field_misses(self, tmp_path):
-        cache = ResultCache(root=tmp_path, token="tok")
-        trial = _quick_trial(32_0000)
-        execute_trials([trial], jobs=1, cache=cache)
-        edited = InjectionTrial(seed=trial.seed, hop_interval=75, pdu_len=9)
-        assert cache.get(edited) is None
-        assert cache.misses >= 1
-
-    def test_new_code_token_misses(self, tmp_path):
-        old = ResultCache(root=tmp_path, token="old-code")
-        trial = _quick_trial(33_0000)
-        execute_trials([trial], jobs=1, cache=old)
-        fresh = ResultCache(root=tmp_path, token="new-code")
-        assert fresh.get(trial) is None
-
-    @pytest.mark.parametrize("garbage", [
-        b"not a pickle",   # -> UnpicklingError
-        b"garbage\n",      # 'g' is the GET opcode -> ValueError
-        b"",               # -> EOFError
-    ])
-    def test_corrupt_entry_is_a_miss(self, tmp_path, garbage):
-        cache = ResultCache(root=tmp_path, token="tok")
-        trial = _quick_trial(34_0000)
-        cache.put(trial, "placeholder")
-        path = cache._path_for(cache.key_for(trial))
-        path.write_bytes(garbage)
-        assert cache.get(trial) is None
-        assert not path.exists()  # corrupt entries are dropped
-
-    def test_roundtrip_preserves_results_exactly(self, tmp_path):
-        cache = ResultCache(root=tmp_path, token="tok")
-        trial = _quick_trial(35_0000)
-        [result] = execute_trials([trial], jobs=1, cache=cache)
-        assert cache.get(trial) == result
-        # Belt and braces: the pickle layer must be loss-free.
-        assert pickle.loads(pickle.dumps(result)) == result
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(root=tmp_path, token="tok")
-        cache.put(_quick_trial(36_0000), "x")
-        assert len(cache) == 1
-        assert cache.clear() == 1
-        assert len(cache) == 0
-
-    def test_cache_true_uses_default_location(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cachedir"))
-        trial = _quick_trial(37_0000)
-        first = execute_trials([trial], jobs=1, cache=True)
-        second = execute_trials([trial], jobs=1, cache=True)
-        assert first == second
-        assert (tmp_path / "cachedir").exists()
-
-
-class TestSourceTreeToken:
-    """A source edit must flush cached trials; a lint edit must not."""
-
-    @staticmethod
-    def _fake_package(root):
-        (root / "sim").mkdir(parents=True)
-        (root / "lintkit").mkdir()
-        (root / "analysis").mkdir()
-        (root / "sim" / "medium.py").write_text("X = 1\n")
-        (root / "lintkit" / "engine.py").write_text("Y = 2\n")
-        (root / "analysis" / "report.py").write_text("Z = 3\n")
-        (root / "cli.py").write_text("W = 4\n")
-        return root
-
-    def test_result_relevant_edit_changes_token(self, tmp_path):
-        root = self._fake_package(tmp_path)
-        before = source_tree_token(root)
-        (root / "sim" / "medium.py").write_text("X = 99\n")
-        assert source_tree_token(root) != before
-
-    def test_lintkit_edit_keeps_token(self, tmp_path):
-        root = self._fake_package(tmp_path)
-        before = source_tree_token(root)
-        (root / "lintkit" / "engine.py").write_text("Y = 99\n")
-        (root / "analysis" / "report.py").write_text("Z = 99\n")
-        (root / "cli.py").write_text("W = 99\n")
-        assert source_tree_token(root) == before
-
-    def test_new_result_relevant_file_changes_token(self, tmp_path):
-        root = self._fake_package(tmp_path)
-        before = source_tree_token(root)
-        (root / "sim" / "extra.py").write_text("")
-        assert source_tree_token(root) != before
-
-    def test_schema_version_is_significant(self, tmp_path):
-        root = self._fake_package(tmp_path)
-        assert source_tree_token(root, schema_version=1) != \
-            source_tree_token(root, schema_version=2)
-
-    def test_source_edit_invalidates_cached_trial(self, tmp_path):
-        """End to end: the regression the token exists to prevent."""
-        root = self._fake_package(tmp_path / "pkg")
-        cache_dir = tmp_path / "cache"
-        trial = _quick_trial(38_0000)
-
-        old = ResultCache(root=cache_dir, token=source_tree_token(root))
-        old.put(trial, "stale-result")
-        assert old.get(trial) == "stale-result"
-
-        (root / "sim" / "medium.py").write_text("X = 99\n")
-        new = ResultCache(root=cache_dir, token=source_tree_token(root))
-        assert new.get(trial) is None  # stale result is never replayed
-        assert new.misses == 1
 
 
 class TestSeedRepeatability:
