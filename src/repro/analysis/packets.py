@@ -1,20 +1,21 @@
-"""Packet capture and dissection over the simulated air.
+"""Dissection of captured frames into a Wireshark-style text log.
 
-A :class:`PacketCapture` taps the medium (like an SDR capture) and renders
-a Wireshark-style dissection: advertising PDUs by name, data-channel
-frames with their SN/NESN bits, LL control opcodes and ATT operations.
-CRCInit per connection is learned from captured CONNECT_REQs, so payload
-validity can be checked exactly; connections whose setup was missed are
-still listed with raw bytes.
+The capture itself is :class:`~repro.telemetry.capture.FrameRecorder`,
+the one tap on the medium: it learns CRCInit from each CONNECT_REQ,
+gives every frame its CRC verdict and infers its direction from
+connection-event timing.  This module only reads what it recorded:
+:func:`dissect` names advertising PDUs, shows data-channel frames with
+their direction and SN/NESN bits, and decodes LL control opcodes, ATT
+operations and SMP pairing steps; :func:`render_capture` lays the
+frames out one per line.
 
-Used by examples and debugging sessions; the renderer is deliberately
-plain text so captures diff cleanly in tests.
+The renderer is deliberately plain text so captures diff cleanly in
+tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.host.att.pdus import decode_att_pdu
 from repro.host.gap import local_name_of
@@ -29,156 +30,89 @@ from repro.ll.pdu.advertising import (
 )
 from repro.ll.pdu.control import decode_control_pdu
 from repro.ll.pdu.data import DataPdu
-from repro.phy.crc import ADVERTISING_CRC_INIT, crc24
-from repro.phy.signal import RadioFrame
-from repro.sim.medium import Medium
+from repro.telemetry.pcap import NordicBleFrame
 
-#: Frames closer than this on one channel belong to one connection event.
-_EVENT_GAP_US = 2_000.0
-
-
-@dataclass
-class CapturedPacket:
-    """One dissected frame.
-
-    Attributes:
-        time_us: transmission start time.
-        channel: RF channel.
-        access_address: 32-bit AA.
-        summary: one-line dissection.
-        crc_ok: CRC verdict (None when CRCInit is unknown).
-    """
-
-    time_us: float
-    channel: int
-    access_address: int
-    summary: str
-    crc_ok: Optional[bool] = None
-
-    def render(self) -> str:
-        """Fixed-width single-line rendering."""
-        crc = {True: "", False: "  [BAD CRC]", None: "  [CRC?]"}[self.crc_ok]
-        return (f"{self.time_us / 1e6:12.6f}  ch{self.channel:02d}  "
-                f"{self.summary}{crc}")
+_SMP_OPCODES = {1: "PairingRequest", 2: "PairingResponse",
+                3: "PairingConfirm", 4: "PairingRandom",
+                5: "PairingFailed"}
 
 
-class PacketCapture:
-    """Wideband capture + dissection of everything on the medium."""
+def dissect(frame: NordicBleFrame) -> str:
+    """One-line dissection of a recorded frame (no time, channel or CRC)."""
+    if frame.access_address == ADVERTISING_ACCESS_ADDRESS:
+        return _dissect_advertising(frame.pdu)
+    return _dissect_data(frame)
 
-    def __init__(self, medium: Medium):
-        self.packets: list[CapturedPacket] = []
-        self._crc_inits: dict[int, int] = {}
-        self._last_master_frame: dict[int, float] = {}
-        medium.add_tap(self._on_frame)
 
-    # ------------------------------------------------------------------
-    # Capture
-    # ------------------------------------------------------------------
+def render_capture(frames: Sequence[NordicBleFrame],
+                   limit: Optional[int] = None) -> str:
+    """Multi-line capture log of the first ``limit`` frames (all if None):
+    time, channel and dissection, with bad CRCs flagged."""
+    shown = frames if limit is None else frames[:limit]
+    return "\n".join(
+        f"{frame.time_us / 1e6:12.6f}  ch{frame.channel:02d}  "
+        f"{dissect(frame)}{'' if frame.crc_ok else '  [BAD CRC]'}"
+        for frame in shown)
 
-    def _on_frame(self, frame: RadioFrame) -> None:
-        if frame.access_address == ADVERTISING_ACCESS_ADDRESS:
-            packet = self._dissect_advertising(frame)
-        else:
-            packet = self._dissect_data(frame)
-        self.packets.append(packet)
 
-    def _dissect_advertising(self, frame: RadioFrame) -> CapturedPacket:
-        crc_ok = crc24(frame.pdu, ADVERTISING_CRC_INIT) == frame.crc
+def _dissect_advertising(pdu_bytes: bytes) -> str:
+    try:
+        pdu = decode_advertising_pdu(pdu_bytes)
+    except Exception:
+        return f"ADV ??? {pdu_bytes.hex()}"
+    if isinstance(pdu, AdvInd):
+        name = local_name_of(pdu.adv_data)
+        label = f" name={name!r}" if name else ""
+        return f"ADV_IND       {pdu.adv_addr}{label}"
+    if isinstance(pdu, ScanReq):
+        return f"SCAN_REQ      {pdu.scan_addr} -> {pdu.adv_addr}"
+    if isinstance(pdu, ScanRsp):
+        return f"SCAN_RSP      {pdu.adv_addr}"
+    if isinstance(pdu, ConnectReq):
+        ll = pdu.ll_data
+        return (f"CONNECT_REQ   {pdu.init_addr} -> {pdu.adv_addr} "
+                f"aa={ll.access_address:#010x} interval={ll.interval} "
+                f"hop={ll.hop_increment}")
+    return f"ADV {type(pdu).__name__}"  # pragma: no cover
+
+
+def _dissect_data(frame: NordicBleFrame) -> str:
+    aa = frame.access_address
+    direction = "M->S" if frame.master_to_slave else "S->M"
+    try:
+        pdu = DataPdu.from_bytes(frame.pdu)
+    except Exception:
+        return f"DATA {direction} ??? {frame.pdu.hex()}"
+    bits = f"SN={pdu.header.sn} NESN={pdu.header.nesn}"
+    if pdu.is_empty:
+        body = "empty PDU"
+    elif pdu.is_control:
+        body = _dissect_control(pdu.payload)
+    else:
+        body = _dissect_l2cap(pdu.payload)
+    return f"DATA {direction} aa={aa:#010x} {bits}  {body}"
+
+
+def _dissect_control(payload: bytes) -> str:
+    try:
+        control = decode_control_pdu(payload)
+    except Exception:
+        return f"LL ??? {payload.hex()}"
+    return f"LL {type(control).__name__} {control!r}"
+
+
+def _dissect_l2cap(payload: bytes) -> str:
+    try:
+        cid, inner = l2cap_decode(payload)
+    except Exception:
+        return f"enc/frag {payload.hex()}"
+    if cid == CID_ATT:
         try:
-            pdu = decode_advertising_pdu(frame.pdu)
+            att = decode_att_pdu(inner)
+            return f"ATT {type(att).__name__} {att!r}"
         except Exception:
-            return CapturedPacket(frame.start_us, frame.channel,
-                                  frame.access_address,
-                                  f"ADV ??? {frame.pdu.hex()}", crc_ok)
-        if isinstance(pdu, AdvInd):
-            name = local_name_of(pdu.adv_data)
-            label = f" name={name!r}" if name else ""
-            summary = f"ADV_IND       {pdu.adv_addr}{label}"
-        elif isinstance(pdu, ScanReq):
-            summary = f"SCAN_REQ      {pdu.scan_addr} -> {pdu.adv_addr}"
-        elif isinstance(pdu, ScanRsp):
-            summary = f"SCAN_RSP      {pdu.adv_addr}"
-        elif isinstance(pdu, ConnectReq):
-            ll = pdu.ll_data
-            self._crc_inits[ll.access_address] = ll.crc_init
-            summary = (f"CONNECT_REQ   {pdu.init_addr} -> {pdu.adv_addr} "
-                       f"aa={ll.access_address:#010x} interval={ll.interval} "
-                       f"hop={ll.hop_increment}")
-        else:  # pragma: no cover - decode() limits the types above
-            summary = f"ADV {type(pdu).__name__}"
-        return CapturedPacket(frame.start_us, frame.channel,
-                              frame.access_address, summary, crc_ok)
-
-    def _dissect_data(self, frame: RadioFrame) -> CapturedPacket:
-        aa = frame.access_address
-        crc_init = self._crc_inits.get(aa)
-        crc_ok = (crc24(frame.pdu, crc_init) == frame.crc
-                  if crc_init is not None else None)
-        direction = self._infer_direction(aa, frame)
-        try:
-            pdu = DataPdu.from_bytes(frame.pdu)
-        except Exception:
-            return CapturedPacket(frame.start_us, frame.channel, aa,
-                                  f"DATA {direction} ??? {frame.pdu.hex()}",
-                                  crc_ok)
-        bits = f"SN={pdu.header.sn} NESN={pdu.header.nesn}"
-        if pdu.is_empty:
-            body = "empty PDU"
-        elif pdu.is_control:
-            body = self._dissect_control(pdu.payload)
-        else:
-            body = self._dissect_l2cap(pdu.payload)
-        summary = f"DATA {direction} aa={aa:#010x} {bits}  {body}"
-        return CapturedPacket(frame.start_us, frame.channel, aa, summary,
-                              crc_ok)
-
-    def _infer_direction(self, aa: int, frame: RadioFrame) -> str:
-        last = self._last_master_frame.get(aa)
-        if last is None or frame.start_us - last > _EVENT_GAP_US:
-            self._last_master_frame[aa] = frame.start_us
-            return "M->S"
-        return "S->M"
-
-    @staticmethod
-    def _dissect_control(payload: bytes) -> str:
-        try:
-            control = decode_control_pdu(payload)
-        except Exception:
-            return f"LL ??? {payload.hex()}"
-        return f"LL {type(control).__name__} {control!r}"
-
-    @staticmethod
-    def _dissect_l2cap(payload: bytes) -> str:
-        try:
-            cid, inner = l2cap_decode(payload)
-        except Exception:
-            return f"enc/frag {payload.hex()}"
-        if cid == CID_ATT:
-            try:
-                att = decode_att_pdu(inner)
-                return f"ATT {type(att).__name__} {att!r}"
-            except Exception:
-                return f"ATT ??? {inner.hex()}"
-        if cid == CID_SMP:
-            opcode = inner[0] if inner else 0
-            names = {1: "PairingRequest", 2: "PairingResponse",
-                     3: "PairingConfirm", 4: "PairingRandom",
-                     5: "PairingFailed"}
-            return f"SMP {names.get(opcode, f'op={opcode:#x}')}"
-        return f"L2CAP cid={cid:#x} {inner.hex()}"
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def render(self, limit: Optional[int] = None) -> str:
-        """Multi-line capture log."""
-        packets = self.packets if limit is None else self.packets[:limit]
-        return "\n".join(p.render() for p in packets)
-
-    def matching(self, needle: str) -> list[CapturedPacket]:
-        """Packets whose summary contains ``needle``."""
-        return [p for p in self.packets if needle in p.summary]
-
-    def __len__(self) -> int:
-        return len(self.packets)
+            return f"ATT ??? {inner.hex()}"
+    if cid == CID_SMP:
+        opcode = inner[0] if inner else 0
+        return f"SMP {_SMP_OPCODES.get(opcode, f'op={opcode:#x}')}"
+    return f"L2CAP cid={cid:#x} {inner.hex()}"

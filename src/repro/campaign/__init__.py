@@ -1,23 +1,23 @@
 """Declarative, fault-tolerant campaign orchestration.
 
 A *campaign* scales the paper's §VII sensitivity analysis from one-shot
-panels to sharded, resumable sweeps: a JSON :class:`CampaignSpec`
+panels to resumable sweeps: a JSON :class:`CampaignSpec`
 declares axes over the registered experiments, the engine expands them
 into seed-deterministic :class:`~repro.campaign.engine.TrialUnit` lists,
 executes them through the robust runner (per-trial timeout, bounded
 retry with exponential backoff, worker-crash quarantine), and journals
 every completed unit to an append-only ``campaign.jsonl`` so an
 interrupted run resumes exactly where it stopped — with final reports
-byte-identical to an uninterrupted run at any ``--jobs``/``--shard``
-setting.
+byte-identical to an uninterrupted run at any ``--jobs`` setting.
 
 Layering: ``experiments/*.trial_units()`` grids → :mod:`.registry`
 (name → provider, trial type → runner) → :mod:`.spec` (declarative
-JSON) → :mod:`.engine` (expand/shard/execute/checkpoint) →
+JSON) → :mod:`.engine` (expand/execute/checkpoint) →
 :mod:`.journal` (crash-tolerant JSONL) → :mod:`.report` (pure-function
 rendering over journal records).  :mod:`.service` layers a
 coordinator/worker split with a work-stealing lease queue and an HTTP
-API on top, streaming results into the very same journal.
+API on top, streaming results into the very same journal; it is the
+one way to spread a campaign over several hosts.
 """
 
 from repro.campaign.engine import (
@@ -26,9 +26,7 @@ from repro.campaign.engine import (
     expand_units,
     load_state,
     open_journal,
-    parse_shard,
     run_campaign,
-    shard_units,
     unit_record,
     units_by_id,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "get_experiment",
     "load_state",
     "open_journal",
-    "parse_shard",
     "read_journal",
     "record_from_payload",
     "register_experiment",
@@ -80,7 +77,6 @@ __all__ = [
     "run_campaign",
     "run_experiment",
     "run_unit_trial",
-    "shard_units",
     "status_dict",
     "unit_record",
     "units_by_id",

@@ -1,4 +1,4 @@
-"""Campaign engine: grid expansion, sharding, execution, resume.
+"""Campaign engine: grid expansion, execution, resume.
 
 The engine is a thin deterministic layer over
 :func:`repro.runner.run_units_robust`:
@@ -7,9 +7,7 @@ The engine is a thin deterministic layer over
    into an ordered list of :class:`TrialUnit` with stable ids — the same
    spec always expands to the same units in the same order, on any
    machine.
-2. :func:`shard_units` deals units round-robin over ``--shard i/n``; the
-   shards partition the grid exactly.
-3. :func:`run_campaign` executes the pending units of one shard under
+2. :func:`run_campaign` executes the pending units on this host under
    the spec's timeout/retry policy, checkpointing every completed unit
    to the append-only journal.  Interrupt it at any point (crash, kill,
    ``--max-trials`` budget) and a later invocation picks up exactly the
@@ -17,6 +15,10 @@ The engine is a thin deterministic layer over
    seed-deterministic and the report is derived solely from the journal,
    the final aggregates are byte-identical to an uninterrupted run at
    any ``--jobs`` setting.
+
+Spreading a campaign over several hosts is the campaign service's job
+(:mod:`repro.campaign.service`): one coordinator leases the same units
+to any number of workers and merges their records into one journal.
 """
 
 from __future__ import annotations
@@ -77,34 +79,6 @@ def expand_units(spec: CampaignSpec) -> List[TrialUnit]:
                 trial=trial,
             ))
     return units
-
-
-def parse_shard(text: str) -> Tuple[int, int]:
-    """Parse ``"i/n"`` into a validated ``(index, count)`` pair."""
-    try:
-        index_text, count_text = text.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ConfigurationError(
-            f"invalid shard {text!r}; expected 'i/n' (e.g. '0/4')"
-        ) from None
-    if count < 1 or not 0 <= index < count:
-        raise ConfigurationError(
-            f"invalid shard {text!r}; need 0 <= i < n")
-    return index, count
-
-
-def shard_units(units: List[TrialUnit], index: int,
-                count: int) -> List[TrialUnit]:
-    """Round-robin shard ``index`` of ``count`` over the expansion order.
-
-    The shards for a fixed ``count`` partition the grid: every unit
-    lands in exactly one shard.
-    """
-    if count < 1 or not 0 <= index < count:
-        raise ConfigurationError(
-            f"invalid shard {index}/{count}; need 0 <= i < n")
-    return [unit for i, unit in enumerate(units) if i % count == index]
 
 
 @dataclass
@@ -233,14 +207,13 @@ def run_campaign(
     spec: CampaignSpec,
     journal_path: Union[str, Path],
     jobs: Optional[int] = None,
-    shard: Tuple[int, int] = (0, 1),
     max_trials: Optional[int] = None,
     progress: Any = None,
     fsync: bool = False,
     *,
     cache: Any = None,
 ) -> CampaignState:
-    """Run (or continue) a campaign shard, journaling every unit.
+    """Run (or continue) a campaign on this host, journaling every unit.
 
     Every unit runs in its own killable worker process under the spec's
     timeout/retry policy (:func:`repro.runner.run_units_robust`); a unit
@@ -253,7 +226,6 @@ def run_campaign(
             header when absent.
         jobs: concurrent worker processes (``None`` → ``$REPRO_JOBS`` →
             1; ``<=0`` → all cores).
-        shard: ``(index, count)`` round-robin shard of the grid.
         max_trials: budget — at most this many units this invocation
             (``None`` = all pending); the rest stay pending for a later
             ``resume``.
@@ -275,14 +247,13 @@ def run_campaign(
     writer, records, runs = open_journal(spec, journal_path, fsync=fsync)
     state = CampaignState(spec=spec, fingerprint=spec.fingerprint,
                           units=units, records=records, runs=runs + 1)
-    sharded = shard_units(units, *shard)
-    pending = [u for u in sharded if u.unit_id not in records]
+    pending = [u for u in units if u.unit_id not in records]
     to_run = pending if max_trials is None else pending[:max_trials]
     if progress is not None:
         progress.reset(total=len(to_run))
 
     try:
-        writer.record_run(shard=shard, jobs=jobs, budget=max_trials,
+        writer.record_run(jobs=jobs, budget=max_trials,
                           pending=len(pending))
         if not to_run:
             return state

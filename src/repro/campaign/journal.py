@@ -4,15 +4,18 @@ One JSON object per line, three record types:
 
 * ``campaign`` — the header: spec (canonical dict), its fingerprint, the
   journal schema version.  Always the first line.
-* ``run`` — one per engine invocation: shard, jobs, budget.  Purely
-  informational; never read back into aggregates (and deliberately free
-  of timestamps, so journals are byte-reproducible).
+* ``run`` — one per engine invocation: jobs, budget, pending units.
+  Purely informational; never read back into aggregates (and
+  deliberately free of timestamps, so journals are byte-reproducible).
 * ``unit`` — one per completed unit: compact result or failure taxonomy.
 
 The reader is crash-tolerant: a torn final line (the process died
 mid-write) is ignored, and duplicate unit records keep the *first*
 occurrence, so replaying a journal after an interrupted-then-resumed
-campaign yields the same state as an uninterrupted run.
+campaign yields the same state as an uninterrupted run.  Unit records
+are type-checked on the way in (:func:`record_from_payload`), whether
+they come from a journal line or from a service worker, so an ill-typed
+record never reaches the report.
 """
 
 from __future__ import annotations
@@ -102,12 +105,11 @@ class JournalWriter:
         if self.fsync:
             os.fsync(self._fh.fileno())
 
-    def record_run(self, shard: Tuple[int, int], jobs: Optional[int],
-                   budget: Optional[int], pending: int) -> None:
+    def record_run(self, jobs: Optional[int], budget: Optional[int],
+                   pending: int) -> None:
         """Note one engine invocation (informational only)."""
         self._write({
             "type": "run",
-            "shard": list(shard),
             "jobs": jobs,
             "budget": budget,
             "pending": pending,
@@ -153,20 +155,57 @@ def record_from_payload(obj: Dict[str, Any]) -> UnitRecord:
     Shared by the journal reader and the campaign service, whose workers
     ship records over the wire as the same payload they would journal —
     one parsing path keeps a streamed-and-merged journal byte-identical
-    to a locally written one.
+    to a locally written one.  Raises :class:`ConfigurationError` for a
+    record the report could not fold: every field must have the type
+    :func:`repro.campaign.engine.unit_record` gives it.
     """
     unit_id = obj.get("unit_id")
     if not isinstance(unit_id, str) or not unit_id:
         raise ConfigurationError(f"unit record without a unit_id: {obj!r}")
+    experiment = obj.get("experiment", "")
+    config_key = obj.get("config_key", "")
+    status = obj.get("status")
+    result = obj.get("result")
+    failure = obj.get("failure")
+    metrics = obj.get("metrics")
+    if not isinstance(experiment, str) or not isinstance(config_key, str):
+        problem = "experiment and config_key must be strings"
+    elif status == "ok":
+        problem = _result_problem(result)
+    elif status == "failed":
+        problem = None if isinstance(failure, dict) \
+            else "a failed record needs a failure dict"
+    else:
+        problem = f"status must be 'ok' or 'failed', not {status!r}"
+    if problem is None and metrics is not None \
+            and not isinstance(metrics, dict):
+        problem = "metrics must be null or a dict"
+    if problem is not None:
+        raise ConfigurationError(f"unit record {unit_id!r}: {problem}")
     return UnitRecord(
         unit_id=unit_id,
-        experiment=obj.get("experiment", ""),
-        config_key=obj.get("config_key", ""),
-        status=obj.get("status", "failed"),
-        result=obj.get("result"),
-        failure=obj.get("failure"),
-        metrics=obj.get("metrics"),
+        experiment=experiment,
+        config_key=config_key,
+        status=status,
+        result=result,
+        failure=failure,
+        metrics=metrics,
     )
+
+
+def _result_problem(result: Any) -> Optional[str]:
+    """Why an ``ok`` record's result is ill-typed, or ``None``."""
+    if not isinstance(result, dict):
+        return "an ok record needs a result dict"
+    for key in ("success", "effect_observed", "connection_survived"):
+        if not isinstance(result.get(key), bool):
+            return f"result[{key!r}] must be a bool"
+    attempts = result.get("attempts")
+    if not isinstance(attempts, int) or isinstance(attempts, bool):
+        return "result['attempts'] must be an int"
+    if not isinstance(result.get("detection", {}), dict):
+        return "result['detection'] must be a dict"
+    return None
 
 
 def read_journal(path: Union[str, Path]) -> Tuple[
@@ -191,6 +230,8 @@ def read_journal(path: Union[str, Path]) -> Tuple[
         try:
             obj = json.loads(line)
         except ValueError:
+            obj = None
+        if not isinstance(obj, dict):
             if lineno == len(lines) - 1:
                 break  # torn tail from a killed writer
             raise ConfigurationError(
@@ -212,7 +253,11 @@ def read_journal(path: Union[str, Path]) -> Tuple[
             unit_id = obj.get("unit_id")
             if not isinstance(unit_id, str) or unit_id in records:
                 continue
-            records[unit_id] = record_from_payload(obj)
+            try:
+                records[unit_id] = record_from_payload(obj)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"journal {path} line {lineno + 1}: {exc}") from None
     if header is None:
         raise ConfigurationError(
             f"journal {path} has no campaign header line")

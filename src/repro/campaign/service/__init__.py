@@ -1,7 +1,8 @@
 """Distributed campaign serving: coordinator, workers, HTTP API.
 
-The package turns ``repro campaign run``'s single-process engine into a
-coordinator/worker service without changing what lands on disk:
+The package turns ``repro campaign run``'s single-host engine into a
+coordinator/worker service without changing what lands on disk; it is
+the one way to spread a campaign over several hosts:
 
 * :mod:`~repro.campaign.service.queue` — pure work-stealing lease
   queue (deadlines, expiry re-queue, bounded stealing);
@@ -9,11 +10,12 @@ coordinator/worker service without changing what lands on disk:
   single-writer journal merge with first-wins dedup, telemetry, and
   the status event stream;
 * :mod:`~repro.campaign.service.server` — one asyncio TCP port
-  speaking both the worker JSON-lines protocol and the HTTP API;
-* :mod:`~repro.campaign.service.worker` — the socket worker loop
-  reusing :func:`repro.runner.run_units_robust` per leased unit;
-* :mod:`~repro.campaign.service.client` — stdlib HTTP client for
-  ``repro campaign submit/status/report --url``.
+  speaking HTTP/1.1: the worker protocol on ``POST /worker`` next to
+  the submit/status/report API;
+* :mod:`~repro.campaign.service.worker` — the worker loop, an HTTP
+  client reusing :func:`repro.runner.run_units_robust` per leased unit;
+* :mod:`~repro.campaign.service.client` — stdlib HTTP client shared by
+  the worker and ``repro campaign submit/status/report --url``.
 
 :func:`serve_campaign` wires them together for the common case: serve
 one campaign on a local port with a managed worker fleet, block until
@@ -41,12 +43,7 @@ from repro.campaign.service.client import (
 from repro.campaign.service.coordinator import ActiveCampaign, Coordinator
 from repro.campaign.service.queue import Completion, Lease, LeaseGrant, LeaseQueue
 from repro.campaign.service.server import ServiceServer
-from repro.campaign.service.worker import (
-    WorkerChannel,
-    parse_endpoint,
-    run_worker,
-    spawn_worker,
-)
+from repro.campaign.service.worker import run_worker, spawn_worker
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ServiceError
 
@@ -58,12 +55,10 @@ __all__ = [
     "LeaseGrant",
     "LeaseQueue",
     "ServiceServer",
-    "WorkerChannel",
     "fetch_metrics",
     "fetch_report",
     "fetch_status",
     "follow_status",
-    "parse_endpoint",
     "parse_url",
     "run_worker",
     "serve_campaign",

@@ -1,8 +1,9 @@
 """Thin stdlib HTTP client for the campaign service.
 
-``repro campaign submit/status/report --url`` go through here, as can
-any script: the functions speak plain ``http.client`` (no third-party
-dependency), return the parsed JSON payloads, and raise
+``repro campaign submit/status/report --url`` and the worker's
+``POST /worker`` messages go through here, as can any script: the
+functions speak plain ``http.client`` (no third-party dependency),
+return the parsed JSON payloads, and raise
 :class:`~repro.errors.ServiceError` with the server's error message on
 non-200 responses.  :func:`follow_status` yields the ``/status?follow``
 NDJSON event stream line by line until the terminal ``done`` event.

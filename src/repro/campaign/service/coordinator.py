@@ -7,7 +7,9 @@ correctness keystone — the **single** :class:`~repro.campaign.journal.
 JournalWriter`.  Workers stream per-unit results in over the wire; the
 coordinator deduplicates them first-wins (a stolen-and-raced unit is
 journaled exactly once) and appends them to the same crash-tolerant
-JSONL file ``repro campaign run`` writes.  Report rendering stays a
+JSONL file ``repro campaign run`` writes, after the same type checks
+the journal reader applies (:func:`~repro.campaign.journal.
+record_from_payload`).  Report rendering stays a
 pure function of that journal, so the PR 5 property — kill anything
 mid-run, resume, byte-identical report — carries over verbatim to the
 distributed path.
@@ -147,8 +149,7 @@ class Coordinator:
         state = CampaignState(spec=spec, fingerprint=spec.fingerprint,
                               units=units, records=records, runs=runs + 1)
         pending = [u.unit_id for u in state.pending]
-        writer.record_run(shard=(0, 1), jobs=None, budget=None,
-                          pending=len(pending))
+        writer.record_run(jobs=None, budget=None, pending=len(pending))
         self._campaign = ActiveCampaign(
             spec=spec, state=state, units=units_by_id(units),
             queue=LeaseQueue(pending,
@@ -209,10 +210,17 @@ class Coordinator:
             self._m_stale.inc()
             return {"op": "error", "error": "stale campaign fingerprint"}
         record = record_from_payload(payload)
-        if record.unit_id not in campaign.units:
+        unit = campaign.units.get(record.unit_id)
+        if unit is None:
             raise ServiceError(
                 f"worker {worker!r} reported unknown unit "
                 f"{record.unit_id!r}")
+        if (record.experiment, record.config_key) != (unit.experiment,
+                                                      unit.config_key):
+            raise ServiceError(
+                f"worker {worker!r} reported unit {record.unit_id!r} as "
+                f"{record.experiment!r}/{record.config_key!r}; the grid "
+                f"has {unit.experiment!r}/{unit.config_key!r}")
         completion = campaign.queue.complete(record.unit_id, self._clock())
         if not completion.first or record.unit_id in campaign.state.records:
             self._m_duplicate.inc()

@@ -1,8 +1,8 @@
 """Work-stealing lease queue — the coordinator's scheduling core.
 
-Static ``--shard i/n`` partitioning wastes the fast workers' tail: the
-campaign ends when the *slowest* shard does.  The lease queue replaces
-it with dynamic pull scheduling plus two recovery mechanisms:
+Workers pull units one lease at a time, so a fast worker never idles
+while a slow one still holds a fixed share of the grid.  Pull
+scheduling comes with two recovery mechanisms:
 
 * **lease expiry** — every grant carries a deadline; a unit whose every
   holder blew its deadline is re-queued (the holder was SIGKILLed, hung

@@ -1,19 +1,20 @@
-"""The coordinator's network face: one port, two protocols.
+"""The coordinator's network face: one port, one protocol (HTTP/1.1).
 
-A single ``asyncio`` TCP server carries both the worker channel and the
-HTTP API.  The handler peeks at the first byte of each connection: ``{``
-means a newline-delimited-JSON worker channel (every worker message is
-one JSON object, so it must start with ``{``), anything else is parsed
-as an HTTP/1.1 request.  One port keeps deployment a single address —
-workers and ``repro campaign status --url`` point at the same place —
-and makes the later multi-host story purely a configuration change.
+A single ``asyncio`` TCP server parses every connection as one HTTP/1.1
+request and answers it with one ``Connection: close`` response.  Workers
+and ``repro campaign status --url`` point at the same address, so
+deployment is a single ``HOST:PORT`` whether the workers share the host
+or not.
 
-The HTTP side is deliberately minimal (hand-rolled request parsing,
-``Connection: close`` responses) because the standard library offers no
+The parser is deliberately minimal (hand-rolled request line, headers
+and ``Content-Length`` body) because the standard library offers no
 asyncio HTTP server and this API serves a handful of trusted clients,
 not the open internet.  Endpoints:
 
 * ``GET /healthz`` — liveness probe.
+* ``POST /worker`` — one worker-protocol message (``hello``, ``lease``
+  or ``result``) as the JSON body; the reply is the coordinator's JSON
+  answer with status 200, an ``{"op": "error"}`` one included.
 * ``POST /campaign`` — submit a :class:`~repro.campaign.spec.
   CampaignSpec` (raw spec JSON, or ``{"spec": ..., "journal": ...}``).
 * ``GET /status`` — machine-readable status; ``?follow=1`` streams
@@ -33,10 +34,9 @@ from repro.campaign.service.coordinator import Coordinator
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ReproError, ServiceError
 
-#: Hard cap on a worker-channel line, an HTTP header block and an HTTP
-#: body (16 MiB) — a full unit record with merged telemetry fits with
-#: huge margin.  It is the streams' buffer limit too: a peer that goes
-#: past it gets a 400 (HTTP) or a closed connection (worker channel).
+#: Hard cap on an HTTP header block and an HTTP body (16 MiB) — a full
+#: unit record with merged telemetry fits with huge margin.  It is the
+#: streams' buffer limit too: a peer that goes past it gets a 400.
 MAX_MESSAGE_BYTES = 16 * 1024 * 1024
 
 _HTTP_STATUS_TEXT = {
@@ -62,6 +62,17 @@ def _http_response(status: int, body: bytes,
 
 def _json_body(payload: Dict[str, Any]) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _json_object(body: bytes) -> Dict[str, Any]:
+    """Decode a request body that must hold one JSON object."""
+    try:
+        payload = json.loads(body)
+    except (ValueError, RecursionError):
+        raise ServiceError("body is not valid JSON") from None
+    if not isinstance(payload, dict):
+        raise ServiceError("body must be a JSON object")
+    return payload
 
 
 def _parse_query(raw: str) -> Dict[str, str]:
@@ -126,21 +137,15 @@ class ServiceServer:
         await asyncio.sleep(0)  # let handlers observe the EOF
 
     # ------------------------------------------------------------------
-    # Connection dispatch
+    # HTTP
     # ------------------------------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        """Sniff the first byte and route to the matching protocol."""
+        """Parse one request, route it, send one response, close."""
         self._connections.add(writer)
         try:
-            first = await reader.read(1)
-            if not first:
-                return
-            if first == b"{":
-                await self._serve_worker(first, reader, writer)
-            else:
-                await self._serve_http(first, reader, writer)
+            await self._serve_http(reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer vanished mid-exchange; nothing to clean up
         except asyncio.CancelledError:
@@ -153,54 +158,10 @@ class ServiceServer:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    # ------------------------------------------------------------------
-    # Worker channel (newline-delimited JSON)
-    # ------------------------------------------------------------------
-
-    async def _serve_worker(self, first: bytes,
-                            reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> None:
-        """Request/response loop: one JSON object per line, each way."""
-        pending: bytes = first
-        while True:
-            try:
-                line = await reader.readline()
-            except ValueError:
-                return  # a line over MAX_MESSAGE_BYTES: drop the peer
-            if pending:
-                line, pending = pending + line, b""
-            if not line:
-                return
-            try:
-                message = json.loads(line)
-            except ValueError:
-                reply: Dict[str, Any] = {"op": "error",
-                                         "error": "malformed JSON"}
-            else:
-                try:
-                    # Bounded blocking: the coordinator is synchronous by
-                    # contract (single loop thread) and its only I/O is
-                    # one buffered journal-line append (+ opt-in fsync);
-                    # an executor hop would serialise on the same single
-                    # writer anyway while adding cross-thread hand-off.
-                    reply = self.coordinator.handle_message(  # lint-ok: blocking-in-async bounded
-                        message)
-                except ReproError as exc:
-                    reply = {"op": "error", "error": str(exc)}
-            writer.write(_json_body(reply))
-            await writer.drain()
-
-    # ------------------------------------------------------------------
-    # HTTP
-    # ------------------------------------------------------------------
-
-    async def _serve_http(self, first: bytes,
-                          reader: asyncio.StreamReader,
+    async def _serve_http(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
-        """Parse one request, route it, send one response, close."""
         try:
-            method, path, query, body = await self._read_request(first,
-                                                                 reader)
+            method, path, query, body = await self._read_request(reader)
         except ServiceError as exc:
             writer.write(_http_response(
                 400, _json_body({"error": str(exc)})))
@@ -209,21 +170,23 @@ class ServiceServer:
         if path == "/status" and query.get("follow") in ("1", "true"):
             await self._stream_status(writer)
             return
-        # Bounded blocking: routing is in-memory except POST /campaign,
-        # where the journal replay *is* the submit operation and must
-        # finish before any worker may lease (same single-writer
-        # invariant as the worker channel above).
+        # Bounded blocking: the coordinator is synchronous by contract
+        # (single loop thread).  Its only I/O is one buffered journal
+        # append per worker result (+ opt-in fsync) and, on POST
+        # /campaign, the journal replay, which *is* the submit operation
+        # and must finish before any worker may lease.  An executor hop
+        # would serialise on the same single writer anyway.
         status, payload, content_type = self._route(  # lint-ok: blocking-in-async bounded
             method, path, query, body)
         writer.write(_http_response(status, payload, content_type))
         await writer.drain()
 
     async def _read_request(
-            self, first: bytes, reader: asyncio.StreamReader,
+            self, reader: asyncio.StreamReader,
     ) -> Tuple[str, str, Dict[str, str], bytes]:
         """Read request line, headers, and Content-Length-framed body."""
         try:
-            head = first + await reader.readuntil(b"\r\n\r\n")
+            head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.LimitOverrunError:
             raise ServiceError("header block exceeds size cap")
         request_line, _, header_blob = head.partition(b"\r\n")
@@ -253,6 +216,8 @@ class ServiceServer:
         try:
             if path == "/healthz" and method == "GET":
                 return 200, _json_body({"ok": True}), "application/json"
+            if path == "/worker" and method == "POST":
+                return self._handle_worker(body)
             if path == "/campaign" and method == "POST":
                 return self._handle_submit(body)
             if path == "/status" and method == "GET":
@@ -270,8 +235,8 @@ class ServiceServer:
                 return (200,
                         _json_body(self.coordinator.metrics.snapshot()),
                         "application/json")
-            if path in ("/healthz", "/campaign", "/status", "/report",
-                        "/metrics"):
+            if path in ("/healthz", "/worker", "/campaign", "/status",
+                        "/report", "/metrics"):
                 return (405, _json_body({"error": f"{method} not allowed "
                                                   f"on {path}"}),
                         "application/json")
@@ -288,16 +253,22 @@ class ServiceServer:
             return (500, _json_body({"error": str(exc)}),
                     "application/json")
 
+    def _handle_worker(self, body: bytes) -> Tuple[int, bytes, str]:
+        """POST /worker: one worker-protocol message in, its reply out.
+
+        Every well-framed request gets a 200: a message the coordinator
+        refuses is answered ``{"op": "error"}``, which the worker's
+        protocol already handles.
+        """
+        try:
+            reply = self.coordinator.handle_message(_json_object(body))
+        except ReproError as exc:
+            reply = {"op": "error", "error": str(exc)}
+        return 200, _json_body(reply), "application/json"
+
     def _handle_submit(self, body: bytes) -> Tuple[int, bytes, str]:
         """POST /campaign: load the spec and start serving it."""
-        try:
-            payload = json.loads(body or b"{}")
-        except ValueError:
-            return (400, _json_body({"error": "body is not valid JSON"}),
-                    "application/json")
-        if not isinstance(payload, dict):
-            return (400, _json_body({"error": "body must be an object"}),
-                    "application/json")
+        payload = _json_object(body or b"{}")
         if "spec" in payload:
             spec_dict = payload["spec"]
             journal = payload.get("journal")

@@ -1,21 +1,24 @@
 """The campaign worker: lease, execute, report, repeat.
 
-A worker is a plain blocking-socket client of the coordinator's worker
-channel (newline-delimited JSON over TCP).  It learns the campaign spec
-from the ``welcome`` reply, re-expands the unit grid deterministically
-on its own side — only unit ids ever cross the wire — and executes each
-leased unit through :func:`repro.runner.run_units_robust`, so the
-timeout/retry/quarantine taxonomy of ``repro campaign run`` applies
-per-unit here too.  Records are built by the same
-:func:`repro.campaign.engine.unit_record` the serial engine uses, which
-is what makes the merged journal byte-identical to a serial run.
+A worker is a plain HTTP client of the coordinator: each protocol
+message (``hello``, ``lease``, ``result``) is the JSON body of one
+``POST /worker`` request, sent through the same
+:mod:`~repro.campaign.service.client` helpers ``repro campaign
+submit/status/report`` use, and the coordinator's reply is the response
+body.  The worker learns the campaign spec from the ``welcome`` reply,
+re-expands the unit grid deterministically on its own side — only unit
+ids ever cross the wire — and executes each leased unit through
+:func:`repro.runner.run_units_robust`, so the timeout/retry/quarantine
+taxonomy of ``repro campaign run`` applies per-unit here too.  Records
+are built by the same :func:`repro.campaign.engine.unit_record` the
+serial engine uses, which is what makes the merged journal
+byte-identical to a serial run.
 
-Workers survive coordinator restarts: a dropped connection triggers
-bounded reconnect attempts (``reconnect_s`` budget), and a fingerprint
-mismatch after reconnect simply re-runs the hello handshake against the
-resumed campaign.  Because the transport is a socket from day one,
-pointing a worker at another host is a command-line change, not a code
-change.
+Workers survive coordinator restarts: an unreachable coordinator
+triggers bounded retries (``reconnect_s`` budget), and a fingerprint
+mismatch after a restart simply re-runs the hello handshake against the
+resumed campaign.  Pointing a worker at another host is a command-line
+change (``--connect HOST:PORT``), not a code change.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import socket
 import time
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from repro.campaign.engine import TrialUnit, expand_units, unit_record, units_by_id
 from repro.campaign.registry import run_unit_trial
+from repro.campaign.service.client import _json_or_error, _request
 from repro.campaign.service.coordinator import unit_record_payload
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ServiceError
@@ -42,50 +45,10 @@ DEFAULT_RECONNECT_S = 30.0
 RECONNECT_BACKOFF_S = 0.25
 
 
-class WorkerChannel:
-    """One JSON-lines request/response connection to the coordinator."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._fh = sock.makefile("rwb")
-
-    @classmethod
-    def connect(cls, host: str, port: int,
-                timeout_s: float = 10.0) -> "WorkerChannel":
-        """Open a TCP connection to ``host:port``."""
-        sock = socket.create_connection((host, port), timeout=timeout_s)
-        sock.settimeout(None)  # exchanges block until the peer answers
-        return cls(sock)
-
-    def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one message, block for the one-line reply."""
-        blob = (json.dumps(message, sort_keys=True) + "\n").encode("utf-8")
-        self._fh.write(blob)
-        self._fh.flush()
-        line = self._fh.readline()
-        if not line:
-            raise ServiceError("coordinator closed the connection")
-        reply = json.loads(line)
-        if not isinstance(reply, dict):
-            raise ServiceError(f"malformed coordinator reply: {reply!r}")
-        return reply
-
-    def close(self) -> None:
-        """Tear the connection down (idempotent)."""
-        try:
-            self._fh.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "WorkerChannel":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+def _send(url: str, message: Dict[str, Any]) -> Dict[str, Any]:
+    """POST one protocol message to the coordinator; return its reply."""
+    body = json.dumps(message, sort_keys=True).encode("utf-8")
+    return _json_or_error(*_request(url, "POST", "/worker", body=body))
 
 
 def _execute_unit(spec: CampaignSpec, unit: TrialUnit) -> Dict[str, Any]:
@@ -98,14 +61,14 @@ def _execute_unit(spec: CampaignSpec, unit: TrialUnit) -> Dict[str, Any]:
     return unit_record_payload(record)
 
 
-def _serve_session(channel: WorkerChannel, worker_id: str) -> str:
-    """Drive one connection until it yields; returns why it stopped.
+def _serve_session(url: str, worker_id: str) -> str:
+    """Drive one campaign until it yields; returns why it stopped.
 
     Return values: ``"drained"`` (campaign finished), ``"idle"`` (no
     campaign loaded yet), ``"stale"`` (fingerprint changed under us —
     re-hello wanted).
     """
-    welcome = channel.request({"op": "hello", "worker": worker_id})
+    welcome = _send(url, {"op": "hello", "worker": worker_id})
     op = welcome.get("op")
     if op == "idle":
         return "idle"  # coordinator is up but has no campaign loaded
@@ -123,8 +86,8 @@ def _serve_session(channel: WorkerChannel, worker_id: str) -> str:
                            "advertised fingerprint")
     units = units_by_id(expand_units(spec))
     while True:
-        reply = channel.request({"op": "lease", "worker": worker_id,
-                                 "fingerprint": fingerprint})
+        reply = _send(url, {"op": "lease", "worker": worker_id,
+                            "fingerprint": fingerprint})
         op = reply.get("op")
         if op == "drained":
             return "drained"
@@ -144,9 +107,9 @@ def _serve_session(channel: WorkerChannel, worker_id: str) -> str:
         if unit is None:
             raise ServiceError(f"leased unknown unit {unit_id!r}")
         payload = _execute_unit(spec, unit)
-        ack = channel.request({"op": "result", "worker": worker_id,
-                               "fingerprint": fingerprint,
-                               "record": payload})
+        ack = _send(url, {"op": "result", "worker": worker_id,
+                          "fingerprint": fingerprint,
+                          "record": payload})
         if ack.get("op") not in ("ack", "error"):
             raise ServiceError(f"unexpected result reply: {ack!r}")
         if ack.get("op") == "ack" and ack.get("done"):
@@ -172,11 +135,11 @@ def run_worker(host: str, port: int, worker_id: Optional[str] = None,
     Returns the process exit code (0 = drained / finished cleanly).
     """
     name = worker_id or f"worker-{os.getpid()}"
+    url = f"{host}:{port}"
     down_since: Optional[float] = None
     while True:
         try:
-            with WorkerChannel.connect(host, port) as channel:
-                stopped = _serve_session(channel, name)
+            stopped = _serve_session(url, name)
             down_since = None
         except (OSError, ServiceError, ValueError):
             now = time.monotonic()
@@ -240,11 +203,3 @@ def spawn_worker(host: str, port: int, worker_id: str,
     process.start()
     return process
 
-
-def parse_endpoint(value: str) -> Tuple[str, int]:
-    """Parse ``HOST:PORT`` (for ``repro campaign worker --connect``)."""
-    host, sep, port = value.rpartition(":")
-    if not sep or not host or not port.isdigit():
-        raise ServiceError(
-            f"expected HOST:PORT, got {value!r}")
-    return host, int(port)

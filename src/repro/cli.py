@@ -151,15 +151,12 @@ def _capture_benign_world(args: argparse.Namespace, attach) -> None:
 
 
 def _cmd_capture(args: argparse.Namespace) -> int:
-    from repro.analysis.packets import PacketCapture
     from repro.telemetry.capture import FrameRecorder
 
     observers: dict = {}
 
     def attach(sim, medium):
         observers["recorder"] = FrameRecorder(medium)
-        if args.format == "text":
-            observers["capture"] = PacketCapture(medium)
 
     if args.scenario:
         from repro.experiments.scenarios import DEVICES, SCENARIOS
@@ -174,7 +171,9 @@ def _cmd_capture(args: argparse.Namespace) -> int:
 
     recorder = observers["recorder"]
     if args.format == "text":
-        print(observers["capture"].render(limit=args.limit))
+        from repro.analysis.packets import render_capture
+
+        print(render_capture(recorder.frames, limit=args.limit))
         print(f"\n{len(recorder)} frames captured "
               f"(showing up to {args.limit})")
         return 0
@@ -473,9 +472,9 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     """``campaign worker``: work a coordinator until its campaign drains."""
-    from repro.campaign.service import parse_endpoint, run_worker
+    from repro.campaign.service import parse_url, run_worker
 
-    host, port = parse_endpoint(args.connect)
+    host, port = parse_url(args.connect)
     return run_worker(host, port, worker_id=args.id,
                       oneshot=not args.forever,
                       reconnect_s=args.reconnect_s)
@@ -504,7 +503,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.campaign import (
         CampaignSpec,
         load_state,
-        parse_shard,
         render_status,
         run_campaign,
     )
@@ -532,7 +530,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         state = run_campaign(
             spec, journal,
             jobs=args.jobs,
-            shard=parse_shard(args.shard),
             max_trials=args.max_trials,
             progress=tracker,
             fsync=args.fsync,
@@ -705,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
-        help="declare, run, resume and report sharded experiment sweeps")
+        help="declare, run, resume and report experiment sweeps "
+             "(one host, or a worker fleet via repro serve)")
     campaign_sub = campaign.add_subparsers(dest="action", required=True)
 
     def _campaign_exec_args(p: argparse.ArgumentParser,
@@ -717,9 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: $REPRO_JOBS or 1; "
                             "0 = all cores)")
-        p.add_argument("--shard", default="0/1",
-                       help="run shard i of n ('i/n', default 0/1); shards "
-                            "partition the grid exactly")
         p.add_argument("--max-trials", type=int, default=None,
                        help="budget: at most N fresh units this invocation "
                             "(the rest stay pending for resume)")

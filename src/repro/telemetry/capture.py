@@ -15,7 +15,10 @@ keeps one :class:`~repro.telemetry.pcap.NordicBleFrame` per transmission:
   about *what* was sent *when*; fine-grained fading lives in the medium.
 
 The recorder keeps every frame in memory and exports them to PCAP
-(:meth:`write_pcap`) or JSONL (:meth:`write_jsonl`).
+(:meth:`write_pcap`) or JSONL (:meth:`write_jsonl`); it is also the one
+tap behind ``repro capture``'s text log, which
+:func:`repro.analysis.packets.render_capture` dissects from
+:attr:`frames`.
 """
 
 from __future__ import annotations

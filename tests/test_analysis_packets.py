@@ -1,8 +1,8 @@
-"""Tests for the packet capture/dissector."""
+"""Tests for the capture dissector over the frame recorder's frames."""
 
 import pytest
 
-from repro.analysis.packets import PacketCapture
+from repro.analysis.packets import dissect, render_capture
 from repro.core.attacker import Attacker
 from repro.devices import Lightbulb, Smartphone
 from repro.host.att.pdus import WriteReq
@@ -10,6 +10,18 @@ from repro.host.l2cap import CID_ATT, l2cap_encode
 from repro.sim.medium import Medium
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology
+from repro.telemetry.capture import FrameRecorder
+
+
+class _Capture:
+    """The recorder plus the dissection queries the tests read."""
+
+    def __init__(self, medium):
+        self.recorder = FrameRecorder(medium)
+
+    def matching(self, needle):
+        return [frame for frame in self.recorder.frames
+                if needle in dissect(frame)]
 
 
 @pytest.fixture
@@ -17,7 +29,7 @@ def captured_world():
     sim = Simulator(seed=97)
     topo = Topology.equilateral_triangle(("bulb", "phone", "attacker"))
     medium = Medium(sim, topo)
-    capture = PacketCapture(medium)
+    capture = _Capture(medium)
     bulb = Lightbulb(sim, medium, "bulb")
     phone = Smartphone(sim, medium, "phone", interval=36)
     bulb.power_on()
@@ -32,21 +44,26 @@ class TestDissection:
         _, _, capture, *_ = captured_world
         adv = capture.matching("ADV_IND")
         assert adv
-        assert any("name='bulb'" in p.summary for p in adv)
+        assert any("name='bulb'" in dissect(f) for f in adv)
 
     def test_connect_req_parameters(self, captured_world):
         _, _, capture, _, phone = captured_world
         reqs = capture.matching("CONNECT_REQ")
         assert len(reqs) == 1
-        assert "interval=36" in reqs[0].summary
+        assert "interval=36" in dissect(reqs[0])
         aa = phone.ll.conn.params.access_address
-        assert f"aa={aa:#010x}" in reqs[0].summary
+        assert f"aa={aa:#010x}" in dissect(reqs[0])
 
     def test_crc_verified_from_learned_init(self, captured_world):
-        _, _, capture, *_ = captured_world
+        _, _, capture, _, phone = captured_world
         data = capture.matching("DATA")
         assert data
-        assert all(p.crc_ok for p in data)
+        assert all(f.crc_ok for f in data)
+        # The verdicts come from the CRCInit learned off the CONNECT_REQ
+        # (an unknown CRCInit would also read as good).
+        params = phone.ll.conn.params
+        assert capture.recorder._crc_inits == {
+            params.access_address: params.crc_init}
 
     def test_direction_inference(self, captured_world):
         _, _, capture, *_ = captured_world
@@ -99,6 +116,6 @@ class TestDissection:
 
     def test_render_lines(self, captured_world):
         _, _, capture, *_ = captured_world
-        text = capture.render(limit=5)
+        text = render_capture(capture.recorder.frames, limit=5)
         assert len(text.splitlines()) == 5
         assert "ch" in text

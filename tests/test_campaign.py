@@ -6,7 +6,8 @@ Four layers:
   error, retries only the retryable, quarantines after ``max_retries``
   and never lets one pathological unit abort the batch.
 * **Expansion & sharding** — a spec expands to the same ordered unit
-  list every time; ``--shard i/n`` partitions the grid exactly.
+  list every time; the coordinator's lease queue deals it among any
+  number of workers so that every unit runs exactly once.
 * **Resume byte-identity** — the acceptance criterion: a ≥48-unit
   campaign SIGKILLed mid-run and resumed produces a report
   byte-identical to an uninterrupted run (at different ``--jobs``).
@@ -33,14 +34,13 @@ from repro.campaign import (
     build_report,
     expand_units,
     load_state,
-    parse_shard,
     read_journal,
     register_experiment,
     register_trial_runner,
     render_status,
     run_campaign,
-    shard_units,
 )
+from repro.campaign.service import LeaseQueue
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments.common import TrialResult
@@ -185,19 +185,28 @@ class TestExpansionAndSharding:
 
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 11])
     def test_shards_partition_the_grid_exactly(self, count):
+        """``count`` workers leasing in turn from the coordinator's queue
+        split the grid into per-worker shares: every unit to one."""
         units = expand_units(_grid48_spec())
-        seen = []
-        for index in range(count):
-            seen.extend(u.unit_id for u in shard_units(units, index, count))
+        queue = LeaseQueue([u.unit_id for u in units],
+                           lease_timeout_s=100, steal_after_s=100)
+        shares = {f"w{i}": [] for i in range(count)}
+        now = 0.0
+        while not queue.drained:
+            granted = []
+            for worker, share in shares.items():
+                grant = queue.lease(worker, now)
+                if grant is not None:
+                    assert not grant.stolen
+                    share.append(grant.unit_id)
+                    granted.append(grant.unit_id)
+            now += 1.0
+            for unit_id in granted:
+                assert queue.complete(unit_id, now).first
+        seen = [unit_id for share in shares.values() for unit_id in share]
         assert sorted(seen) == sorted(u.unit_id for u in units)
         assert len(seen) == len(set(seen)) == 48
-
-    def test_parse_shard(self):
-        assert parse_shard("0/1") == (0, 1)
-        assert parse_shard("2/3") == (2, 3)
-        for bad in ("3/3", "-1/2", "1", "a/b", "1/0"):
-            with pytest.raises(ConfigurationError):
-                parse_shard(bad)
+        assert all(shares.values())  # nobody idles while units remain
 
     def test_unknown_experiment_is_a_config_error(self):
         spec = CampaignSpec.from_dict({
@@ -404,6 +413,44 @@ class TestJournal:
         assert state.done == 2
         run_campaign(spec, journal, jobs=1)
         assert load_state(journal).done == 4
+
+    def test_ill_typed_lines_are_refused_with_their_line_number(
+            self, tmp_path):
+        spec = CampaignSpec.from_dict({
+            "name": "typed", "seed": 0, "timeout_s": 30,
+            "axes": [{"experiment": "test-easy", "n_connections": 2}],
+        })
+        journal = tmp_path / "typed.jsonl"
+        run_campaign(spec, journal, jobs=1, max_trials=1)
+        intact = journal.read_text()
+        pending = load_state(journal).pending[0]
+        record = {"type": "unit", "unit_id": pending.unit_id,
+                  "experiment": pending.experiment,
+                  "config_key": pending.config_key, "status": "ok",
+                  "result": {"success": True, "attempts": 1,
+                             "effect_observed": True,
+                             "connection_survived": True}}
+        bad_lines = [
+            "[1, 2]",  # valid JSON, not an object
+            json.dumps({**record, "result": "garbage"}),
+            json.dumps({**record, "status": "done"}),
+            json.dumps({**record, "status": "failed", "failure": None}),
+            json.dumps({**record, "metrics": [1]}),
+            json.dumps({**record, "result": {**record["result"],
+                                             "attempts": True}}),
+            json.dumps({**record, "result": {**record["result"],
+                                             "detection": 0.5}}),
+        ]
+        line_no = len(intact.splitlines()) + 1
+        for bad in bad_lines:
+            # a trailing run line keeps the bad one from being the tail
+            journal.write_text(intact + bad + "\n"
+                               + '{"type": "run"}\n')
+            with pytest.raises(ConfigurationError,
+                               match=f"line {line_no}"):
+                load_state(journal)
+        journal.write_text(intact + json.dumps(record) + "\n")
+        assert load_state(journal).done == 2
 
     def test_fingerprint_mismatch_is_refused(self, tmp_path):
         journal = tmp_path / "fp.jsonl"

@@ -8,7 +8,9 @@ Layers, roughly bottom-up:
   journal: welcome/lease/result round-trips, duplicate and stale-result
   handling, telemetry counters, the status event stream.
 * **HTTP API** — submit/status/report/metrics over a live socket via
-  the stdlib client, including the one-campaign-at-a-time conflict.
+  the stdlib client, including the one-campaign-at-a-time conflict,
+  the worker protocol on ``POST /worker``, ill-typed worker records,
+  and a fuzz of the request parser with raw bytes.
 * **The acceptance criterion** — a 48-unit campaign served to three
   worker processes; one worker is SIGKILLed mid-run, then the
   coordinator itself is torn down and a fresh one resumes the same
@@ -24,10 +26,13 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import socket
+import threading
 import time
-from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignSpec,
@@ -46,7 +51,6 @@ from repro.campaign.service import (
     fetch_metrics,
     fetch_report,
     fetch_status,
-    parse_endpoint,
     parse_url,
     serve_campaign,
     spawn_worker,
@@ -55,7 +59,7 @@ from repro.campaign.service import (
 from repro.campaign.service import server as server_module
 from repro.campaign.service.coordinator import unit_record_payload
 from repro.cli import main
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.experiments.common import TrialResult
 
 # --------------------------------------------------------------------------
@@ -275,6 +279,27 @@ class TestCoordinator:
         _, _, records, _ = read_journal(tmp_path / "j.jsonl")
         assert list(records) == [unit.unit_id]
 
+    def test_record_not_matching_its_grid_unit_is_refused(self, tmp_path):
+        spec = _quick_spec(n=2)
+        coordinator = Coordinator(clock=_Clock())
+        coordinator.submit(spec, tmp_path / "j.jsonl")
+        grant = coordinator.handle_lease("w1", spec.fingerprint)
+        good = {"unit_id": grant["unit_id"], "experiment": "test-quick",
+                "config_key": "quick", "status": "ok",
+                "result": {"success": True, "attempts": 1,
+                           "effect_observed": True,
+                           "connection_survived": True}}
+        for bad in ({**good, "experiment": "hop"},
+                    {**good, "config_key": "25"},
+                    {**good, "status": "done"},
+                    {**good, "result": {**good["result"], "attempts": "1"}}):
+            with pytest.raises(ReproError):
+                coordinator.handle_result("w1", spec.fingerprint, bad)
+        assert coordinator.campaign.state.done == 0
+        ack = coordinator.handle_result("w1", spec.fingerprint, good)
+        assert ack["op"] == "ack" and not ack["duplicate"]
+        coordinator.close()
+
     def test_lease_telemetry_counts_steals_and_requeues(self, tmp_path):
         spec = _quick_spec(n=1)
         clock = _Clock()
@@ -447,30 +472,291 @@ class TestHttpApi:
             long_head = await exchange(
                 server.port, b"GET /healthz HTTP/1.1\r\nX-Pad: "
                 + b"a" * (cap + 100) + b"\r\n\r\n")
-            long_line = await exchange(
-                server.port, b'{"op": "' + b"a" * (cap + 100) + b'"}\n')
+            long_body = await exchange(
+                server.port,
+                b"POST /worker HTTP/1.1\r\nContent-Length: "
+                + str(cap + 100).encode() + b"\r\n\r\n"
+                + b'{"op": "' + b"a" * (cap + 100) + b'"}')
             health = await exchange(
                 server.port, b"GET /healthz HTTP/1.1\r\n\r\n")
-            return unhandled, negative, long_head, long_line, health
+            return unhandled, negative, long_head, long_body, health
 
-        unhandled, negative, long_head, long_line, health = \
+        unhandled, negative, long_head, long_body, health = \
             _run_server(_with_server(body))
         assert negative.startswith(b"HTTP/1.1 400 ")
         assert b"bad Content-Length" in negative
         assert long_head.startswith(b"HTTP/1.1 400 ")
-        assert long_line == b""
+        assert long_body.startswith(b"HTTP/1.1 400 ")
+        assert b"exceeds size cap" in long_body
         assert health.startswith(b"HTTP/1.1 200 ")
         assert unhandled == []
 
     def test_url_and_endpoint_parsing(self):
         assert parse_url("http://127.0.0.1:8000") == ("127.0.0.1", 8000)
         assert parse_url("127.0.0.1:8000/") == ("127.0.0.1", 8000)
-        assert parse_endpoint("10.0.0.2:4100") == ("10.0.0.2", 4100)
-        for bad in ("https://x:1", "nope", "host:"):
+        # the form ``repro campaign worker --connect`` takes
+        assert parse_url("10.0.0.2:4100") == ("10.0.0.2", 4100)
+        for bad in ("https://x:1", "nope", "host:", "no-port"):
             with pytest.raises(ServiceError):
                 parse_url(bad)
-        with pytest.raises(ServiceError):
-            parse_endpoint("no-port")
+
+
+    def test_ill_typed_result_is_refused_and_report_still_builds(
+            self, tmp_path):
+        """A result whose record is ill-typed is answered ``op: error``
+        over ``POST /worker`` and never reaches the journal, so the
+        report keeps building."""
+        spec = _quick_spec(n=2)
+        journal = tmp_path / "j.jsonl"
+
+        async def body(coordinator, server, url):
+            loop = asyncio.get_event_loop()
+            coordinator.submit(spec, journal)
+            lines_before = journal.read_text()
+
+            def post(message):
+                return _post_worker(server.port, message)
+
+            grant = await loop.run_in_executor(None, lambda: post({
+                "op": "lease", "worker": "w",
+                "fingerprint": spec.fingerprint}))
+            reply = await loop.run_in_executor(None, lambda: post({
+                "op": "result", "worker": "w",
+                "fingerprint": spec.fingerprint,
+                "record": {"unit_id": grant[1]["unit_id"], "status": "ok",
+                           "result": "garbage"}}))
+            report = await loop.run_in_executor(
+                None, lambda: fetch_report(url))
+            return grant, reply, lines_before, report
+
+        grant, reply, lines_before, report = _run_server(_with_server(body))
+        assert grant[0] == 200 and grant[1]["op"] == "unit"
+        assert reply[0] == 200 and reply[1]["op"] == "error"
+        assert "result" in reply[1]["error"]
+        assert journal.read_text() == lines_before  # no unit line added
+        assert "svc-quick" in report
+
+
+def _post_worker(port, message):
+    """One ``POST /worker`` exchange; returns (status, decoded reply)."""
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("POST", "/worker", body=json.dumps(message).encode())
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+# --------------------------------------------------------------------------
+# Fuzz: raw bytes against a live server.
+
+
+class _ThreadedServer:
+    """A coordinator's server on an event loop in a background thread,
+    so blocking sockets (and hypothesis) can drive it."""
+
+    def __init__(self, coordinator):
+        self.unhandled = []
+        self.loop = asyncio.new_event_loop()
+        self.loop.set_exception_handler(
+            lambda loop, context: self.unhandled.append(context))
+        self.server = ServiceServer(coordinator, port=0)
+        self.thread = threading.Thread(target=self.loop.run_forever,
+                                       daemon=True)
+        self.thread.start()
+        self._call(self.server.start())
+        self.port = self.server.port
+
+    def _call(self, coroutine):
+        return asyncio.run_coroutine_threadsafe(
+            coroutine, self.loop).result(timeout=10)
+
+    def close(self):
+        self._call(self.server.stop())
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+        self.loop.close()
+
+
+def _raw_exchange(port, blob):
+    """Send ``blob``, half-close, and read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            sock.sendall(blob)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the server may answer and close before reading it all
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _http_request(head, body=b""):
+    return head + b"\r\n\r\n" + body
+
+
+_FUZZ_CAP = 16 * 1024
+_token = st.binary(max_size=12).filter(
+    lambda b: not any(c in b for c in b" \t\r\n\x0b\x0c"))
+_request_lines = st.one_of(
+    st.binary(max_size=64),
+    st.lists(_token, max_size=5).map(b" ".join),
+    st.tuples(st.sampled_from([b"GET", b"POST", b"PUT", b"DELETE"]),
+              _token.map(lambda t: b"/fuzz" + t),
+              st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"x"])
+              ).map(b" ".join),
+)
+_content_lengths = st.one_of(
+    st.integers(min_value=-2 ** 40, max_value=2 ** 40).map(
+        lambda n: str(n).encode()),
+    st.binary(max_size=12).filter(lambda b: b"\r\n" not in b),
+)
+_header_blocks = st.lists(
+    st.one_of(
+        st.binary(max_size=40).filter(lambda b: b"\r\n" not in b),
+        _content_lengths.map(lambda v: b"Content-Length: " + v),
+    ), max_size=4).map(b"\r\n".join)
+
+
+def _wrong(*kinds):
+    """Values of the JSON types ``kinds`` excludes."""
+    choices = {
+        "bool": st.booleans(), "int": st.integers(-5, 5),
+        "str": st.text(max_size=6), "none": st.none(),
+        "list": st.lists(st.integers(), max_size=2),
+        "dict": st.dictionaries(st.text(max_size=3), st.integers(),
+                                max_size=2),
+        "float": st.floats(allow_nan=False, allow_infinity=False),
+    }
+    return st.one_of(*(v for k, v in choices.items() if k not in kinds))
+
+
+def _ill_typed_records(unit_id, experiment, config_key):
+    good = {"unit_id": unit_id, "experiment": experiment,
+            "config_key": config_key, "status": "ok",
+            "result": {"success": True, "attempts": 1,
+                       "effect_observed": True,
+                       "connection_survived": True},
+            "failure": None, "metrics": None, "cached": False}
+
+    def with_result(key, value):
+        return {**good, "result": {**good["result"], key: value}}
+
+    return st.one_of(
+        _wrong("dict").map(lambda v: {**good, "result": v}),
+        st.sampled_from(["success", "effect_observed",
+                         "connection_survived"]).flatmap(
+            lambda key: _wrong("bool").map(lambda v: with_result(key, v))),
+        _wrong("int").map(lambda v: with_result("attempts", v)),
+        _wrong("dict").map(lambda v: with_result("detection", v)),
+        st.text(max_size=8).filter(lambda t: t not in ("ok", "failed")).map(
+            lambda v: {**good, "status": v}),
+        _wrong("dict").map(
+            lambda v: {**good, "status": "failed", "result": None,
+                       "failure": v}),
+        _wrong("dict", "none").map(lambda v: {**good, "metrics": v}),
+        st.text(max_size=8).filter(lambda t: t != experiment).map(
+            lambda v: {**good, "experiment": v}),
+        st.text(max_size=8).filter(lambda t: t != config_key).map(
+            lambda v: {**good, "config_key": v}),
+        st.sampled_from(["unit_id", "status", "result"]).map(
+            lambda key: {k: v for k, v in good.items() if k != key}),
+    )
+
+
+def _worker_bodies(fingerprint, unit):
+    envelope = {"worker": "fuzz", "fingerprint": fingerprint}
+    return st.one_of(
+        st.binary(max_size=64),
+        st.one_of(st.integers(), st.text(max_size=8),
+                  st.lists(st.integers(), max_size=3), st.none()).map(
+            lambda v: json.dumps(v).encode()),
+        st.text(max_size=10).filter(
+            lambda op: op not in ("hello", "lease", "result")).map(
+            lambda op: json.dumps({**envelope, "op": op}).encode()),
+        _wrong("dict").map(lambda v: json.dumps(
+            {**envelope, "op": "result", "record": v}).encode()),
+        st.just(json.dumps({**envelope, "op": "result"}).encode()),
+        _ill_typed_records(unit.unit_id, unit.experiment,
+                           unit.config_key).map(lambda r: json.dumps(
+                               {**envelope, "op": "result",
+                                "record": r}).encode()),
+    )
+
+
+def _acceptable(reply):
+    """A 4xx, a 200 carrying ``op: error``, or a closed connection."""
+    if reply == b"":
+        return True
+    head, _, body = reply.partition(b"\r\n\r\n")
+    if head.startswith(b"HTTP/1.1 4"):
+        return True
+    return (head.startswith(b"HTTP/1.1 200 ")
+            and json.loads(body).get("op") == "error")
+
+
+class TestProtocolFuzz:
+    def test_raw_bytes_never_harm_the_coordinator(self, tmp_path,
+                                                  monkeypatch):
+        """Random request lines, header blocks, ``Content-Length``
+        values and ``POST /worker`` bodies each end in a 4xx, a 200
+        ``op: error`` or a closed connection; afterwards the loop has
+        seen no unhandled exception, ``/healthz`` answers and the
+        journal holds no unit record (every fuzzed record was
+        ill-typed)."""
+        from repro.campaign.engine import expand_units
+
+        monkeypatch.setattr(server_module, "MAX_MESSAGE_BYTES", _FUZZ_CAP)
+        spec = _quick_spec(n=2)
+        journal = tmp_path / "fuzz.jsonl"
+        coordinator = Coordinator()
+        coordinator.submit(spec, journal)
+        unit = expand_units(spec)[0]
+        live = _ThreadedServer(coordinator)
+        try:
+            worker_posts = _worker_bodies(spec.fingerprint, unit).map(
+                lambda body: _http_request(
+                    b"POST /worker HTTP/1.1\r\nContent-Length: "
+                    + str(len(body)).encode(), body))
+            raw = st.tuples(_request_lines, _header_blocks,
+                            st.binary(max_size=32)).map(
+                lambda parts: _http_request(
+                    parts[0] + b"\r\n" + parts[1], parts[2]))
+
+            @settings(max_examples=250, deadline=None, database=None,
+                      suppress_health_check=list(HealthCheck))
+            @given(blob=st.one_of(worker_posts, raw))
+            @example(blob=_http_request(
+                b"POST /worker HTTP/1.1\r\nContent-Length: 12000",
+                b"[" * 12000))
+            @example(blob=b"")
+            @example(blob=b"GET /healthz HTTP/1.1\r\n")  # no blank line
+            def check(blob):
+                reply = _raw_exchange(live.port, blob)
+                assert _acceptable(reply), (blob, reply)
+
+            check()
+            health = _raw_exchange(
+                live.port, _http_request(b"GET /healthz HTTP/1.1"))
+        finally:
+            live.close()
+            coordinator.close()
+        assert live.unhandled == []
+        assert health.startswith(b"HTTP/1.1 200 ")
+        _, _, records, _ = read_journal(journal)  # validates every record
+        assert records == {}
+        assert build_report(load_state(journal))
 
 
 # --------------------------------------------------------------------------
