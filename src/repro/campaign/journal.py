@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.telemetry.metrics import snapshot_problem
 
 #: Bump when the journal schema changes incompatibly.
 JOURNAL_VERSION = 1
@@ -157,7 +158,9 @@ def record_from_payload(obj: Dict[str, Any]) -> UnitRecord:
     one parsing path keeps a streamed-and-merged journal byte-identical
     to a locally written one.  Raises :class:`ConfigurationError` for a
     record the report could not fold: every field must have the type
-    :func:`repro.campaign.engine.unit_record` gives it.
+    :func:`repro.campaign.engine.unit_record` gives it, and ``metrics``
+    must be null or a well-formed telemetry snapshot
+    (:func:`repro.telemetry.metrics.snapshot_problem`).
     """
     unit_id = obj.get("unit_id")
     if not isinstance(unit_id, str) or not unit_id:
@@ -177,9 +180,10 @@ def record_from_payload(obj: Dict[str, Any]) -> UnitRecord:
             else "a failed record needs a failure dict"
     else:
         problem = f"status must be 'ok' or 'failed', not {status!r}"
-    if problem is None and metrics is not None \
-            and not isinstance(metrics, dict):
-        problem = "metrics must be null or a dict"
+    if problem is None and metrics is not None:
+        problem = snapshot_problem(metrics)
+        if problem is not None:
+            problem = f"metrics: {problem}"
     if problem is not None:
         raise ConfigurationError(f"unit record {unit_id!r}: {problem}")
     return UnitRecord(

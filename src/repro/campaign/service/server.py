@@ -18,7 +18,8 @@ not the open internet.  Endpoints:
 * ``POST /campaign`` — submit a :class:`~repro.campaign.spec.
   CampaignSpec` (raw spec JSON, or ``{"spec": ..., "journal": ...}``).
 * ``GET /status`` — machine-readable status; ``?follow=1`` streams
-  newline-delimited JSON events until the campaign drains.
+  newline-delimited JSON events until the campaign drains or the client
+  hangs up.
 * ``GET /report`` — text report; ``?format=json`` for the dict form.
 * ``GET /metrics`` — the coordinator's telemetry snapshot.
 """
@@ -168,7 +169,7 @@ class ServiceServer:
             await writer.drain()
             return
         if path == "/status" and query.get("follow") in ("1", "true"):
-            await self._stream_status(writer)
+            await self._stream_status(reader, writer)
             return
         # Bounded blocking: the coordinator is synchronous by contract
         # (single loop thread).  Its only I/O is one buffered journal
@@ -286,21 +287,40 @@ class ServiceServer:
             "pending": len(state.pending),
         }), "application/json")
 
-    async def _stream_status(self, writer: asyncio.StreamWriter) -> None:
+    async def _stream_status(self, reader: asyncio.StreamReader,
+                             writer: asyncio.StreamWriter) -> None:
         """``GET /status?follow=1``: NDJSON events until the campaign
-        drains.  The body is framed by connection close (no chunking),
-        which every line-reading client handles."""
+        drains or the client hangs up.  The body is framed by connection
+        close (no chunking), which every line-reading client handles."""
         events: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue()
         self.coordinator.subscribe(events)
+        hangup = asyncio.ensure_future(_until_eof(reader))
+        event: "Optional[asyncio.Future[Dict[str, Any]]]" = None
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: application/x-ndjson\r\n"
                      b"Connection: close\r\n\r\n")
         try:
             while True:
-                event = await events.get()
-                writer.write(_json_body(event))
+                event = asyncio.ensure_future(events.get())
+                await asyncio.wait({event, hangup},
+                                   return_when=asyncio.FIRST_COMPLETED)
+                if not event.done():
+                    return  # the client hung up
+                writer.write(_json_body(event.result()))
                 await writer.drain()
-                if event.get("event") == "done":
+                if event.result().get("event") == "done":
                     return
         finally:
+            hangup.cancel()
+            if event is not None:
+                event.cancel()
             self.coordinator.unsubscribe(events)
+
+
+async def _until_eof(reader: asyncio.StreamReader) -> None:
+    """Return once the peer closes its end (or the connection drops)."""
+    try:
+        while await reader.read(4096):
+            pass
+    except ConnectionError:
+        pass

@@ -326,16 +326,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 baseline_path = candidate
                 break
 
-    flow_cache = None
-    if args.flow and not args.no_flow_cache:
-        from repro.lintkit.flow import default_flow_cache_dir
-
-        flow_cache = Path(args.flow_cache) if args.flow_cache \
-            else default_flow_cache_dir()
-
     baseline = load_baseline(baseline_path) if baseline_path else None
-    report = run_lint(root=root, baseline=baseline, flow=args.flow,
-                      flow_cache=flow_cache)
+    report = run_lint(root=root, baseline=baseline)
 
     if args.prune_baseline:
         if baseline is None:
@@ -868,20 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--write-baseline", action="store_true",
                       help="grandfather every current finding into the "
                            "baseline file instead of failing on them")
-    lint.add_argument("--flow", dest="flow", action="store_true",
-                      default=True,
-                      help="run the flow-aware checkers over the project "
-                           "call graph (default)")
-    lint.add_argument("--no-flow", dest="flow", action="store_false",
-                      help="skip call-graph construction and the "
-                           "flow-aware checkers")
-    lint.add_argument("--flow-cache", default=None,
-                      help="directory for the call-graph cache (default: "
-                           "flow/ under $REPRO_CACHE_DIR or "
-                           "~/.cache/repro-injectable; keyed by a hash of "
-                           "the linted sources)")
-    lint.add_argument("--no-flow-cache", action="store_true",
-                      help="always rebuild the call graph")
     lint.add_argument("--prune-baseline", action="store_true",
                       help="drop stale fingerprints from the baseline "
                            "file instead of only reporting them")

@@ -329,8 +329,7 @@ def check_docs(paths: Optional[Sequence[Path]] = None,
     """Extract and smoke-run every documented ``repro`` command.
 
     Commands of one fenced block run sequentially in a shared scratch
-    directory (with ``$REPRO_CACHE_DIR`` pointed at a scratch lint
-    cache), so multi-step examples compose and nothing touches the
+    directory, so multi-step examples compose and nothing touches the
     user's state.
     """
     root = Path(root) if root is not None else find_repo_root()
@@ -339,28 +338,20 @@ def check_docs(paths: Optional[Sequence[Path]] = None,
     report = DocCheckReport()
     with tempfile.TemporaryDirectory(prefix="repro-doccheck-") as tmp:
         tmp_path = Path(tmp)
-        old_cache = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
-        try:
-            for path in doc_paths:
-                block_dirs: Dict[int, Path] = {}
-                for command in extract_commands(path):
-                    cwd = block_dirs.get(command.block)
-                    if cwd is None:
-                        cwd = tmp_path / f"{path.stem}-{command.block:02d}"
-                        cwd.mkdir(parents=True, exist_ok=True)
-                        block_dirs[command.block] = cwd
-                    result = run_command(command, cwd=cwd, root=root,
-                                         budget=budget)
-                    report.results.append(result)
-                    if stream is not None:
-                        print(f"[{result.status:>6}] "
-                              f"{path.name}:{command.lineno} "
-                              f"{' '.join(command.argv)}",
-                              file=stream, flush=True)
-        finally:
-            if old_cache is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = old_cache
+        for path in doc_paths:
+            block_dirs: Dict[int, Path] = {}
+            for command in extract_commands(path):
+                cwd = block_dirs.get(command.block)
+                if cwd is None:
+                    cwd = tmp_path / f"{path.stem}-{command.block:02d}"
+                    cwd.mkdir(parents=True, exist_ok=True)
+                    block_dirs[command.block] = cwd
+                result = run_command(command, cwd=cwd, root=root,
+                                     budget=budget)
+                report.results.append(result)
+                if stream is not None:
+                    print(f"[{result.status:>6}] "
+                          f"{path.name}:{command.lineno} "
+                          f"{' '.join(command.argv)}",
+                          file=stream, flush=True)
     return report

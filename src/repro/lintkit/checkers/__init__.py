@@ -25,7 +25,8 @@ from repro.lintkit.checkers.process_safety import ResultCaptureChecker
 from repro.lintkit.checkers.spec import MagicNumberChecker
 
 #: Every shipped checker, in canonical order.  The flow-aware quartet
-#: (call graph + effect fixpoint) comes last; ``--no-flow`` drops it.
+#: (call graph + effect fixpoint) comes last; the first of them to run
+#: builds the graph.
 ALL_CHECKERS = (
     NondeterministicCallChecker(),
     SetIterationChecker(),

@@ -25,9 +25,6 @@ class Checker:
     scope: Tuple[str, ...] = ("",)
     #: Relpath prefixes exempt from the checker.
     exempt: Tuple[str, ...] = ()
-    #: Whether the checker needs the project call graph (flow analysis);
-    #: ``repro lint --no-flow`` skips these.
-    requires_flow: bool = False
 
     def run(self, project: Project) -> Iterator[Finding]:
         for module in project.in_scope(self.scope, self.exempt):

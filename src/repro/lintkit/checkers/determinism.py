@@ -21,7 +21,7 @@ from typing import Iterator
 
 from repro.lintkit.checkers.base import Checker
 from repro.lintkit.findings import Finding
-from repro.lintkit.model import ModuleSource, import_table, resolve_call_target
+from repro.lintkit.model import ModuleSource, resolve_call_target
 
 #: Modules that may never be imported by deterministic simulation code.
 BANNED_MODULES = ("random", "secrets")
@@ -73,8 +73,8 @@ class NondeterministicCallChecker(Checker):
               "campaign/", "doccheck.py")
 
     def check_module(self, module: ModuleSource) -> Iterator[Finding]:
-        imports = import_table(module.tree)
-        for node in ast.walk(module.tree):
+        imports = module.imports
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]
@@ -137,7 +137,7 @@ class SetIterationChecker(Checker):
     scope = ("sim/", "ll/", "core/")
 
     def check_module(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             iters = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)
@@ -203,7 +203,7 @@ class FloatTimeEqualityChecker(Checker):
     exempt = ("sim/events.py",)
 
     def check_module(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)

@@ -2,8 +2,8 @@
 protocol conformance.
 
 All four consume the project call graph + effect fixpoint from
-:mod:`repro.lintkit.flow` (built once per lint run and shared).  They
-set ``requires_flow`` so ``repro lint --no-flow`` can skip them.
+:mod:`repro.lintkit.flow`, built when the first of them runs and shared
+by the rest.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ def _module_map(project: Project) -> Dict[str, ModuleSource]:
 
 class FlowChecker(Checker):
     """Base for checkers that need the call graph + effect fixpoint."""
-
-    requires_flow = True
 
     def run(self, project: Project) -> Iterator[Finding]:
         analysis = ensure_analysis(project)
@@ -300,7 +298,7 @@ class ErrorTaxonomyChecker(FlowChecker):
                         analysis: FlowAnalysis) -> Iterator[Finding]:
         effects = analysis.effects
         for module in project.in_scope(self.swallow_scope, ()):
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if not isinstance(node, ast.Try):
                     continue
                 for handler in node.handlers:
@@ -488,7 +486,7 @@ class ProtocolConformanceChecker(FlowChecker):
                   ) -> Dict[str, List[Tuple[ModuleSource, int, int]]]:
         out: Dict[str, List[Tuple[ModuleSource, int, int]]] = {}
         for module in modules:
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if not isinstance(node, ast.Dict):
                     continue
                 for key, value in zip(node.keys, node.values):
@@ -507,7 +505,7 @@ class ProtocolConformanceChecker(FlowChecker):
                      ) -> Dict[str, List[Tuple[ModuleSource, int, int]]]:
         out: Dict[str, List[Tuple[ModuleSource, int, int]]] = {}
         for module in modules:
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if not isinstance(node, ast.Compare) or \
                         len(node.ops) != 1:
                     continue

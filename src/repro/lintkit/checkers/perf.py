@@ -82,7 +82,7 @@ class MissingSlotsChecker(Checker):
                  if module.relpath == path or module.relpath.startswith(path)]
         if not rules:
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             if not any(rule.search(node.name) for rule in rules):
@@ -131,7 +131,7 @@ class TelemetryGuardChecker(Checker):
     exempt = ("sim/trace.py",)
 
     def check_module(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 continue

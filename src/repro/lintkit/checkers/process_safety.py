@@ -91,7 +91,7 @@ class ResultCaptureChecker(Checker):
     def run(self, project: Project) -> Iterator[Finding]:
         classes: Dict[str, _ClassInfo] = {}
         for module in project.in_scope(self.scope, self.exempt):
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 if isinstance(node, ast.ClassDef):
                     # First definition wins; class names are unique enough
                     # within the package for this analysis.

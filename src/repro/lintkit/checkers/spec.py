@@ -15,7 +15,7 @@ timing arithmetic, not data tables that merely contain a coincident value.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from repro.lintkit.checkers.base import Checker
 from repro.lintkit.findings import Finding
@@ -71,7 +71,7 @@ class MagicNumberChecker(Checker):
     exempt = ("lintkit/",)
 
     def check_module(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Constant):
                 continue
             value = node.value

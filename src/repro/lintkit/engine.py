@@ -31,22 +31,13 @@ __all__ = [
 
 @dataclass
 class FlowStats:
-    """Call-graph summary of a flow-enabled lint run.
-
-    ``source`` is ``"built"`` (graph constructed this run) or
-    ``"cache"`` (loaded from the on-disk graph cache).
-    """
+    """Call-graph summary of a lint run that built the graph."""
 
     functions: int = 0
     edges: int = 0
-    source: str = "built"
 
     def to_dict(self) -> dict:
-        return {
-            "functions": self.functions,
-            "edges": self.edges,
-            "source": self.source,
-        }
+        return {"functions": self.functions, "edges": self.edges}
 
 
 def default_package_root() -> Path:
@@ -67,7 +58,7 @@ class LintReport:
         suppressed: findings waived inline via ``# lint-ok:`` comments.
         stale_baseline: baseline fingerprints matching nothing anymore.
         files_checked: number of parsed source files.
-        flow: call-graph stats when flow analysis ran, else ``None``.
+        flow: call-graph stats when a flow checker ran, else ``None``.
     """
 
     root: Path
@@ -96,7 +87,7 @@ class LintReport:
         if self.flow is not None:
             lines.append(
                 f"flow: {self.flow.functions} functions, "
-                f"{self.flow.edges} call edges ({self.flow.source})"
+                f"{self.flow.edges} call edges"
             )
         if self.stale_baseline:
             lines.append(
@@ -140,8 +131,6 @@ def run_lint(
     root: Optional[Path] = None,
     checkers: Sequence[Checker] = ALL_CHECKERS,
     baseline: Optional[Baseline] = None,
-    flow: bool = True,
-    flow_cache: Optional[Path] = None,
 ) -> LintReport:
     """Lint the tree under ``root`` and return a :class:`LintReport`.
 
@@ -150,34 +139,22 @@ def run_lint(
             package so ``repro lint`` checks itself wherever it runs.
         checkers: checker instances to run (defaults to all).
         baseline: grandfathered findings; ``None`` means empty.
-        flow: build the project call graph and run the flow-aware
-            checkers; ``False`` drops every ``requires_flow`` checker.
-        flow_cache: directory for the serialised call-graph cache
-            (keyed by a hash of every analysed ``.py`` file); ``None``
-            disables caching.
+
+    The project call graph is built only if a flow checker runs.
     """
     if root is None:
         root = default_package_root()
     project = load_project(root)
     module_lines = {m.relpath: m.lines for m in project.modules}
 
-    flow_stats: Optional[FlowStats] = None
-    if flow:
-        from repro.lintkit.flow import attach_analysis
-
-        analysis = attach_analysis(project, cache_dir=flow_cache)
-        flow_stats = FlowStats(
-            functions=len(analysis.graph.functions),
-            edges=len(analysis.graph.edges),
-            source=analysis.source,
-        )
-    else:
-        checkers = [c for c in checkers if not c.requires_flow]
-
     raw: List[Finding] = []
     for checker in checkers:
         raw.extend(checker.run(project))
     all_findings = fingerprint_findings(raw)
+    flow_stats: Optional[FlowStats] = None
+    if project.flow is not None:
+        flow_stats = FlowStats(functions=len(project.flow.graph.functions),
+                               edges=len(project.flow.graph.edges))
 
     findings: List[Finding] = []
     baselined: List[Finding] = []

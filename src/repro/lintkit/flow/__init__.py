@@ -6,27 +6,18 @@ Layered on the single-file :mod:`repro.lintkit` engine:
   (imports, re-exports, method dispatch via annotations and the class
   hierarchy, closures/lambdas conservatively);
 * :mod:`repro.lintkit.flow.effects` runs a fixpoint over the graph for
-  the effect lattice — ``blocking``, ``draws-rng``, ``raises(T)``;
-* :mod:`repro.lintkit.flow.cache` persists the graph keyed by the
-  source-tree hash so warm lint runs skip the build.
+  the effect lattice — ``blocking``, ``draws-rng``, ``raises(T)``.
 
 Checkers consume the result through :func:`ensure_analysis`, which
-attaches a lazily built :class:`FlowAnalysis` to the ``Project``
-instance so one graph serves all four flow checkers in a run.
+builds a :class:`FlowAnalysis` the first time a flow checker asks and
+keeps it on :attr:`Project.flow`, so one graph serves all four flow
+checkers in a run and a run without them never builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
-from repro.lintkit.flow.cache import (
-    default_flow_cache_dir,
-    flow_tree_token,
-    load_graph,
-    store_graph,
-)
 from repro.lintkit.flow.effects import EffectResults, propagate
 from repro.lintkit.flow.graph import FlowGraph, build_graph
 from repro.lintkit.model import Project
@@ -35,13 +26,8 @@ __all__ = [
     "FlowAnalysis",
     "FlowGraph",
     "EffectResults",
-    "attach_analysis",
     "ensure_analysis",
-    "default_flow_cache_dir",
-    "flow_tree_token",
 ]
-
-_ATTR = "_flow_analysis"
 
 
 @dataclass
@@ -51,50 +37,15 @@ class FlowAnalysis:
     Attributes:
         graph: the project call graph.
         effects: per-function effect sets with witnesses.
-        source: ``"built"`` or ``"cache"`` — where the graph came from.
     """
 
     graph: FlowGraph
     effects: EffectResults
-    source: str = "built"
-
-
-def attach_analysis(project: Project,
-                    cache_dir: Optional[Path] = None) -> FlowAnalysis:
-    """Build (or load from cache) the flow analysis for ``project``.
-
-    The result is memoised on the ``Project`` instance so repeated calls
-    — one per flow checker in a lint run — do the work once.
-    """
-    existing = getattr(project, _ATTR, None)
-    if isinstance(existing, FlowAnalysis):
-        return existing
-    graph: Optional[FlowGraph] = None
-    source = "built"
-    token: Optional[str] = None
-    if cache_dir is not None:
-        token = flow_tree_token(project.root)
-        graph = load_graph(cache_dir, token)
-        if graph is not None:
-            source = "cache"
-    if graph is None:
-        graph = build_graph(project)
-        if cache_dir is not None and token is not None:
-            store_graph(cache_dir, token, graph)
-    analysis = FlowAnalysis(graph=graph, effects=propagate(graph),
-                            source=source)
-    setattr(project, _ATTR, analysis)
-    return analysis
 
 
 def ensure_analysis(project: Project) -> FlowAnalysis:
-    """The project's flow analysis, building it (uncached) on demand.
-
-    Checkers call this so a single-checker run — e.g. a unit test
-    exercising one checker via ``run_lint(root, checkers=[...])`` —
-    still gets an analysis even if the engine did not attach one.
-    """
-    existing = getattr(project, _ATTR, None)
-    if isinstance(existing, FlowAnalysis):
-        return existing
-    return attach_analysis(project)
+    """The flow analysis of ``project``, built on the first call."""
+    if project.flow is None:
+        graph = build_graph(project)
+        project.flow = FlowAnalysis(graph=graph, effects=propagate(graph))
+    return project.flow

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.lintkit.model import ModuleSource, Project, dotted_name, import_table
+from repro.lintkit.model import ModuleSource, Project, dotted_name
 
 #: Call-edge kinds.  ``call`` — a direct invocation; ``ref`` — a function
 #: reference passed as an argument or a nested def/lambda (conservatively
@@ -195,82 +196,6 @@ class FlowGraph:
             out.setdefault(edge.callee, []).append(edge)
         return out
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (for the on-disk cache)."""
-        return {
-            "functions": [
-                {
-                    "fid": f.fid, "relpath": f.relpath,
-                    "qualname": f.qualname, "line": f.line, "col": f.col,
-                    "is_async": f.is_async,
-                    "intrinsics": [
-                        [i.effect, i.line, i.col, i.detail, i.guarded]
-                        for i in f.intrinsics
-                    ],
-                    "raises": [
-                        [r.exc, r.line, list(r.caught)] for r in f.raises
-                    ],
-                }
-                for f in self.functions.values()
-            ],
-            "classes": [
-                {
-                    "cid": c.cid, "relpath": c.relpath,
-                    "qualname": c.qualname, "bases": list(c.bases),
-                    "methods": dict(c.methods),
-                    "attr_types": dict(c.attr_types),
-                }
-                for c in self.classes.values()
-            ],
-            "edges": [
-                [e.caller, e.callee, e.line, e.col, e.kind, e.awaited,
-                 list(e.caught), e.guarded]
-                for e in self.edges
-            ],
-            "class_bases": {
-                name: list(bases) for name, bases in self.class_bases.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FlowGraph":
-        """Rebuild a graph from :meth:`to_dict` output."""
-        graph = cls()
-        for fd in data.get("functions", []):  # type: ignore[union-attr]
-            info = FunctionInfo(
-                fid=fd["fid"], relpath=fd["relpath"],
-                qualname=fd["qualname"], line=fd["line"], col=fd["col"],
-                is_async=fd["is_async"],
-                intrinsics=[
-                    Intrinsic(effect=i[0], line=i[1], col=i[2],
-                              detail=i[3], guarded=i[4])
-                    for i in fd["intrinsics"]
-                ],
-                raises=[
-                    RaiseSite(exc=r[0], line=r[1], caught=tuple(r[2]))
-                    for r in fd["raises"]
-                ],
-            )
-            graph.functions[info.fid] = info
-        for cd in data.get("classes", []):  # type: ignore[union-attr]
-            cinfo = ClassInfo(
-                cid=cd["cid"], relpath=cd["relpath"],
-                qualname=cd["qualname"], bases=tuple(cd["bases"]),
-                methods=dict(cd["methods"]),
-                attr_types=dict(cd["attr_types"]),
-            )
-            graph.classes[cinfo.cid] = cinfo
-        for ed in data.get("edges", []):  # type: ignore[union-attr]
-            graph.edges.append(CallEdge(
-                caller=ed[0], callee=ed[1], line=ed[2], col=ed[3],
-                kind=ed[4], awaited=ed[5], caught=tuple(ed[6]),
-                guarded=ed[7]))
-        graph.class_bases = {
-            name: tuple(bases)
-            for name, bases in data.get("class_bases", {}).items()  # type: ignore[union-attr]
-        }
-        return graph
-
 
 _FuncNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
 
@@ -329,6 +254,21 @@ def _mentions_guard_token(test: ast.AST) -> bool:
     return False
 
 
+def _nested_defs(node: ast.AST
+                 ) -> List[Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
+    """Defs directly inside ``node``'s body (not inside a further def or
+    class), in ``ast.walk`` order."""
+    out: List[Union[ast.FunctionDef, ast.AsyncFunctionDef]] = []
+    queue = deque(ast.iter_child_nodes(node))
+    while queue:
+        child = queue.popleft()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(child)
+        elif not isinstance(child, ast.ClassDef):
+            queue.extend(ast.iter_child_nodes(child))
+    return out
+
+
 class _ModuleTable:
     """Pass-1 symbol table of one module."""
 
@@ -336,7 +276,7 @@ class _ModuleTable:
         self.module = module
         self.functions: Dict[str, str] = {}   # name -> fid
         self.classes: Dict[str, str] = {}     # name -> cid
-        self.imports: Dict[str, str] = import_table(module.tree)
+        self.imports: Dict[str, str] = module.imports
 
 
 class GraphBuilder:
@@ -387,10 +327,7 @@ class GraphBuilder:
                 fid=fid, relpath=module.relpath, qualname=qualname,
                 line=node.lineno, col=node.col_offset,
                 is_async=isinstance(node, ast.AsyncFunctionDef))
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef)):
-                    pass  # nested defs are collected during pass 2
+            # nested defs are registered in pass 2 (_register_nested)
         elif isinstance(node, ast.ClassDef):
             qualname = f"{prefix}{node.name}"
             cid = f"{module.relpath}:{qualname}"
@@ -597,16 +534,11 @@ class GraphBuilder:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qualname = f"{prefix}{node.name}"
             self._analyze_function(module, table, node, qualname, class_cid)
-            inner_prefix = f"{qualname}.<locals>."
-            for stmt in ast.walk(node):
-                if stmt is node:
-                    continue
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)) and \
-                        self._direct_parent_function(module, stmt) is node:
-                    self._register_nested(module, table, stmt, inner_prefix,
-                                          f"{module.relpath}:{qualname}",
-                                          class_cid)
+            for nested in _nested_defs(node):
+                self._register_nested(module, table, nested,
+                                      f"{qualname}.<locals>.",
+                                      f"{module.relpath}:{qualname}",
+                                      class_cid)
         elif isinstance(node, ast.ClassDef):
             cid = f"{module.relpath}:{prefix}{node.name}"
             for stmt in node.body:
@@ -614,22 +546,11 @@ class GraphBuilder:
                                  prefix=f"{prefix}{node.name}.",
                                  class_cid=cid)
 
-    def _direct_parent_function(self, module: ModuleSource,
-                                node: ast.AST) -> Optional[ast.AST]:
-        """Nearest enclosing function/class def of ``node``."""
-        for ancestor in module.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                return ancestor
-        return None
-
     def _register_nested(self, module: ModuleSource, table: _ModuleTable,
-                         node: ast.stmt, prefix: str, parent_fid: str,
+                         node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
+                         prefix: str, parent_fid: str,
                          class_cid: Optional[str]) -> None:
         """A nested def: new node + conservative ``ref`` edge from parent."""
-        if isinstance(node, ast.ClassDef):
-            return
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         qualname = f"{prefix}{node.name}"
         fid = f"{module.relpath}:{qualname}"
         if fid not in self.graph.functions:
@@ -643,14 +564,9 @@ class GraphBuilder:
             caught=self._caught_at(module, node),
             guarded=self._guarded_at(module, node)))
         self._analyze_function(module, table, node, qualname, class_cid)
-        inner_prefix = f"{qualname}.<locals>."
-        for stmt in ast.walk(node):
-            if stmt is node:
-                continue
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
-                    self._direct_parent_function(module, stmt) is node:
-                self._register_nested(module, table, stmt, inner_prefix,
-                                      fid, class_cid)
+        for nested in _nested_defs(node):
+            self._register_nested(module, table, nested,
+                                  f"{qualname}.<locals>.", fid, class_cid)
 
     # -- per-function analysis -----------------------------------------
 
@@ -776,22 +692,12 @@ class GraphBuilder:
         current: ast.AST = node
         for ancestor in module.ancestors(node):
             if isinstance(ancestor, ast.Try):
-                in_body = any(
-                    stmt is current or self._contains(stmt, current)
-                    for stmt in ancestor.body
-                )
-                if in_body:
+                # ``current`` is the ancestor's child on the path to node
+                if any(stmt is current for stmt in ancestor.body):
                     for handler in ancestor.handlers:
                         caught.extend(self._handler_names(handler))
             current = ancestor
         return tuple(dict.fromkeys(caught))
-
-    @staticmethod
-    def _contains(tree: ast.AST, target: ast.AST) -> bool:
-        for sub in ast.walk(tree):
-            if sub is target:
-                return True
-        return False
 
     @staticmethod
     def _handler_names(handler: ast.ExceptHandler) -> List[str]:

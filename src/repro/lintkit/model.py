@@ -5,7 +5,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.lintkit.flow import FlowAnalysis
 
 
 @dataclass
@@ -18,6 +21,12 @@ class ModuleSource:
         text: raw source text.
         lines: source split into lines (1-based access via index+1).
         tree: parsed AST.
+
+    Checkers read :attr:`nodes`, :attr:`parents` and :attr:`imports`
+    rather than walking :attr:`tree` themselves: one lazy breadth-first
+    pass builds the first two, and the import table is read off
+    :attr:`nodes`, so a lint run walks each module once however many
+    checkers look at it.
     """
 
     path: Path
@@ -25,7 +34,9 @@ class ModuleSource:
     text: str
     lines: List[str]
     tree: ast.Module
-    _parents: Optional[Dict[ast.AST, ast.AST]] = field(
+    _walk: Optional[Tuple[List[ast.AST], Dict[ast.AST, ast.AST]]] = field(
+        default=None, repr=False, compare=False)
+    _imports: Optional[Dict[str, str]] = field(
         default=None, repr=False, compare=False)
 
     @classmethod
@@ -39,16 +50,52 @@ class ModuleSource:
             tree=ast.parse(text, filename=str(path)),
         )
 
-    @property
-    def parents(self) -> Dict[ast.AST, ast.AST]:
-        """Child -> parent map over the module AST (built lazily, once)."""
-        if self._parents is None:
+    def _walked(self) -> Tuple[List[ast.AST], Dict[ast.AST, ast.AST]]:
+        """The module's one walk: (:attr:`nodes`, :attr:`parents`)."""
+        if self._walk is None:
+            nodes: List[ast.AST] = [self.tree]
             parents: Dict[ast.AST, ast.AST] = {}
-            for node in ast.walk(self.tree):
+            for node in nodes:  # grows while iterated: breadth-first
                 for child in ast.iter_child_nodes(node):
                     parents[child] = node
-            self._parents = parents
-        return self._parents
+                    nodes.append(child)
+            self._walk = (nodes, parents)
+        return self._walk
+
+    @property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the module AST, in ``ast.walk`` order."""
+        return self._walked()[0]
+
+    @property
+    def parents(self) -> Dict[ast.AST, ast.AST]:
+        """Child -> parent map over the module AST."""
+        return self._walked()[1]
+
+    @property
+    def imports(self) -> Dict[str, str]:
+        """Local alias -> fully qualified module/object name (built once).
+
+        ``import numpy as np`` maps ``np -> numpy``; ``from datetime import
+        datetime as dt`` maps ``dt -> datetime.datetime``.  Top-level and
+        function-local imports both count; a relative import keeps only
+        its module suffix.
+        """
+        if self._imports is None:
+            table: Dict[str, str] = {}
+            for node in self.nodes:
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        head = alias.name.split(".")[0]
+                        table[alias.asname or head] = \
+                            alias.name if alias.asname else head
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    for alias in node.names:
+                        table[alias.asname or alias.name] = \
+                            f"{base}.{alias.name}" if base else alias.name
+            self._imports = table
+        return self._imports
 
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         """Ancestors of ``node``, innermost first."""
@@ -61,10 +108,15 @@ class ModuleSource:
 
 @dataclass
 class Project:
-    """All modules under the linted root."""
+    """All modules under the linted root.
+
+    ``flow`` holds the call graph + effect fixpoint once a flow checker
+    has asked for it (:func:`repro.lintkit.flow.ensure_analysis`).
+    """
 
     root: Path
     modules: List[ModuleSource]
+    flow: Optional["FlowAnalysis"] = None
 
     def in_scope(self, scope: Tuple[str, ...],
                  exempt: Tuple[str, ...] = ()) -> Iterator[ModuleSource]:
@@ -99,31 +151,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return None
-
-
-def import_table(tree: ast.Module) -> Dict[str, str]:
-    """Local alias -> fully qualified module/object name.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``from datetime import
-    datetime as dt`` maps ``dt -> datetime.datetime``.  Only top-level and
-    function-local imports are considered (anything reachable by walk).
-    """
-    table: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                table[local] = alias.name if alias.asname else \
-                    alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:  # relative import: keep the suffix only
-                base = node.module or ""
-            else:
-                base = node.module or ""
-            for alias in node.names:
-                local = alias.asname or alias.name
-                table[local] = f"{base}.{alias.name}" if base else alias.name
-    return table
 
 
 def resolve_call_target(node: ast.Call, imports: Dict[str, str]

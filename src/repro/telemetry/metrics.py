@@ -20,7 +20,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -28,6 +28,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "merge_snapshots",
+    "snapshot_problem",
 ]
 
 
@@ -235,3 +236,54 @@ def merge_snapshots(snapshots: Iterable[Optional[Mapping]]) -> dict:
             merged["sum"] += hist["sum"]
             merged["count"] += hist["count"]
     return {"counters": counters, "gauges": gauges, "histograms": histograms}
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _histogram_problem(hist: Any) -> Optional[str]:
+    if not isinstance(hist, Mapping):
+        return "must be a dict"
+    buckets, counts = hist.get("buckets"), hist.get("counts")
+    if not isinstance(buckets, list) or not all(map(_is_number, buckets)):
+        return "buckets must be a list of numbers"
+    if not isinstance(counts, list) or len(counts) != len(buckets) + 1 or \
+            not all(isinstance(c, int) and not isinstance(c, bool)
+                    for c in counts):
+        return "counts must be len(buckets) + 1 ints"
+    if not _is_number(hist.get("sum")):
+        return "sum must be a number"
+    count = hist.get("count")
+    if not isinstance(count, int) or isinstance(count, bool):
+        return "count must be an int"
+    return None
+
+
+def snapshot_problem(snap: Any) -> Optional[str]:
+    """Why ``snap`` is not a snapshot :func:`merge_snapshots` can fold, or
+    ``None``.
+
+    Every section is optional.  ``counters`` and ``gauges`` map names to
+    numbers; ``histograms`` map names to ``{buckets, counts, sum,
+    count}`` as :meth:`MetricsRegistry.snapshot` writes them.  Snapshots
+    from other processes (a campaign worker's record) are checked with
+    this before they are kept, so a bad one cannot break a later merge.
+    """
+    if not isinstance(snap, Mapping):
+        return "a snapshot must be a dict"
+    for section in ("counters", "gauges", "histograms"):
+        entries = snap.get(section, {})
+        if not isinstance(entries, Mapping):
+            return f"{section} must be a dict"
+        for name, value in entries.items():
+            if not isinstance(name, str):
+                return f"{section} keys must be strings"
+            if section != "histograms":
+                if not _is_number(value):
+                    return f"{section}[{name!r}] must be a number"
+                continue
+            problem = _histogram_problem(value)
+            if problem is not None:
+                return f"histograms[{name!r}]: {problem}"
+    return None

@@ -436,6 +436,7 @@ class TestJournal:
             json.dumps({**record, "status": "done"}),
             json.dumps({**record, "status": "failed", "failure": None}),
             json.dumps({**record, "metrics": [1]}),
+            json.dumps({**record, "metrics": {"counters": "x"}}),
             json.dumps({**record, "result": {**record["result"],
                                              "attempts": True}}),
             json.dumps({**record, "result": {**record["result"],

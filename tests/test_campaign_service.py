@@ -51,6 +51,7 @@ from repro.campaign.service import (
     fetch_metrics,
     fetch_report,
     fetch_status,
+    follow_status,
     parse_url,
     serve_campaign,
     spawn_worker,
@@ -536,6 +537,112 @@ class TestHttpApi:
         assert journal.read_text() == lines_before  # no unit line added
         assert "svc-quick" in report
 
+    def test_follower_streams_each_unit_then_done(self, tmp_path):
+        """A ``GET /status?follow=1`` client that stays connected gets
+        the status event, one event per unit and ``done``; then the
+        stream closes and the subscriber is dropped."""
+        spec = _quick_spec(n=2)
+
+        async def body(coordinator, server, url):
+            loop = asyncio.get_event_loop()
+            coordinator.submit(spec, tmp_path / "j.jsonl")
+            follower = loop.run_in_executor(
+                None, lambda: list(follow_status(url, timeout_s=10)))
+            while not coordinator._subscribers:
+                await asyncio.sleep(0.01)
+            _drain_units(coordinator, spec)
+            events = await asyncio.wait_for(follower, 10)
+            return events, len(coordinator._subscribers)
+
+        events, subscribers = _run_server(_with_server(body))
+        kinds = [event["event"] for event in events]
+        assert kinds == ["status", "unit", "unit", "done"]
+        assert subscribers == 0
+
+    def test_abandoned_follower_is_released(self):
+        """A ``GET /status?follow=1`` client that hangs up leaves no
+        subscriber and no open connection behind within 1 s, although
+        no campaign is loaded that could ever drain."""
+
+        async def body(coordinator, server, url):
+            loop = asyncio.get_event_loop()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(b"GET /status?follow=1 HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            first = json.loads(await reader.readline())
+            # white-box: the follower's subscriber queue and connection
+            held = (len(coordinator._subscribers), len(server._connections))
+            writer.close()
+            await writer.wait_closed()
+            deadline = loop.time() + 1.0
+            while loop.time() < deadline and (
+                    coordinator._subscribers or server._connections):
+                await asyncio.sleep(0.01)
+            left = (len(coordinator._subscribers), len(server._connections))
+            return head, first, held, left
+
+        head, first, held, left = _run_server(_with_server(body))
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert first["event"] == "status"
+        assert held == (1, 1)
+        assert left == (0, 0)
+
+    def test_ill_shaped_metrics_are_refused_and_report_still_builds(
+            self, tmp_path):
+        """A record that is well-typed but for its metrics snapshot
+        (``{"counters": "x"}``) is answered ``op: error``: it adds no
+        journal line and ``GET /report`` still builds.  The same record
+        with ``metrics: null`` is then acked."""
+        from repro.campaign.engine import expand_units
+
+        spec = _quick_spec(n=2)
+        journal = tmp_path / "j.jsonl"
+        units = {unit.unit_id: unit for unit in expand_units(spec)}
+
+        async def body(coordinator, server, url):
+            loop = asyncio.get_event_loop()
+            coordinator.submit(spec, journal)
+            lines_before = journal.read_text()
+
+            def post(message):
+                return _post_worker(server.port, message)
+
+            grant = await loop.run_in_executor(None, lambda: post({
+                "op": "lease", "worker": "w",
+                "fingerprint": spec.fingerprint}))
+            unit = units[grant[1]["unit_id"]]
+            record = {"unit_id": unit.unit_id,
+                      "experiment": unit.experiment,
+                      "config_key": unit.config_key, "status": "ok",
+                      "result": {"success": True, "attempts": 1,
+                                 "effect_observed": True,
+                                 "connection_survived": True},
+                      "metrics": {"counters": "x"}}
+
+            def post_record(metrics):
+                return post({"op": "result", "worker": "w",
+                             "fingerprint": spec.fingerprint,
+                             "record": {**record, "metrics": metrics}})
+
+            refused = await loop.run_in_executor(
+                None, lambda: post_record({"counters": "x"}))
+            lines_after = journal.read_text()
+            report = await loop.run_in_executor(
+                None, lambda: fetch_report(url))
+            acked = await loop.run_in_executor(
+                None, lambda: post_record(None))
+            return refused, lines_before, lines_after, report, acked
+
+        refused, lines_before, lines_after, report, acked = \
+            _run_server(_with_server(body))
+        assert refused[0] == 200 and refused[1]["op"] == "error"
+        assert "metrics" in refused[1]["error"]
+        assert lines_after == lines_before  # no unit line added
+        assert "svc-quick" in report
+        assert acked[0] == 200 and acked[1]["op"] == "ack"
+
 
 def _post_worker(port, message):
     """One ``POST /worker`` exchange; returns (status, decoded reply)."""
@@ -642,6 +749,29 @@ def _wrong(*kinds):
     return st.one_of(*(v for k, v in choices.items() if k not in kinds))
 
 
+def _ill_shaped_snapshots():
+    """Dict snapshots :func:`merge_snapshots` could not fold."""
+    hist = {"buckets": [1.0], "counts": [0, 1], "sum": 1.0, "count": 1}
+    return st.one_of(
+        st.sampled_from(["counters", "gauges", "histograms"]).flatmap(
+            lambda section: _wrong("dict").map(lambda v: {section: v})),
+        st.sampled_from(["counters", "gauges"]).flatmap(
+            lambda section: _wrong("int", "float").map(
+                lambda v: {section: {"m": v}})),
+        _wrong("dict").map(lambda v: {"histograms": {"h": v}}),
+        st.sampled_from(["sum", "count"]).flatmap(
+            lambda key: _wrong("int", "float").map(
+                lambda v: {"histograms": {"h": {**hist, key: v}}})),
+        st.sampled_from(["buckets", "counts"]).flatmap(
+            lambda key: _wrong("list").map(
+                lambda v: {"histograms": {"h": {**hist, key: v}}})),
+        st.lists(st.integers(0, 3), max_size=4).filter(
+            lambda counts: len(counts) != 2).map(
+            lambda counts: {"histograms": {"h": {**hist,
+                                                 "counts": counts}}}),
+    )
+
+
 def _ill_typed_records(unit_id, experiment, config_key):
     good = {"unit_id": unit_id, "experiment": experiment,
             "config_key": config_key, "status": "ok",
@@ -666,6 +796,7 @@ def _ill_typed_records(unit_id, experiment, config_key):
             lambda v: {**good, "status": "failed", "result": None,
                        "failure": v}),
         _wrong("dict", "none").map(lambda v: {**good, "metrics": v}),
+        _ill_shaped_snapshots().map(lambda v: {**good, "metrics": v}),
         st.text(max_size=8).filter(lambda t: t != experiment).map(
             lambda v: {**good, "experiment": v}),
         st.text(max_size=8).filter(lambda t: t != config_key).map(

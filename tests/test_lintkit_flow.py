@@ -1,4 +1,4 @@
-"""Tests for repro.lintkit.flow — call graph, effects, cache, CLI.
+"""Tests for repro.lintkit.flow — call graph, effects, one walk, CLI.
 
 Four layers:
 
@@ -10,14 +10,17 @@ Four layers:
   flow-finding shape, messages and the ``flow`` stats block cannot drift.
 * **Call-graph units**: method dispatch, closures, re-exports and
   spawn/executor edge kinds on synthetic trees.
-* **Cache + CLI**: ``flow_tree_token`` invalidation, warm-load via
-  ``run_lint(flow_cache=...)``, and the ``--prune-baseline`` flag.
+* **One pass per run**: each module is walked once, the graph is built
+  only for flow checkers and afresh by every run; the
+  ``--prune-baseline`` flag.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,12 +33,7 @@ from repro.lintkit import (
     save_baseline,
 )
 from repro.lintkit.engine import load_project
-from repro.lintkit.flow import attach_analysis, ensure_analysis
-from repro.lintkit.flow.cache import (
-    flow_tree_token,
-    load_graph,
-    store_graph,
-)
+from repro.lintkit.flow import ensure_analysis
 from repro.lintkit.flow.graph import build_graph
 
 FLOW_FIXTURES = Path(__file__).parent / "data" / "lintkit" / "flow"
@@ -131,7 +129,6 @@ class TestGoldenFlowReport:
 
     def test_golden_reports_flow_stats(self):
         doc = json.loads(GOLDEN_BLOCKING.read_text())
-        assert doc["flow"]["source"] == "built"
         assert doc["flow"]["functions"] > 0
         assert doc["flow"]["edges"] > 0
 
@@ -300,128 +297,55 @@ class TestCallGraph:
         assert "svc.py:hop" not in blocking
 
 
-class TestFlowCache:
-    def test_store_load_roundtrip(self, tmp_path):
+class TestOnePassPerRun:
+    def test_run_lint_walks_each_module_once(self, monkeypatch):
+        """Checkers and the graph builder share one walk per module.
+
+        Any walk of a whole module — ``ast.walk(module.tree)`` or a
+        hand-rolled one — lists the module node's children, so counting
+        ``ast.iter_child_nodes`` calls on ``ast.Module`` nodes counts the
+        walks (``ast.walk`` calls it through the patched global too)."""
+        walked = []
+        real_children = ast.iter_child_nodes
+
+        def counting_children(node):
+            if isinstance(node, ast.Module):
+                walked.append(node)
+            return real_children(node)
+
+        monkeypatch.setattr(ast, "iter_child_nodes", counting_children)
+        report = run_lint()
+        counts = Counter(id(tree) for tree in walked)
+        assert len(counts) == report.files_checked
+        assert set(counts.values()) == {1}
+        assert report.flow is not None
+
+    def test_next_run_sees_a_source_edit(self, tmp_path):
         tree = _write_tree(tmp_path / "tree", {
             "mod.py": '"""M."""\n\n\ndef f():\n    """F."""\n    return 1\n',
         })
-        graph = build_graph(load_project(tree))
-        cache = tmp_path / "cache"
-        token = flow_tree_token(tree)
-        assert load_graph(cache, token) is None
-        store_graph(cache, token, graph)
-        loaded = load_graph(cache, token)
-        assert loaded is not None
-        assert loaded.to_dict() == graph.to_dict()
-
-    def test_token_changes_when_source_changes(self, tmp_path):
-        tree = _write_tree(tmp_path / "tree", {
-            "mod.py": '"""M."""\n\n\ndef f():\n    """F."""\n    return 1\n',
-        })
-        before = flow_tree_token(tree)
-        (tree / "mod.py").write_text(
-            '"""M."""\n\n\ndef f():\n    """F."""\n    return 2\n')
-        after = flow_tree_token(tree)
-        assert before != after
-        graph = build_graph(load_project(tree))
-        cache = tmp_path / "cache"
-        store_graph(cache, after, graph)
-        # The pre-edit token must not resolve to the post-edit graph.
-        assert load_graph(cache, before) is None
-
-    @pytest.mark.parametrize(
-        "rel",
-        ["sim/medium.py", "lintkit/engine.py", "analysis/report.py", "cli.py"],
-        ids=["sim", "lintkit", "analysis", "cli"],
-    )
-    def test_edit_to_any_py_file_changes_token(self, tmp_path, rel):
-        """Lint, analysis and CLI sources are analysed, so they key too."""
-        tree = _write_tree(tmp_path / "tree", {
-            "sim/medium.py": "X = 1\n",
-            "lintkit/engine.py": "Y = 2\n",
-            "analysis/report.py": "Z = 3\n",
-            "cli.py": "W = 4\n",
-        })
-        before = flow_tree_token(tree)
-        (tree / rel).write_text("EDITED = 99\n")
-        assert flow_tree_token(tree) != before
-
-    def test_source_edit_invalidates_cached_graph(self, tmp_path):
-        """End to end: a graph cached before an edit is never replayed."""
-        tree = _write_tree(tmp_path / "tree", {
-            "mod.py": '"""M."""\n\n\ndef f():\n    """F."""\n    return 1\n',
-        })
-        cache = tmp_path / "cache"
-        assert run_lint(tree, flow_cache=cache).flow.source == "built"
+        assert run_lint(tree).flow.functions == 1
         (tree / "mod.py").write_text(
             '"""M."""\n\n\ndef f():\n    """F."""\n    return 1\n\n\n'
             'def g():\n    """G."""\n    return f()\n')
-        after = run_lint(tree, flow_cache=cache)
-        assert after.flow is not None and after.flow.source == "built"
-        assert after.flow.functions == 2
+        after = run_lint(tree)
+        assert after.flow is not None and after.flow.functions == 2
 
-    def test_token_changes_when_a_file_is_added(self, tmp_path):
-        tree = _write_tree(tmp_path / "tree", {"mod.py": "X = 1\n"})
-        before = flow_tree_token(tree)
-        (tree / "extra.py").write_text("")
-        assert flow_tree_token(tree) != before
-
-    def test_schema_version_is_significant(self, tmp_path, monkeypatch):
-        import repro.lintkit.flow.cache as flow_cache
-
-        tree = _write_tree(tmp_path / "tree", {"mod.py": "X = 1\n"})
-        before = flow_tree_token(tree)
-        monkeypatch.setattr(flow_cache, "FLOW_SCHEMA_VERSION",
-                            flow_cache.FLOW_SCHEMA_VERSION + 1)
-        assert flow_tree_token(tree) != before
-
-    def test_corrupt_cache_file_is_a_miss(self, tmp_path):
-        tree = _write_tree(tmp_path / "tree", {
-            "mod.py": '"""M."""\n\n\ndef f():\n    """F."""\n    return 1\n',
-        })
-        cache = tmp_path / "cache"
-        token = flow_tree_token(tree)
-        store_graph(cache, token, build_graph(load_project(tree)))
-        (payload,) = list(cache.glob("graph-*.json"))
-        payload.write_text("{not json")
-        assert load_graph(cache, token) is None
-
-    def test_run_lint_warm_load_reports_cache_source(self, tmp_path):
-        tree = _write_tree(tmp_path / "tree", {
-            "mod.py": '"""M."""\n\n\ndef f():\n    """F."""\n    return 1\n',
-        })
-        cache = tmp_path / "cache"
-        cold = run_lint(tree, flow_cache=cache)
-        warm = run_lint(tree, flow_cache=cache)
-        assert cold.flow is not None and cold.flow.source == "built"
-        assert warm.flow is not None and warm.flow.source == "cache"
-        assert warm.flow.functions == cold.flow.functions
-        assert warm.flow.edges == cold.flow.edges
-
-    def test_attach_analysis_memoised_on_project(self, tmp_path):
+    def test_ensure_analysis_memoised_on_project(self, tmp_path):
         tree = _write_tree(tmp_path / "tree", {
             "mod.py": '"""M."""\n\n\ndef f():\n    """F."""\n    return 1\n',
         })
         project = load_project(tree)
-        first = attach_analysis(project)
-        second = attach_analysis(project)
+        first = ensure_analysis(project)
+        second = ensure_analysis(project)
         assert first is second
 
-
-class TestNoFlowMode:
-    def test_no_flow_skips_flow_checkers(self):
+    def test_syntactic_checkers_do_not_build_the_graph(self):
         tree = FLOW_FIXTURES / "blocking" / "bad"
-        report = run_lint(tree, flow=False)
+        report = run_lint(tree, checkers=[checker_index()["magic-number"]])
         assert report.flow is None
         assert not any(f.checker == "blocking-in-async"
                        for f in report.findings)
-
-    def test_cli_no_flow_flag(self, capsys):
-        tree = FLOW_FIXTURES / "blocking" / "bad"
-        code = main(["lint", "--root", str(tree), "--no-flow",
-                     "--baseline", str(tree / "absent.json")])
-        assert code == 0
-        assert "flow:" not in capsys.readouterr().out
 
 
 class TestPruneBaseline:
@@ -448,7 +372,7 @@ class TestPruneBaseline:
         }
         baseline_path.write_text(json.dumps(doc))
 
-        code = main(["lint", "--root", str(tree), "--no-flow-cache",
+        code = main(["lint", "--root", str(tree),
                      "--baseline", str(baseline_path), "--prune-baseline"])
         out = capsys.readouterr().out
         assert code == 0
@@ -468,7 +392,7 @@ class TestPruneBaseline:
         report = run_lint(tree)
         save_baseline(baseline_path, report.findings, reason="reviewed")
         before = baseline_path.read_text()
-        code = main(["lint", "--root", str(tree), "--no-flow-cache",
+        code = main(["lint", "--root", str(tree),
                      "--baseline", str(baseline_path), "--prune-baseline"])
         capsys.readouterr()
         assert code == 0
@@ -484,7 +408,7 @@ class TestPruneBaseline:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(lintkit, "default_package_root",
                             lambda: tmp_path / "src" / "repro")
-        code = main(["lint", "--root", str(tree), "--no-flow-cache",
+        code = main(["lint", "--root", str(tree),
                      "--prune-baseline"])
         assert code == 2
         assert "baseline" in capsys.readouterr().err
@@ -507,7 +431,7 @@ class TestPruneBaseline:
             "snippet": "fixed long ago", "reason": "stale",
         }
         baseline_path.write_text(json.dumps(doc))
-        code = main(["lint", "--root", str(tree), "--no-flow-cache",
+        code = main(["lint", "--root", str(tree),
                      "--baseline", str(baseline_path)])
         capsys.readouterr()
         assert code == 0
