@@ -30,42 +30,42 @@ See ``examples/`` for complete scripts and ``repro claims EXPERIMENTS.md``
 (:mod:`repro.claims`) for the reproduction of every evaluation figure.
 """
 
-from repro.core.attacker import Attacker
-from repro.core.injection import InjectionConfig, InjectionOutcome, InjectionReport
-from repro.core.scenarios import (
-    IllegitimateUseScenario,
-    MasterHijackScenario,
-    MitmScenario,
-    SlaveHijackScenario,
-)
-from repro.devices import Keyfob, Lightbulb, Smartphone, Smartwatch
-from repro.ll.master import MasterLinkLayer
-from repro.ll.pdu.address import BdAddress
-from repro.ll.slave import SlaveLinkLayer
-from repro.sim.medium import Medium
-from repro.sim.simulator import Simulator
-from repro.sim.topology import Topology
+from importlib import import_module
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Attacker",
-    "BdAddress",
-    "IllegitimateUseScenario",
-    "InjectionConfig",
-    "InjectionOutcome",
-    "InjectionReport",
-    "Keyfob",
-    "Lightbulb",
-    "MasterHijackScenario",
-    "MasterLinkLayer",
-    "Medium",
-    "MitmScenario",
-    "Simulator",
-    "SlaveHijackScenario",
-    "SlaveLinkLayer",
-    "Smartphone",
-    "Smartwatch",
-    "Topology",
-    "__version__",
-]
+#: Public name -> defining module.  The names resolve on first access
+#: (PEP 562), so ``import repro`` (and with it every ``repro`` command)
+#: loads neither numpy nor the simulator until something asks for them.
+_EXPORTS = {
+    "Attacker": "repro.core.attacker",
+    "BdAddress": "repro.ll.pdu.address",
+    "IllegitimateUseScenario": "repro.core.scenarios",
+    "InjectionConfig": "repro.core.injection",
+    "InjectionOutcome": "repro.core.injection",
+    "InjectionReport": "repro.core.injection",
+    "Keyfob": "repro.devices",
+    "Lightbulb": "repro.devices",
+    "MasterHijackScenario": "repro.core.scenarios",
+    "MasterLinkLayer": "repro.ll.master",
+    "Medium": "repro.sim.medium",
+    "MitmScenario": "repro.core.scenarios",
+    "Simulator": "repro.sim.simulator",
+    "SlaveHijackScenario": "repro.core.scenarios",
+    "SlaveLinkLayer": "repro.ll.slave",
+    "Smartphone": "repro.devices",
+    "Smartwatch": "repro.devices",
+    "Topology": "repro.sim.topology",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    """Import the module defining public name ``name`` on first access."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

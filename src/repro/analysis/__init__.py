@@ -1,32 +1,7 @@
-"""Statistics and text rendering for experiment results."""
+"""Statistics and text rendering for experiment results.
 
-from repro.analysis.stats import BoxStats, box_stats
-from repro.analysis.reporting import (
-    render_distribution_table,
-    render_metrics_table,
-    render_roc_table,
-    render_series,
-)
-from repro.analysis.roc import (
-    auc,
-    false_positive_rate,
-    latency_curve,
-    quantile,
-    roc_points,
-    true_positive_rate,
-)
-
-__all__ = [
-    "BoxStats",
-    "auc",
-    "box_stats",
-    "false_positive_rate",
-    "latency_curve",
-    "quantile",
-    "render_distribution_table",
-    "render_metrics_table",
-    "render_roc_table",
-    "render_series",
-    "roc_points",
-    "true_positive_rate",
-]
+Import from the submodules: :mod:`~repro.analysis.stats` (box
+statistics), :mod:`~repro.analysis.roc` (ROC/AUC arithmetic),
+:mod:`~repro.analysis.reporting` (text tables) and
+:mod:`~repro.analysis.packets` (capture dissection).
+"""

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.telemetry.metrics import snapshot_problem
+from repro.telemetry.metrics import merge_snapshots
 
 #: Bump when the journal schema changes incompatibly.
 JOURNAL_VERSION = 1
@@ -157,10 +157,9 @@ def record_from_payload(obj: Dict[str, Any]) -> UnitRecord:
     ship records over the wire as the same payload they would journal —
     one parsing path keeps a streamed-and-merged journal byte-identical
     to a locally written one.  Raises :class:`ConfigurationError` for a
-    record the report could not fold: every field must have the type
-    :func:`repro.campaign.engine.unit_record` gives it, and ``metrics``
-    must be null or a well-formed telemetry snapshot
-    (:func:`repro.telemetry.metrics.snapshot_problem`).
+    record whose fields lack the types
+    :func:`repro.campaign.engine.unit_record` gives them; its ``metrics``
+    are checked as they are folded (:func:`fold_metrics`).
     """
     unit_id = obj.get("unit_id")
     if not isinstance(unit_id, str) or not unit_id:
@@ -180,10 +179,6 @@ def record_from_payload(obj: Dict[str, Any]) -> UnitRecord:
             else "a failed record needs a failure dict"
     else:
         problem = f"status must be 'ok' or 'failed', not {status!r}"
-    if problem is None and metrics is not None:
-        problem = snapshot_problem(metrics)
-        if problem is not None:
-            problem = f"metrics: {problem}"
     if problem is not None:
         raise ConfigurationError(f"unit record {unit_id!r}: {problem}")
     return UnitRecord(
@@ -195,6 +190,17 @@ def record_from_payload(obj: Dict[str, Any]) -> UnitRecord:
         failure=failure,
         metrics=metrics,
     )
+
+
+def fold_metrics(total: Dict[str, Any], record: UnitRecord) -> Dict[str, Any]:
+    """``total`` (the merged metrics of the records kept so far) with
+    ``record``'s folded in; :class:`ConfigurationError` if they do not
+    merge, so a journal never keeps a record its report cannot fold."""
+    try:
+        return merge_snapshots([total, record.metrics])
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"unit record {record.unit_id!r}: metrics: {exc}") from None
 
 
 def _result_problem(result: Any) -> Optional[str]:
@@ -227,6 +233,7 @@ def read_journal(path: Union[str, Path]) -> Tuple[
         raise ConfigurationError(f"cannot read journal {path}: {exc}") from exc
     header: Optional[Dict[str, Any]] = None
     records: Dict[str, UnitRecord] = {}
+    metrics: Dict[str, Any] = {}
     runs = 0
     for lineno, line in enumerate(lines):
         if not line.strip():
@@ -259,6 +266,7 @@ def read_journal(path: Union[str, Path]) -> Tuple[
                 continue
             try:
                 records[unit_id] = record_from_payload(obj)
+                metrics = fold_metrics(metrics, records[unit_id])
             except ConfigurationError as exc:
                 raise ConfigurationError(
                     f"journal {path} line {lineno + 1}: {exc}") from None

@@ -7,11 +7,12 @@ correctness keystone — the **single** :class:`~repro.campaign.journal.
 JournalWriter`.  Workers stream per-unit results in over the wire; the
 coordinator deduplicates them first-wins (a stolen-and-raced unit is
 journaled exactly once) and appends them to the same crash-tolerant
-JSONL file ``repro campaign run`` writes, after the same type checks
-the journal reader applies (:func:`~repro.campaign.journal.
-record_from_payload`).  Report rendering stays a
-pure function of that journal, so the PR 5 property — kill anything
-mid-run, resume, byte-identical report — carries over verbatim to the
+JSONL file ``repro campaign run`` writes, after the same checks the
+journal reader applies (:func:`~repro.campaign.journal.
+record_from_payload`, then :func:`~repro.campaign.journal.fold_metrics`
+into the metrics kept so far).  Report rendering stays a pure function
+of that journal, so the resume property — kill anything mid-run,
+resume, byte-identical report — carries over verbatim to the
 distributed path.
 
 Wall-clock reads here are scheduling plumbing only (lease deadlines,
@@ -34,17 +35,16 @@ from repro.campaign.engine import (
     open_journal,
     units_by_id,
 )
-from repro.campaign.journal import JournalWriter, record_from_payload
-from repro.campaign.report import (
-    build_report,
-    report_dict,
-    render_status,
-    status_dict,
+from repro.campaign.journal import (
+    JournalWriter,
+    fold_metrics,
+    record_from_payload,
 )
+from repro.campaign.report import build_report, report_dict, status_dict
 from repro.campaign.service.queue import LeaseQueue
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigurationError, ServiceError
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
 
 #: Buckets for the lease-latency histogram (seconds, grant → result).
 LEASE_LATENCY_BUCKETS = (0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0, 600.0)
@@ -63,6 +63,9 @@ class ActiveCampaign:
     queue: LeaseQueue
     writer: JournalWriter
     journal_path: Path
+    #: Merged telemetry of every journaled record; a result whose
+    #: metrics do not fold into it is refused.
+    metrics: Dict[str, Any]
 
     @property
     def complete(self) -> bool:
@@ -155,7 +158,8 @@ class Coordinator:
             queue=LeaseQueue(pending,
                              lease_timeout_s=self.lease_timeout_s,
                              steal_after_s=self.steal_after_s),
-            writer=writer, journal_path=Path(journal_path))
+            writer=writer, journal_path=Path(journal_path),
+            metrics=merge_snapshots(r.metrics for r in records.values()))
         if self._campaign.complete:  # resumed an already-finished journal
             self._notify_complete()
         return state
@@ -210,6 +214,7 @@ class Coordinator:
             self._m_stale.inc()
             return {"op": "error", "error": "stale campaign fingerprint"}
         record = record_from_payload(payload)
+        metrics = fold_metrics(campaign.metrics, record)
         unit = campaign.units.get(record.unit_id)
         if unit is None:
             raise ServiceError(
@@ -226,6 +231,7 @@ class Coordinator:
             self._m_duplicate.inc()
             return {"op": "ack", "duplicate": True,
                     "done": campaign.complete}
+        campaign.metrics = metrics
         campaign.state.records[record.unit_id] = record
         campaign.writer.record_unit(record)
         self._m_completed.inc()
@@ -287,12 +293,6 @@ class Coordinator:
         if self._campaign is None:
             raise ServiceError("no campaign loaded")
         return report_dict(self._campaign.state)
-
-    def status_text(self) -> str:
-        """The short text status of the active campaign."""
-        if self._campaign is None:
-            raise ServiceError("no campaign loaded")
-        return render_status(self._campaign.state)
 
     def subscribe(self, queue: Any) -> None:
         """Attach an event sink (an ``asyncio.Queue``-alike with

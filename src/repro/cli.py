@@ -21,8 +21,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.reporting import render_distribution_table, render_series
-
 #: CLI shorthand → display names used by the scenario/device registries.
 SCENARIO_KEYS = {"a": "A (use feature)", "b": "B (slave hijack)",
                  "c": "C (master hijack)", "d": "D (MitM)"}
@@ -68,6 +66,7 @@ def _run_panel(args: argparse.Namespace, **kwargs):
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import render_distribution_table
     from repro.experiments.common import attempts_of, success_rate
 
     results = _run_panel(args, jobs=args.jobs)
@@ -89,6 +88,7 @@ def _report_occupancy(args: argparse.Namespace, results) -> int:
     """The occupancy sweep reports a success-vs-load curve, not a 100%
     floor — dense-RF worlds are *expected* to defeat some injections, so
     the exit code reflects completion rather than worst-case success."""
+    from repro.analysis.reporting import render_series
     from repro.experiments.dense import summarize_occupancy
 
     print(render_series(
@@ -115,6 +115,7 @@ def _report_defense(args: argparse.Namespace, results) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import render_series
     from repro.experiments.scenarios import DEVICES, SCENARIOS
 
     runner = SCENARIOS[SCENARIO_KEYS[args.which]]
@@ -200,6 +201,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_crack(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import render_series
     from repro.core.attacker import Attacker
     from repro.core.cracker import PairingSniffer, SessionCracker
     from repro.devices import Lightbulb, Smartphone
@@ -301,53 +303,9 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.lintkit import (
-        default_package_root,
-        load_baseline,
-        prune_baseline,
-        run_lint,
-        save_baseline,
-    )
+    from repro.lintkit import run_lint
 
-    root = Path(args.root) if args.root else default_package_root()
-
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is None:
-        # Conventional locations: the working directory (running from a
-        # checkout) or the repository root above an editable src/ install.
-        from repro.lintkit.baseline import BASELINE_FILENAME
-
-        candidates = [
-            Path.cwd() / BASELINE_FILENAME,
-            default_package_root().parent.parent / BASELINE_FILENAME,
-        ]
-        for candidate in candidates:
-            if candidate.exists():
-                baseline_path = candidate
-                break
-
-    baseline = load_baseline(baseline_path) if baseline_path else None
-    report = run_lint(root=root, baseline=baseline)
-
-    if args.prune_baseline:
-        if baseline is None:
-            print("error: --prune-baseline needs a baseline file "
-                  "(none found; pass --baseline)", file=sys.stderr)
-            return 2
-        removed = prune_baseline(baseline, report.stale_baseline)
-        report.stale_baseline = []
-        print(f"pruned {removed} stale baseline entr"
-              f"{'y' if removed == 1 else 'ies'} from {baseline.path}")
-
-    if args.write_baseline:
-        target = baseline_path or Path.cwd() / "lint-baseline.json"
-        merged = report.findings + report.baselined
-        save_baseline(target, merged, reason="grandfathered via "
-                      "`repro lint --write-baseline`")
-        print(f"wrote {len(merged)} baseline entr"
-              f"{'y' if len(merged) == 1 else 'ies'} to {target}")
-        return 0
-
+    report = run_lint(root=Path(args.root) if args.root else None)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -392,6 +350,8 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 def _render_remote_status(payload: dict) -> str:
     """Text rendering of the service's ``GET /status`` payload."""
+    from repro.analysis.reporting import render_series
+
     campaign = payload.get("campaign")
     service = payload.get("service", {})
     if not campaign:
@@ -474,6 +434,7 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_submit(args: argparse.Namespace) -> int:
     """``campaign submit``: POST a spec to a running service."""
+    from repro.analysis.reporting import render_series
     from repro.campaign import CampaignSpec
     from repro.campaign.service import submit_campaign
 
@@ -848,21 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the project's determinism/invariant static analysis")
     lint.add_argument("--format", choices=("text", "json"), default="text",
-                      help="report format (json includes baselined and "
-                           "inline-waived findings)")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline file of grandfathered findings "
-                           "(default: lint-baseline.json in the working "
-                           "directory or the repository root)")
+                      help="report format (json includes inline-waived "
+                           "findings)")
     lint.add_argument("--root", default=None,
                       help="directory tree to lint (default: the installed "
                            "repro package)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="grandfather every current finding into the "
-                           "baseline file instead of failing on them")
-    lint.add_argument("--prune-baseline", action="store_true",
-                      help="drop stale fingerprints from the baseline "
-                           "file instead of only reporting them")
     lint.set_defaults(func=_cmd_lint)
     return parser
 

@@ -155,8 +155,9 @@ class BtleJackHijack:
         if not self.radio.is_transmitting(self.sim.now):
             self.radio.transmit(_JAM_AA, _JAM_PDU, 0x000000, channel)
             self.jam_frames += 1
-            self.sim.trace.record(self.sim.now, self.radio.name, "jam",
-                                  channel=channel)
+            if self.sim.trace.enabled:
+                self.sim.trace.record(self.sim.now, self.radio.name, "jam",
+                                      channel=channel)
         self._arm_next_event()
 
     def _window_closed(self) -> None:

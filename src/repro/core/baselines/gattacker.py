@@ -18,13 +18,10 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.devices.base import SimulatedPeripheral
-from repro.host.att.pdus import WriteCmd, WriteReq, decode_att_pdu
 from repro.host.gatt.attributes import Characteristic, Service
 from repro.host.gatt.server import GattServer
-from repro.host.l2cap import CID_ATT, l2cap_decode, l2cap_encode
 from repro.host.stack import CentralHost, PeripheralHost
 from repro.ll.master import MasterLinkLayer
 from repro.ll.pdu.address import BdAddress
@@ -124,9 +121,10 @@ class GattackerMitm:
             return
         self.proxy.att.write(original_char.value_handle, value)
         self.result.forwarded_writes += 1
-        self.sim.trace.record(self.sim.now, self.clone_ll.name,
-                              "spoof-forward-write",
-                              uuid=original_char.uuid)
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.clone_ll.name,
+                                  "spoof-forward-write",
+                                  uuid=original_char.uuid)
 
     # ------------------------------------------------------------------
     # Phases
@@ -138,8 +136,9 @@ class GattackerMitm:
 
     def _on_central_captured(self) -> None:
         self.result.central_captured = True
-        self.sim.trace.record(self.sim.now, self.clone_ll.name,
-                              "spoof-central-captured")
+        if self.sim.trace.enabled:
+            self.sim.trace.record(self.sim.now, self.clone_ll.name,
+                                  "spoof-central-captured")
         # Connect to the real device for forwarding (it may still be
         # advertising since the victim Central never reached it).
         if not self.proxy_ll.is_connected:

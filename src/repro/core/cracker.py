@@ -20,7 +20,7 @@ Just Works in the attacker's presence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.sniffer import SniffedEvent

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from repro.core.state import SniffedConnection
 from repro.errors import HijackError
-from repro.host.l2cap import CID_ATT, l2cap_decode, l2cap_encode
+from repro.host.l2cap import CID_ATT, l2cap_encode
 from repro.ll.pdu.data import LLID, DataPdu
 from repro.ll.pdu.frame import compute_crc, verify_crc
 from repro.ll.timing import window_widening_us

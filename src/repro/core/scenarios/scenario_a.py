@@ -11,7 +11,7 @@ Slave frame the success heuristic inspects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.attacker import Attacker
@@ -87,12 +87,6 @@ class IllegitimateUseScenario:
                     ) -> None:
         """Inject a Read Request; the result carries the Read Response."""
         self._run(self.read_request_payload(handle), on_done)
-
-    def inject_raw_att(self, att_bytes: bytes,
-                       on_done: Optional[Callable[[ScenarioAResult], None]] = None
-                       ) -> None:
-        """Inject arbitrary ATT bytes (any request the target supports)."""
-        self._run(l2cap_encode(CID_ATT, att_bytes), on_done)
 
     def _run(self, payload: bytes,
              on_done: Optional[Callable[[ScenarioAResult], None]]) -> None:

@@ -212,10 +212,11 @@ class MitmScenario:
             forwarded = self.master_to_slave(l2cap_frame)
         if forwarded is not None and self.fake_master is not None:
             self.fake_master.queue_l2cap(forwarded)
-            self.attacker.sim.trace.record(
-                self.attacker.sim.now, self.attacker.name, "mitm-relay",
-                direction="m->s", mutated=forwarded != l2cap_frame,
-            )
+            if self.attacker.sim.trace.enabled:
+                self.attacker.sim.trace.record(
+                    self.attacker.sim.now, self.attacker.name, "mitm-relay",
+                    direction="m->s", mutated=forwarded != l2cap_frame,
+                )
 
     def _relay_slave_to_master(self, l2cap_frame: bytes) -> None:
         forwarded: Optional[bytes] = l2cap_frame
@@ -223,10 +224,11 @@ class MitmScenario:
             forwarded = self.slave_to_master(l2cap_frame)
         if forwarded is not None and self.fake_slave is not None:
             self.fake_slave.queue_l2cap(forwarded)
-            self.attacker.sim.trace.record(
-                self.attacker.sim.now, self.attacker.name, "mitm-relay",
-                direction="s->m", mutated=forwarded != l2cap_frame,
-            )
+            if self.attacker.sim.trace.enabled:
+                self.attacker.sim.trace.record(
+                    self.attacker.sim.now, self.attacker.name, "mitm-relay",
+                    direction="s->m", mutated=forwarded != l2cap_frame,
+                )
 
     def _finish(self, result: ScenarioDResult) -> None:
         if self._on_done is not None:

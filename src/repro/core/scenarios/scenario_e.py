@@ -15,7 +15,7 @@ implementing HID over GATT".  This module implements exactly that chain:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.attacker import Attacker

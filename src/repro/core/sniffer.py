@@ -30,7 +30,6 @@ from repro.ll.pdu.advertising import ConnectReq, decode_advertising_pdu
 from repro.ll.pdu.control import (
     ChannelMapInd,
     ClockAccuracyReq,
-    ClockAccuracyRsp,
     ConnectionUpdateInd,
     PhyUpdateInd,
     TerminateInd,
@@ -39,7 +38,7 @@ from repro.ll.pdu.control import (
 from repro.ll.pdu.data import DataPdu
 from repro.ll.pdu.frame import verify_crc
 from repro.ll.timing import transmit_window
-from repro.phy.crc import ADVERTISING_CRC_INIT, crc24, reverse_crc24_init
+from repro.phy.crc import ADVERTISING_CRC_INIT, reverse_crc24_init
 from repro.phy.signal import RadioFrame
 from repro.sim.clock import SCA_FIELD_PPM
 from repro.sim.events import Event

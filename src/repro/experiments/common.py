@@ -8,7 +8,7 @@ paper's Figure 9 box-plots show over 25 connections per configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 

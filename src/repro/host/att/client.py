@@ -11,12 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from repro.errors import HostError
 from repro.host.att.pdus import (
     AttPdu,
-    ErrorRsp,
-    ExchangeMtuReq,
-    FindInformationReq,
     HandleValueCfm,
     HandleValueInd,
     HandleValueNtf,
@@ -62,11 +58,6 @@ class AttClient:
         else:
             self._queue.append((pdu_bytes, callback))
 
-    def exchange_mtu(self, mtu: int = 23,
-                     callback: Optional[ResponseCallback] = None) -> None:
-        """Send Exchange MTU Request."""
-        self._submit(ExchangeMtuReq(mtu).to_bytes(), callback or (lambda _: None))
-
     def read(self, handle: int, callback: ResponseCallback) -> None:
         """Send Read Request for ``handle``."""
         self._submit(ReadReq(handle).to_bytes(), callback)
@@ -80,11 +71,6 @@ class AttClient:
                            end: int = 0xFFFF, uuid: int = 0x2800) -> None:
         """Send Read By Group Type Request (primary service discovery)."""
         self._submit(ReadByGroupTypeReq(start, end, uuid).to_bytes(), callback)
-
-    def find_information(self, start: int, end: int,
-                         callback: ResponseCallback) -> None:
-        """Send Find Information Request."""
-        self._submit(FindInformationReq(start, end).to_bytes(), callback)
 
     def write(self, handle: int, value: bytes,
               callback: Optional[ResponseCallback] = None) -> None:

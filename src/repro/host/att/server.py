@@ -9,7 +9,7 @@ simulated lightbulb off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import AttError as AttException

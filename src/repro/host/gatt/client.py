@@ -8,14 +8,12 @@ from typing import Callable, Optional
 from repro.host.att.client import AttClient
 from repro.host.att.pdus import (
     AttPdu,
-    ErrorRsp,
-    FindInformationRsp,
     ReadByGroupTypeRsp,
     ReadByTypeRsp,
     ReadRsp,
     WriteRsp,
 )
-from repro.host.gatt.uuids import UUID_CCCD, UUID_CHARACTERISTIC
+from repro.host.gatt.uuids import UUID_CHARACTERISTIC
 
 
 @dataclass

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 from repro.errors import HostError
 from repro.host.att.pdus import HandleValueInd, HandleValueNtf
-from repro.host.att.server import AttributeDb, AttServer, Attribute
+from repro.host.att.server import AttributeDb, AttServer
 from repro.host.gatt.attributes import Characteristic, Service
 from repro.host.gatt.uuids import (
     UUID_CCCD,

@@ -15,10 +15,11 @@ cannot express:
   reference (they must survive the pickle hop from worker processes).
 
 ``repro.lintkit`` encodes each invariant as an AST checker over the
-package's own source.  Findings can be *grandfathered* via a committed
-baseline file (``lint-baseline.json``) so the gate only fails on **new**
-violations, and individual lines can be waived inline with
-``# lint-ok: <checker-id> <reason>``.
+package's own source (plus ``unused-import``, which keeps dead imports
+out).  The one way to silence a finding is an inline waiver on its line,
+``# lint-ok: <checker-id> <reason>``; a waiver that names no registered
+checker, gives no reason or waives nothing is itself a ``waiver``
+finding.
 
 Programmatic use::
 
@@ -27,12 +28,6 @@ Programmatic use::
     assert not report.findings
 """
 
-from repro.lintkit.baseline import (
-    Baseline,
-    load_baseline,
-    prune_baseline,
-    save_baseline,
-)
 from repro.lintkit.checkers import ALL_CHECKERS, checker_index
 from repro.lintkit.engine import (
     FlowStats,
@@ -42,11 +37,10 @@ from repro.lintkit.engine import (
     default_package_root,
     run_lint,
 )
-from repro.lintkit.findings import Finding, fingerprint_findings
+from repro.lintkit.findings import Finding
 
 __all__ = [
     "ALL_CHECKERS",
-    "Baseline",
     "Finding",
     "FlowStats",
     "LintReport",
@@ -54,9 +48,5 @@ __all__ = [
     "Project",
     "checker_index",
     "default_package_root",
-    "fingerprint_findings",
-    "load_baseline",
-    "prune_baseline",
     "run_lint",
-    "save_baseline",
 ]

@@ -20,6 +20,7 @@ from repro.lintkit.checkers.flow import (
     ProtocolConformanceChecker,
     RngFlowChecker,
 )
+from repro.lintkit.checkers.imports import UnusedImportChecker
 from repro.lintkit.checkers.perf import MissingSlotsChecker, TelemetryGuardChecker
 from repro.lintkit.checkers.process_safety import ResultCaptureChecker
 from repro.lintkit.checkers.spec import MagicNumberChecker
@@ -36,6 +37,7 @@ ALL_CHECKERS = (
     TelemetryGuardChecker(),
     ResultCaptureChecker(),
     MissingDocstringChecker(),
+    UnusedImportChecker(),
     BlockingInAsyncChecker(),
     RngFlowChecker(),
     ErrorTaxonomyChecker(),
@@ -44,7 +46,7 @@ ALL_CHECKERS = (
 
 
 def checker_index() -> Dict[str, Checker]:
-    """Checker id -> instance, for docs and the CLI ``--select`` option."""
+    """Checker id -> instance, for docs and waiver parsing."""
     return {checker.id: checker for checker in ALL_CHECKERS}
 
 
@@ -63,5 +65,6 @@ __all__ = [
     "RngFlowChecker",
     "SetIterationChecker",
     "TelemetryGuardChecker",
+    "UnusedImportChecker",
     "checker_index",
 ]

@@ -58,15 +58,6 @@ def enclosing_function(
     return None
 
 
-def enclosing_class(module: ModuleSource,
-                    node: ast.AST) -> Optional[ast.ClassDef]:
-    """The innermost enclosing class node, or ``None``."""
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, ast.ClassDef):
-            return ancestor
-    return None
-
-
 def test_mentions_enabled(test: ast.AST) -> bool:
     """Whether an ``if`` test involves an ``.enabled`` flag (or bare name)."""
     for sub in ast.walk(test):

@@ -12,7 +12,7 @@ Two contracts from the perf PRs are load-bearing enough to enforce:
   ``.enabled`` attribute check, and ``trace.record(...)`` call sites in hot
   packages are guarded by ``trace.enabled`` so a disabled trace costs no
   kwargs-dict allocation (the benchmark suite asserts the disabled path
-  stays within 2% of the un-instrumented baseline).
+  stays within 2% of an un-instrumented run).
 """
 
 from __future__ import annotations

@@ -1,20 +1,20 @@
-"""Lint engine: walk a source tree, run checkers, apply the baseline."""
+"""Lint engine: walk a source tree, run checkers, apply inline waivers."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.lintkit.baseline import Baseline
-from repro.lintkit.checkers import ALL_CHECKERS
+from repro.lintkit.checkers import ALL_CHECKERS, checker_index
 from repro.lintkit.checkers.base import Checker
 from repro.lintkit.findings import (
+    WAIVER_ID,
     Finding,
-    fingerprint_findings,
+    Waiver,
+    parse_waivers,
     source_line,
-    suppression_ids,
 )
 from repro.lintkit.model import ModuleSource, Project
 
@@ -53,35 +53,28 @@ class LintReport:
 
     Attributes:
         root: the linted tree.
-        findings: live findings that fail the gate (fingerprinted, sorted).
-        baselined: findings suppressed by the baseline file.
+        findings: live findings that fail the gate (sorted).
         suppressed: findings waived inline via ``# lint-ok:`` comments.
-        stale_baseline: baseline fingerprints matching nothing anymore.
         files_checked: number of parsed source files.
         flow: call-graph stats when a flow checker ran, else ``None``.
     """
 
     root: Path
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
     files_checked: int = 0
     flow: Optional[FlowStats] = None
 
     @property
     def ok(self) -> bool:
-        """Whether the gate passes (no non-baselined findings)."""
+        """Whether the gate passes (no live findings)."""
         return not self.findings
 
     def render_text(self) -> str:
-        lines = []
-        for finding in self.findings:
-            lines.append(finding.render())
+        lines = [finding.render() for finding in self.findings]
         lines.append(
             f"{len(self.findings)} finding(s) "
-            f"({len(self.baselined)} baselined, "
-            f"{len(self.suppressed)} waived inline, "
+            f"({len(self.suppressed)} waived inline, "
             f"{self.files_checked} files)"
         )
         if self.flow is not None:
@@ -89,29 +82,19 @@ class LintReport:
                 f"flow: {self.flow.functions} functions, "
                 f"{self.flow.edges} call edges"
             )
-        if self.stale_baseline:
-            lines.append(
-                f"note: {len(self.stale_baseline)} stale baseline "
-                f"entr{'y' if len(self.stale_baseline) == 1 else 'ies'} "
-                f"can be pruned"
-            )
         return "\n".join(lines)
 
     def to_json(self) -> str:
         payload = {
-            "version": 1,
+            "version": 2,
             "ok": self.ok,
             "files_checked": self.files_checked,
             "counts": {
                 "findings": len(self.findings),
-                "baselined": len(self.baselined),
                 "suppressed": len(self.suppressed),
-                "stale_baseline": len(self.stale_baseline),
             },
             "findings": [f.to_dict() for f in self.findings],
-            "baselined": [f.to_dict() for f in self.baselined],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "stale_baseline": list(self.stale_baseline),
             "flow": self.flow.to_dict() if self.flow is not None else None,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -130,7 +113,6 @@ def load_project(root: Path) -> Project:
 def run_lint(
     root: Optional[Path] = None,
     checkers: Sequence[Checker] = ALL_CHECKERS,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint the tree under ``root`` and return a :class:`LintReport`.
 
@@ -138,51 +120,67 @@ def run_lint(
         root: directory to lint; defaults to the installed ``repro``
             package so ``repro lint`` checks itself wherever it runs.
         checkers: checker instances to run (defaults to all).
-        baseline: grandfathered findings; ``None`` means empty.
 
-    The project call graph is built only if a flow checker runs.
+    A finding on a line whose ``# lint-ok:`` comment names its checker is
+    waived.  The waivers are judged too, as ``waiver`` findings: one
+    that names no registered checker, gives no reason, or (when all its
+    checkers ran) waives no finding.  The project call graph is built
+    only if a flow checker runs.
     """
     if root is None:
         root = default_package_root()
     project = load_project(root)
-    module_lines = {m.relpath: m.lines for m in project.modules}
+    known = checker_index()
+    waivers = {m.relpath: parse_waivers(m.text, known)
+               for m in project.modules}
 
     raw: List[Finding] = []
     for checker in checkers:
         raw.extend(checker.run(project))
-    all_findings = fingerprint_findings(raw)
     flow_stats: Optional[FlowStats] = None
     if project.flow is not None:
         flow_stats = FlowStats(functions=len(project.flow.graph.functions),
                                edges=len(project.flow.graph.edges))
 
     findings: List[Finding] = []
-    baselined: List[Finding] = []
     suppressed: List[Finding] = []
-    for finding in all_findings:
-        waived = suppression_ids(
-            source_line(module_lines.get(finding.path, []), finding.line))
-        if waived is not None and finding.checker in waived:
+    used: Set[Tuple[str, int]] = set()
+    for finding in raw:
+        waiver = waivers[finding.path].get(finding.line)
+        if waiver is not None and finding.checker in waiver.ids:
             suppressed.append(finding)
-        elif baseline is not None and finding.fingerprint in baseline:
-            baselined.append(finding)
+            used.add((finding.path, finding.line))
         else:
             findings.append(finding)
 
-    stale: List[str] = []
-    if baseline is not None:
-        stale = baseline.stale(all_findings)
+    ran = {checker.id for checker in checkers}
+    for module in project.modules:
+        for waiver in waivers[module.relpath].values():
+            problem = _waiver_problem(waiver, ran,
+                                      (module.relpath, waiver.line) in used)
+            if problem is not None:
+                findings.append(Finding(
+                    checker=WAIVER_ID, path=module.relpath, line=waiver.line,
+                    col=waiver.col, message=problem,
+                    snippet=source_line(module.lines, waiver.line)))
     return LintReport(
         root=Path(root),
-        findings=findings,
-        baselined=baselined,
-        suppressed=suppressed,
-        stale_baseline=stale,
+        findings=sorted(findings, key=Finding.sort_key),
+        suppressed=sorted(suppressed, key=Finding.sort_key),
         files_checked=len(project.modules),
         flow=flow_stats,
     )
 
 
-def checker_summary() -> List[Tuple[str, str]]:
-    """(id, description) for every shipped checker (docs, ``--help``)."""
-    return [(c.id, c.description) for c in ALL_CHECKERS]
+def _waiver_problem(waiver: Waiver, ran: Set[str],
+                    used: bool) -> Optional[str]:
+    """Why ``waiver`` is itself a finding, or ``None`` if it is sound."""
+    if not waiver.ids:
+        named = waiver.reason.split()[0] if waiver.reason else ""
+        return f"waiver names no registered checker (got {named!r})"
+    if not waiver.reason:
+        return f"waiver for {', '.join(waiver.ids)} gives no reason"
+    if not used and ran.issuperset(waiver.ids):
+        return (f"waiver for {', '.join(waiver.ids)} waives no finding "
+                f"on its line")
+    return None

@@ -1,10 +1,20 @@
-"""Finding records, stable fingerprints and report serialisation."""
+"""Finding records and ``# lint-ok:`` waivers."""
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import io
+import re
+import tokenize
+from dataclasses import dataclass
+from typing import Collection, Dict, List, Tuple
+
+#: Text that opens an inline waiver comment.
+WAIVER_MARKER = "lint-ok:"
+
+#: Checker id of the findings the engine raises against waivers themselves.
+WAIVER_ID = "waiver"
+
+_WAIVER_WORD = re.compile(r"[\s,]*([\w-]+)")
 
 
 @dataclass(frozen=True)
@@ -18,10 +28,7 @@ class Finding:
         line: 1-based line of the offending node.
         col: 0-based column of the offending node.
         message: human-readable description of the violation.
-        snippet: the stripped source line, used for fingerprinting so
-            baselines survive unrelated edits that only shift line numbers.
-        fingerprint: content-addressed id (checker + path + snippet +
-            occurrence index); filled in by :func:`fingerprint_findings`.
+        snippet: the stripped source line, for the JSON report.
     """
 
     checker: str
@@ -30,7 +37,6 @@ class Finding:
     col: int
     message: str
     snippet: str = ""
-    fingerprint: str = field(default="", compare=False)
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.checker, self.message)
@@ -47,46 +53,24 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
 
-def _fingerprint(checker: str, path: str, snippet: str, occurrence: int) -> str:
-    digest = hashlib.sha256(
-        f"{checker}|{path}|{snippet}|{occurrence}".encode()
-    ).hexdigest()
-    return digest[:16]
+@dataclass(frozen=True)
+class Waiver:
+    """One ``# lint-ok: id[, id...] reason`` comment.
 
-
-def fingerprint_findings(findings: List[Finding]) -> List[Finding]:
-    """Return ``findings`` sorted and with stable fingerprints attached.
-
-    The fingerprint hashes the checker id, the file path and the stripped
-    source line — *not* the line number — so a baseline entry keeps
-    matching while surrounding code moves.  Identical lines in the same
-    file are disambiguated by an occurrence counter (in line order).
+    Attributes:
+        line: 1-based line of the comment; it waives findings on that line.
+        col: 0-based column of the comment.
+        ids: the leading registered checker ids, possibly none.
+        reason: the rest of the comment (an unknown first id lands here).
     """
-    ordered = sorted(findings, key=Finding.sort_key)
-    seen: Dict[tuple, int] = {}
-    out: List[Finding] = []
-    for finding in ordered:
-        key = (finding.checker, finding.path, finding.snippet)
-        occurrence = seen.get(key, 0)
-        seen[key] = occurrence + 1
-        out.append(
-            Finding(
-                checker=finding.checker,
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                message=finding.message,
-                snippet=finding.snippet,
-                fingerprint=_fingerprint(
-                    finding.checker, finding.path, finding.snippet, occurrence
-                ),
-            )
-        )
-    return out
+
+    line: int
+    col: int
+    ids: Tuple[str, ...]
+    reason: str
 
 
 def source_line(lines: List[str], lineno: int) -> str:
@@ -96,23 +80,29 @@ def source_line(lines: List[str], lineno: int) -> str:
     return ""
 
 
-def suppression_ids(line: str) -> Optional[List[str]]:
-    """Checker ids waived by a ``# lint-ok: id[, id...] reason`` comment.
+def parse_waivers(text: str, known: Collection[str]) -> Dict[int, Waiver]:
+    """The waiver comments of a module's source ``text``, by line.
 
-    Returns ``None`` when the line carries no waiver.  Everything after
-    the id list is treated as the (mandatory by convention, unenforced)
-    human reason.
+    Only real comments count (found with :mod:`tokenize`, and only in
+    files that contain the marker), so a docstring that quotes the
+    syntax is no waiver.  The id list ends at the first token that is
+    not in ``known``; everything after it is the reason.
     """
-    marker = "# lint-ok:"
-    idx = line.find(marker)
-    if idx < 0:
-        return None
-    rest = line[idx + len(marker):].strip()
-    ids: List[str] = []
-    for token in rest.replace(",", " ").split():
-        # ids are kebab-case; the first non-id-looking token starts the reason
-        if token.replace("-", "").isalnum() and not token.isdigit():
-            ids.append(token)
-        else:
-            break
-    return ids
+    if WAIVER_MARKER not in text:
+        return {}
+    waivers: Dict[int, Waiver] = {}
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        start = token.string.find(WAIVER_MARKER)
+        if token.type != tokenize.COMMENT or start < 0:
+            continue
+        rest = token.string[start + len(WAIVER_MARKER):]
+        ids: List[str] = []
+        word = _WAIVER_WORD.match(rest)
+        while word is not None and word.group(1) in known:
+            ids.append(word.group(1))
+            rest = rest[word.end():]
+            word = _WAIVER_WORD.match(rest)
+        line, col = token.start
+        waivers[line] = Waiver(line=line, col=col, ids=tuple(ids),
+                               reason=rest.strip(" ,"))
+    return waivers

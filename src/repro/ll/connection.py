@@ -10,7 +10,7 @@ acknowledgement bits, pending update procedures and supervision timing
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.errors import ConnectionStateError, LinkLayerError

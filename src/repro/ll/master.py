@@ -471,10 +471,6 @@ class MasterLinkLayer(LinkLayerDevice):
         ediv = int(self._rng.integers(0, 1 << 16))
         self.send_control(EncReq(rand=rand, ediv=ediv, skd_m=skd_m, iv_m=iv_m))
 
-    def request_clock_accuracy(self) -> None:
-        """Send LL_CLOCK_ACCURACY_REQ (leaks our SCA to any sniffer)."""
-        self.send_control(ClockAccuracyReq(sca=ppm_to_sca_field(self.clock.sca_ppm)))
-
     def terminate(self, error_code: int = 0x13) -> None:
         """Queue LL_TERMINATE_IND and drop the connection after sending."""
         self.send_control(TerminateInd(error_code=error_code))

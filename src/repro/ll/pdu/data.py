@@ -13,7 +13,7 @@ Byte 1 is the payload length.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CodecError
 

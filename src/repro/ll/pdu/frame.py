@@ -9,10 +9,8 @@ into typed PDUs.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from repro.errors import CodecError
-from repro.ll.pdu.control import ControlPdu, decode_control_pdu
 from repro.ll.pdu.data import DataPdu
 from repro.phy.crc import ADVERTISING_CRC_INIT, crc24
 from repro.phy.signal import RadioFrame
@@ -52,9 +50,3 @@ def decode_data_frame(frame: RadioFrame, crc_init: int) -> Optional[DataPdu]:
         return None
     return DataPdu.from_bytes(frame.pdu)
 
-
-def control_in(pdu: DataPdu) -> Optional[ControlPdu]:
-    """The control PDU inside ``pdu``, or ``None`` if it is not control."""
-    if not pdu.is_control:
-        return None
-    return decode_control_pdu(pdu.payload)

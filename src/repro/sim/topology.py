@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.phy.path_loss import Wall

@@ -28,7 +28,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "merge_snapshots",
-    "snapshot_problem",
 ]
 
 
@@ -206,36 +205,56 @@ def merge_snapshots(snapshots: Iterable[Optional[Mapping]]) -> dict:
     """Fold registry snapshots into one: counters and histogram buckets
     sum, gauges take the maximum.  ``None`` entries are skipped, so
     mixed-telemetry result lists merge directly.
+
+    Every section is optional.  ``counters`` and ``gauges`` map names to
+    numbers; ``histograms`` map names to ``{buckets, counts, sum,
+    count}`` as :meth:`MetricsRegistry.snapshot` writes them.  Raises
+    :class:`ValueError` naming the first entry that cannot be folded: an
+    ill-shaped one, or a histogram whose bucket bounds differ from an
+    earlier snapshot's.  The inputs are never modified.
     """
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, dict] = {}
+    merged: dict = {"counters": {}, "gauges": {}, "histograms": {}}
     for snap in snapshots:
-        if not snap:
+        if snap is None:
             continue
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = max(gauges.get(name, value), value)
-        for name, hist in snap.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    "buckets": list(hist["buckets"]),
-                    "counts": list(hist["counts"]),
-                    "sum": hist["sum"],
-                    "count": hist["count"],
-                }
-                continue
-            if merged["buckets"] != list(hist["buckets"]):
-                raise ValueError(
-                    f"cannot merge histogram {name!r}: bucket bounds differ "
-                    f"({merged['buckets']} vs {list(hist['buckets'])})")
-            merged["counts"] = [a + b for a, b in
-                                zip(merged["counts"], hist["counts"])]
-            merged["sum"] += hist["sum"]
-            merged["count"] += hist["count"]
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        if not isinstance(snap, Mapping):
+            raise ValueError("a snapshot must be a dict")
+        for section, into in merged.items():
+            entries = snap.get(section, {})
+            if not isinstance(entries, Mapping):
+                raise ValueError(f"{section} must be a dict")
+            for name, value in entries.items():
+                problem = _fold(section, into, name, value)
+                if problem is not None:
+                    raise ValueError(f"{section}[{name!r}]: {problem}")
+    return merged
+
+
+def _fold(section: str, into: dict, name: str, value: Any) -> Optional[str]:
+    """Fold one snapshot entry into ``into``; why it cannot, or ``None``."""
+    if section != "histograms":
+        if not _is_number(value):
+            return "must be a number"
+        into[name] = into.get(name, 0) + value if section == "counters" \
+            else max(into.get(name, value), value)
+        return None
+    problem = _histogram_problem(value)
+    if problem is not None:
+        return problem
+    held = into.get(name)
+    if held is None:
+        into[name] = {"buckets": list(value["buckets"]),
+                      "counts": list(value["counts"]),
+                      "sum": value["sum"], "count": value["count"]}
+    elif held["buckets"] != value["buckets"]:
+        return (f"bucket bounds differ ({held['buckets']} vs "
+                f"{value['buckets']})")
+    else:
+        held["counts"] = [a + b for a, b in zip(held["counts"],
+                                                value["counts"])]
+        held["sum"] += value["sum"]
+        held["count"] += value["count"]
+    return None
 
 
 def _is_number(value: Any) -> bool:
@@ -257,33 +276,4 @@ def _histogram_problem(hist: Any) -> Optional[str]:
     count = hist.get("count")
     if not isinstance(count, int) or isinstance(count, bool):
         return "count must be an int"
-    return None
-
-
-def snapshot_problem(snap: Any) -> Optional[str]:
-    """Why ``snap`` is not a snapshot :func:`merge_snapshots` can fold, or
-    ``None``.
-
-    Every section is optional.  ``counters`` and ``gauges`` map names to
-    numbers; ``histograms`` map names to ``{buckets, counts, sum,
-    count}`` as :meth:`MetricsRegistry.snapshot` writes them.  Snapshots
-    from other processes (a campaign worker's record) are checked with
-    this before they are kept, so a bad one cannot break a later merge.
-    """
-    if not isinstance(snap, Mapping):
-        return "a snapshot must be a dict"
-    for section in ("counters", "gauges", "histograms"):
-        entries = snap.get(section, {})
-        if not isinstance(entries, Mapping):
-            return f"{section} must be a dict"
-        for name, value in entries.items():
-            if not isinstance(name, str):
-                return f"{section} keys must be strings"
-            if section != "histograms":
-                if not _is_number(value):
-                    return f"{section}[{name!r}] must be a number"
-                continue
-            problem = _histogram_problem(value)
-            if problem is not None:
-                return f"histograms[{name!r}]: {problem}"
     return None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.devices import Keyfob, Lightbulb, Smartphone, Smartwatch
+from repro.devices import Lightbulb, Smartphone
 from repro.sim.medium import Medium
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology

@@ -1,5 +1,6 @@
 """Fixture: hot-path violations (set-iteration, float-time-eq,
-telemetry-guard positives) plus one inline waiver."""
+telemetry-guard positives) plus one inline waiver and one waiver that
+waives nothing."""
 
 
 class HotPath:
@@ -26,3 +27,6 @@ class HotPath:
 
     def waived(self, frame):
         self.sim.trace.record(0.0, "fixture", "cold")  # lint-ok: telemetry-guard one-shot setup record
+
+    def stale_waiver(self):
+        return 0.0  # lint-ok: telemetry-guard the record it waived is gone

@@ -889,6 +889,57 @@ class TestProtocolFuzz:
         assert records == {}
         assert build_report(load_state(journal))
 
+    def test_records_whose_metrics_do_not_merge_are_refused(self, tmp_path):
+        """Two well-typed records whose histogram ``h`` has bucket bounds
+        ``[1.0]`` and ``[2.0]``: the first is acked, the second is
+        answered ``op: error`` and adds no journal line, ``/report``
+        still builds, and a journal holding both lines is refused at the
+        second one on replay."""
+        from repro.campaign.engine import expand_units
+
+        spec = _quick_spec(n=2)
+        journal = tmp_path / "pair.jsonl"
+        coordinator = Coordinator()
+        coordinator.submit(spec, journal)
+        units = {u.unit_id: u for u in expand_units(spec)}
+        envelope = {"worker": "w", "fingerprint": spec.fingerprint}
+        live = _ThreadedServer(coordinator)
+        try:
+            replies, records = [], []
+            for bound in (1.0, 2.0):
+                _, grant = _post_worker(live.port, {**envelope, "op": "lease"})
+                unit = units[grant["unit_id"]]
+                records.append({
+                    "unit_id": unit.unit_id, "experiment": unit.experiment,
+                    "config_key": unit.config_key, "status": "ok",
+                    "result": {"success": True, "attempts": 1,
+                               "effect_observed": True,
+                               "connection_survived": True},
+                    "failure": None, "cached": False,
+                    "metrics": {"histograms": {"h": {
+                        "buckets": [bound], "counts": [0, 1],
+                        "sum": 2.0, "count": 1}}}})
+                replies.append(_post_worker(live.port, {
+                    **envelope, "op": "result", "record": records[-1]}))
+            report = fetch_report(f"http://127.0.0.1:{live.port}")
+        finally:
+            live.close()
+            coordinator.close()
+        assert replies[0] == (200, {"op": "ack", "duplicate": False,
+                                    "done": False})
+        assert replies[1][0] == 200 and replies[1][1]["op"] == "error"
+        assert "bucket bounds differ" in replies[1][1]["error"]
+        assert "svc-quick" in report
+        _, _, kept, _ = read_journal(journal)
+        assert list(kept) == [records[0]["unit_id"]]
+
+        line_no = len(journal.read_text().splitlines()) + 1
+        with journal.open("a") as fh:
+            fh.write(json.dumps({"type": "unit", **records[1]}) + "\n")
+            fh.write('{"type": "run"}\n')
+        with pytest.raises(ConfigurationError, match=f"line {line_no}"):
+            read_journal(journal)
+
 
 # --------------------------------------------------------------------------
 # serve_campaign: managed fleets.

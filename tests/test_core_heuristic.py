@@ -1,7 +1,5 @@
 """Unit tests for the success-detection heuristic (paper formula 7)."""
 
-import pytest
-
 from repro.core.heuristic import (
     TIMING_TOLERANCE_US,
     HeuristicInputs,

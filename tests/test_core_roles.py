@@ -2,9 +2,7 @@
 
 from collections import deque
 
-import pytest
-
-from repro.core.roles import FakeMaster, FakeSlave, _MiniArq
+from repro.core.roles import _MiniArq
 from repro.ll.pdu.data import LLID, DataPdu
 
 
@@ -57,7 +55,6 @@ class TestFakeSlaveLive:
     def build(self, seed=21):
         from repro.core.attacker import Attacker
         from repro.core.scenarios import SlaveHijackScenario
-        from repro.core.scenarios.scenario_b import hacked_gatt_server
         from repro.devices import Lightbulb, Smartphone
         from repro.sim.medium import Medium
         from repro.sim.simulator import Simulator

@@ -5,8 +5,6 @@ the approach "can be easily adapted to the second algorithm" — these tests
 verify the adaptation.
 """
 
-import pytest
-
 from repro.core.attacker import Attacker
 from repro.devices import Lightbulb
 from repro.host.att.pdus import WriteReq

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import render_roc_table
+from repro.analysis.reporting import render_roc_table
 from repro.analysis.roc import (
     auc,
     false_positive_rate,

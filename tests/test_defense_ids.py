@@ -5,8 +5,6 @@ the framework itself is tested in `test_defense_framework.py`.  These
 tests keep the original monitoring contract: injections and BTLEJack
 jamming are flagged, clean traffic is not."""
 
-import pytest
-
 from repro.core.attacker import Attacker
 from repro.core.injection import InjectionConfig
 from repro.defense.bank import DetectorBank

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HostError
-from repro.host.att.opcodes import AttError, AttOpcode
+from repro.host.att.opcodes import AttError
 from repro.host.att.pdus import (
     ErrorRsp,
     ExchangeMtuReq,

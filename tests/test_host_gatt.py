@@ -8,7 +8,6 @@ from repro.host.att.pdus import (
     ReadReq,
     ReadRsp,
     WriteReq,
-    WriteRsp,
     decode_att_pdu,
 )
 from repro.host.gatt.attributes import Characteristic, Service

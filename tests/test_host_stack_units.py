@@ -4,7 +4,6 @@ import pytest
 
 from repro.devices import Lightbulb, Smartphone
 from repro.host.l2cap import CID_ATT, CID_SMP, l2cap_encode
-from repro.host.stack import CentralHost, PeripheralHost
 from repro.sim.medium import Medium
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology

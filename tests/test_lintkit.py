@@ -3,13 +3,14 @@
 Three layers:
 
 * **Fixture trees** under ``tests/data/lintkit``: ``bad/`` holds one
-  deliberate violation per checker (plus an inline-waived one), ``good/``
+  deliberate violation per checker (plus an inline-waived one and a
+  waiver that waives nothing), ``good/``
   holds the compliant twin of every bad snippet.  Each checker must fire
   on its bad fixture and stay silent on the whole good tree.
 * **Golden report**: the JSON rendering of the bad tree is pinned byte
-  for byte, so report shape and fingerprints cannot drift silently.
-* **Meta-test**: the live ``repro`` package has zero findings beyond the
-  committed ``lint-baseline.json`` — the same gate CI enforces.
+  for byte, so report shape and messages cannot drift silently.
+* **Meta-test**: the live ``repro`` package has zero findings, and its
+  few ``# lint-ok:`` waivers are all sound — the same gate CI enforces.
 """
 
 from __future__ import annotations
@@ -22,19 +23,17 @@ import pytest
 from repro.cli import main
 from repro.lintkit import (
     ALL_CHECKERS,
-    Baseline,
     checker_index,
     default_package_root,
-    load_baseline,
     run_lint,
-    save_baseline,
 )
+from repro.lintkit.engine import load_project
+from repro.lintkit.findings import WAIVER_ID, parse_waivers
 
 FIXTURES = Path(__file__).parent / "data" / "lintkit"
 BAD_TREE = FIXTURES / "bad"
 GOOD_TREE = FIXTURES / "good"
 GOLDEN_REPORT = FIXTURES / "golden_report.json"
-REPO_BASELINE = default_package_root().parent.parent / "lint-baseline.json"
 
 #: checker id -> (fixture path fragment, message fragment) expected in bad/.
 EXPECTED_BAD = {
@@ -46,6 +45,7 @@ EXPECTED_BAD = {
     "telemetry-guard": ("sim/hot.py", "guard"),
     "result-capture": ("experiments/results.py", "Simulator"),
     "missing-docstring": ("analysis/undocumented.py", "docstring"),
+    "unused-import": ("core/deadimports.py", "'math' is imported but never used"),
     "blocking-in-async": ("campaign/service/async_path.py", "stalls the event loop"),
     "rng-flow": ("telemetry/reporters.py", "RNG substream"),
     "error-taxonomy": ("campaign/service/worker.py", "ValueError"),
@@ -57,7 +57,7 @@ class TestFixtureTrees:
     def test_every_checker_fires_on_bad_tree(self):
         report = run_lint(BAD_TREE)
         fired = {f.checker for f in report.findings}
-        assert fired == set(c.id for c in ALL_CHECKERS)
+        assert fired == set(c.id for c in ALL_CHECKERS) | {WAIVER_ID}
 
     @pytest.mark.parametrize("checker_id", sorted(EXPECTED_BAD))
     def test_bad_fixture_flags_expected_site(self, checker_id):
@@ -74,20 +74,50 @@ class TestFixtureTrees:
         assert report.findings == [], [f.render() for f in report.findings]
         assert report.ok
 
-    def test_inline_waiver_suppresses_exactly_one(self):
+    def test_inline_waiver_suppresses_exactly_one(self, tmp_path):
         report = run_lint(BAD_TREE)
         assert len(report.suppressed) == 1
         (waived,) = report.suppressed
         assert waived.checker == "telemetry-guard"
         assert waived.path == "sim/hot.py"
 
+        # The id list ends at the first word that is no checker id.
+        known = checker_index()
+        (waiver,) = parse_waivers(
+            "x = f(  # lint-ok: blocking-in-async bounded\n)\n",
+            known).values()
+        assert (waiver.ids, waiver.reason) == (("blocking-in-async",),
+                                               "bounded")
+        # A string that quotes the syntax is no waiver.
+        assert parse_waivers('"""# lint-ok: magic-number q"""\n',
+                             known) == {}
+
+        # Each unsound waiver is itself a finding; magic-number fires on
+        # 150.0 and not on 1.0.
+        cases = {
+            "no-reason": ("end_us + 150.0  # lint-ok: magic-number",
+                          ["waiver"], "gives no reason"),
+            "unknown-id": ("end_us + 150.0  # lint-ok: magic-numbers typo",
+                           ["magic-number", "waiver"],
+                           "no registered checker (got 'magic-numbers')"),
+            "unused": ("end_us + 1.0  # lint-ok: magic-number spec gap",
+                       ["waiver"], "waives no finding"),
+        }
+        for case, (expr, checkers, message) in cases.items():
+            target = tmp_path / case / "ll" / "gap.py"
+            target.parent.mkdir(parents=True)
+            target.write_text(f"def deadline(end_us):\n    return {expr}\n")
+            report = run_lint(tmp_path / case,
+                              checkers=[known["magic-number"]])
+            assert [f.checker for f in report.findings] == checkers, case
+            assert message in report.findings[-1].message, case
+
     def test_findings_are_sorted_and_fingerprinted(self):
+        """Sorted, and no finding is reported twice."""
         report = run_lint(BAD_TREE)
         keys = [f.sort_key() for f in report.findings]
         assert keys == sorted(keys)
-        fps = [f.fingerprint for f in report.findings]
-        assert all(len(fp) == 16 for fp in fps)
-        assert len(set(fps)) == len(fps), "fingerprints must be unique"
+        assert len(set(keys)) == len(keys)
 
 
 class TestGoldenReport:
@@ -102,108 +132,56 @@ class TestGoldenReport:
 
     def test_golden_report_shape(self):
         doc = json.loads(GOLDEN_REPORT.read_text())
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["ok"] is False
         assert doc["counts"]["findings"] == len(doc["findings"])
         assert doc["counts"]["suppressed"] == 1
         for entry in doc["findings"]:
             assert set(entry) == {"checker", "path", "line", "col",
-                                  "message", "snippet", "fingerprint"}
+                                  "message", "snippet"}
             # Relative POSIX paths only: golden file is machine-portable.
             assert not entry["path"].startswith("/")
 
 
-class TestBaselineMechanics:
-    def test_baseline_grandfathers_findings(self, tmp_path):
-        report = run_lint(BAD_TREE)
-        path = tmp_path / "baseline.json"
-        save_baseline(path, report.findings, reason="fixture grandfather")
-        rebaselined = run_lint(BAD_TREE, baseline=load_baseline(path))
-        assert rebaselined.findings == []
-        assert len(rebaselined.baselined) == len(report.findings)
-        assert rebaselined.ok
-
-    def test_stale_baseline_entries_reported(self, tmp_path):
-        report = run_lint(BAD_TREE)
-        path = tmp_path / "baseline.json"
-        save_baseline(path, report.findings, reason="fixture grandfather")
-        doc = json.loads(path.read_text())
-        doc["entries"]["deadbeefdeadbeef"] = {
-            "checker": "magic-number", "path": "gone.py",
-            "message": "fixed long ago", "reason": "stale",
-        }
-        path.write_text(json.dumps(doc))
-        rebaselined = run_lint(BAD_TREE, baseline=load_baseline(path))
-        assert rebaselined.stale_baseline == ["deadbeefdeadbeef"]
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        baseline = load_baseline(tmp_path / "nope.json")
-        assert isinstance(baseline, Baseline)
-        assert not baseline.entries
-
-    def test_fingerprints_survive_line_drift(self, tmp_path):
-        """Inserting lines above a finding must not churn the baseline."""
-        src = tmp_path / "ll"
-        src.mkdir()
-        (src / "spacing.py").write_text(
-            "def deadline(end_us):\n    return end_us + 150.0\n")
-        before = run_lint(tmp_path).findings
-        (src / "spacing.py").write_text(
-            "# comment\n# another\n\n"
-            "def deadline(end_us):\n    return end_us + 150.0\n")
-        after = run_lint(tmp_path).findings
-        assert [f.fingerprint for f in before] == \
-            [f.fingerprint for f in after]
-        assert before[0].line != after[0].line
-
-
 class TestLiveTree:
     def test_repo_has_no_findings_beyond_baseline(self):
-        """The gate CI enforces: zero non-baselined findings on src/repro."""
-        baseline = load_baseline(REPO_BASELINE)
-        report = run_lint(baseline=baseline)
+        """The gate CI enforces: zero findings on src/repro (unsound
+        waivers included)."""
+        report = run_lint()
         assert report.ok, "\n" + "\n".join(
             f.render() for f in report.findings)
-        assert not report.stale_baseline
 
     def test_repo_baseline_is_small_and_documented(self):
-        baseline = load_baseline(REPO_BASELINE)
-        assert len(baseline.entries) <= 10, (
-            "the baseline is for grandfathered findings only; fix new "
-            "findings instead of baselining them")
-        for entry in baseline.entries.values():
-            assert entry.get("reason"), "every baseline entry needs a reason"
+        """Waivers stay few, and each names a checker and a reason."""
+        known = checker_index()
+        waivers = [
+            waiver for module in load_project(default_package_root()).modules
+            for waiver in parse_waivers(module.text, known).values()]
+        assert len(waivers) <= 10, (
+            "waivers are for genuinely cold paths; fix new findings "
+            "instead of waiving them")
+        for waiver in waivers:
+            assert waiver.ids and waiver.reason, waiver
 
 
 class TestCli:
     def test_lint_cli_passes_on_repo(self, capsys):
-        assert main(["lint", "--baseline", str(REPO_BASELINE)]) == 0
+        assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
 
     def test_lint_cli_fails_on_bad_tree(self, capsys):
-        code = main(["lint", "--root", str(BAD_TREE),
-                     "--baseline", str(BAD_TREE / "absent.json")])
+        code = main(["lint", "--root", str(BAD_TREE)])
         assert code == 1
         out = capsys.readouterr().out
         assert "[telemetry-guard]" in out
 
     def test_lint_cli_json_format(self, capsys):
-        code = main(["lint", "--format", "json", "--root", str(GOOD_TREE),
-                     "--baseline", str(GOOD_TREE / "absent.json")])
+        code = main(["lint", "--format", "json", "--root", str(GOOD_TREE)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
         assert doc["counts"]["findings"] == 0
-
-    def test_lint_cli_write_baseline_roundtrip(self, tmp_path, capsys):
-        target = tmp_path / "baseline.json"
-        assert main(["lint", "--root", str(BAD_TREE),
-                     "--baseline", str(target), "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert target.exists()
-        assert main(["lint", "--root", str(BAD_TREE),
-                     "--baseline", str(target)]) == 0
 
 
 class TestInlineEpsilonRule:

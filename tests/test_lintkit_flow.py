@@ -11,8 +11,7 @@ Four layers:
 * **Call-graph units**: method dispatch, closures, re-exports and
   spawn/executor edge kinds on synthetic trees.
 * **One pass per run**: each module is walked once, the graph is built
-  only for flow checkers and afresh by every run; the
-  ``--prune-baseline`` flag.
+  only for flow checkers and afresh by every run.
 """
 
 from __future__ import annotations
@@ -25,13 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.lintkit import (
-    checker_index,
-    load_baseline,
-    run_lint,
-    save_baseline,
-)
+from repro.lintkit import checker_index, run_lint
 from repro.lintkit.engine import load_project
 from repro.lintkit.flow import ensure_analysis
 from repro.lintkit.flow.graph import build_graph
@@ -346,94 +339,3 @@ class TestOnePassPerRun:
         assert report.flow is None
         assert not any(f.checker == "blocking-in-async"
                        for f in report.findings)
-
-
-class TestPruneBaseline:
-    def _tree_with_finding(self, tmp_path):
-        return _write_tree(tmp_path / "tree", {
-            "ll/gap.py": (
-                '"""Gap."""\n\n'
-                "def deadline(end_us):\n"
-                '    """D."""\n'
-                "    return end_us + 150.0\n"
-            ),
-        })
-
-    def test_prune_removes_stale_and_keeps_reasons(self, tmp_path, capsys):
-        tree = self._tree_with_finding(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        report = run_lint(tree)
-        save_baseline(baseline_path, report.findings,
-                      reason="reviewed spec constant")
-        doc = json.loads(baseline_path.read_text())
-        doc["entries"]["deadbeefdeadbeef"] = {
-            "checker": "magic-number", "path": "gone.py",
-            "snippet": "fixed long ago", "reason": "stale",
-        }
-        baseline_path.write_text(json.dumps(doc))
-
-        code = main(["lint", "--root", str(tree),
-                     "--baseline", str(baseline_path), "--prune-baseline"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "pruned 1 stale baseline" in out
-
-        pruned = json.loads(baseline_path.read_text())
-        assert "deadbeefdeadbeef" not in pruned["entries"]
-        (entry,) = pruned["entries"].values()
-        # Surviving entries keep their reviewed reason verbatim.
-        assert entry["reason"] == "reviewed spec constant"
-        assert pruned["version"] == 1
-
-    def test_prune_without_stale_leaves_file_untouched(self, tmp_path,
-                                                       capsys):
-        tree = self._tree_with_finding(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        report = run_lint(tree)
-        save_baseline(baseline_path, report.findings, reason="reviewed")
-        before = baseline_path.read_text()
-        code = main(["lint", "--root", str(tree),
-                     "--baseline", str(baseline_path), "--prune-baseline"])
-        capsys.readouterr()
-        assert code == 0
-        assert baseline_path.read_text() == before
-
-    def test_prune_requires_a_baseline_file(self, tmp_path, monkeypatch,
-                                            capsys):
-        # Sever both conventional baseline fallbacks (cwd and the repo
-        # root) so no baseline resolves at all.
-        import repro.lintkit as lintkit
-
-        tree = self._tree_with_finding(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(lintkit, "default_package_root",
-                            lambda: tmp_path / "src" / "repro")
-        code = main(["lint", "--root", str(tree),
-                     "--prune-baseline"])
-        assert code == 2
-        assert "baseline" in capsys.readouterr().err
-
-    def test_prune_baseline_function_needs_backing_file(self):
-        from repro.lintkit import Baseline, prune_baseline
-
-        with pytest.raises(ValueError):
-            prune_baseline(Baseline(entries={}), ["deadbeefdeadbeef"])
-
-    def test_stale_entry_survives_without_prune_flag(self, tmp_path,
-                                                     capsys):
-        tree = self._tree_with_finding(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        report = run_lint(tree)
-        save_baseline(baseline_path, report.findings, reason="reviewed")
-        doc = json.loads(baseline_path.read_text())
-        doc["entries"]["deadbeefdeadbeef"] = {
-            "checker": "magic-number", "path": "gone.py",
-            "snippet": "fixed long ago", "reason": "stale",
-        }
-        baseline_path.write_text(json.dumps(doc))
-        code = main(["lint", "--root", str(tree),
-                     "--baseline", str(baseline_path)])
-        capsys.readouterr()
-        assert code == 0
-        survivor = load_baseline(baseline_path)
-        assert "deadbeefdeadbeef" in survivor.entries

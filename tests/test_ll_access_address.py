@@ -1,7 +1,6 @@
 """Unit tests for access-address rules."""
 
 import numpy as np
-import pytest
 
 from repro.ll.access_address import (
     ADVERTISING_ACCESS_ADDRESS,

@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) on codecs, crypto and core invariants."""
 
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,6 @@ from repro.host.att.pdus import (
 )
 from repro.host.gap import AdElement, build_adv_data, parse_adv_data
 from repro.host.l2cap import l2cap_decode, l2cap_encode
-from repro.ll.access_address import is_valid_access_address
 from repro.ll.csa1 import Csa1
 from repro.ll.csa2 import Csa2
 from repro.ll.pdu.address import BdAddress

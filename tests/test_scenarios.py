@@ -1,7 +1,5 @@
 """Integration tests of the four attack scenarios (paper §VI)."""
 
-import pytest
-
 from repro.core.attacker import Attacker
 from repro.core.scenarios import (
     IllegitimateUseScenario,

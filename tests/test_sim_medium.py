@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.phy.collision import CollisionModel
 from repro.phy.path_loss import PathLossModel
 from repro.sim.fastforward import _StreamBuffer
 from repro.sim.medium import Medium, _LinkShadow

@@ -1,11 +1,8 @@
 """Unit tests for topology geometry."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.phy.path_loss import Wall
 from repro.sim.topology import Point, SpatialGrid, Topology, WallSegment
 
 
