@@ -1,0 +1,343 @@
+"""The eligibility audit of the quiet-cycle engine.
+
+:class:`QuietAudit` is the half of
+:class:`~repro.sim.fastforward.QuietCycleEngine` that decides whether the
+world is in a steady state the block kernel can replay: it matches the
+queued events against each registered link's and track's steady-state
+events, and checks every link, follower, track and bystander radio for
+anything the kernel cannot reproduce bit for bit.  The audit is
+default-closed: every condition it cannot prove is a disengage reason.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Optional
+
+from repro.ll.csa1 import NUM_DATA_CHANNELS
+from repro.ll.master import MasterState
+from repro.ll.pdu.data import LLID
+from repro.ll.slave import SlaveState
+from repro.ll.timing import WINDOW_WIDENING_CONSTANT_US
+from repro.sim.medium import LINK_MARGIN_SIGMAS
+from repro.utils.units import PPM
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.sniffer import ConnectionSniffer
+    from repro.sim.fastforward import _Link
+    from repro.sim.transceiver import Transceiver
+
+#: Roles of a queued event in :meth:`QuietAudit._classify`: its index in a
+#: link's slot list, or a track's burst.
+_OPEN, _CLOSE, _MASTER, _SNIFF_OPEN, _SNIFF_CLOSE = range(5)
+_BURST = -1
+
+_LLID_CONTROL = int(LLID.CONTROL)
+
+
+class QuietAudit:
+    """Whether the world is in a replayable steady state, and why not.
+
+    Mixed into :class:`~repro.sim.fastforward.QuietCycleEngine`, whose
+    registered ``links``, ``tracks``, event owners and ``medium`` it
+    reads.
+    """
+
+    def _classify(self, queue, extra: int):
+        """Match the live events against each link's trio and follower
+        pair and each track's burst.
+
+        Returns ``(slots, bursts)`` — per link ``[window-open,
+        window-close, master event, sniff-open, sniff-close]``, the last
+        two ``None`` for a link whose follower is not following; per track
+        its burst event — or a disengage reason.
+        """
+        links = self.links
+        if not links and not self.tracks:
+            return "unclassified"
+        for link in links:
+            # Between cycles, a Slave's window-close is always queued and
+            # the Master awaits no response.
+            window_close = link.slave._window_close
+            if window_close is None or window_close._queue is None \
+                    or link.master._awaiting_response:
+                return "link-in-event"
+        slots = [[None] * 5 for _ in links]
+        bursts: list = [None] * len(self.tracks)
+        owners = self._owners
+        for entry in queue._heap:
+            event = entry[2]
+            if event._queue is None:
+                continue
+            handler = event.handler
+            owner = owners.get(handler)
+            if owner is None:
+                # A follower's sniff-open is a partial; a window-open a
+                # closure, known by its label.
+                owner = owners.get(getattr(handler, "func", event.label))
+                if owner is None:
+                    return "unclassified"
+            index, role = owner
+            if role == _BURST:
+                if bursts[index] is not None:
+                    return "unclassified"
+                bursts[index] = event
+                continue
+            if role >= _SNIFF_OPEN and not extra:
+                return "unclassified"  # no follower is due to follow
+            slot = slots[index]
+            if slot[role] is not None:
+                return "unclassified"
+            slot[role] = event
+        following = 0
+        for link, slot in zip(links, slots):
+            if slot[_OPEN] is None or slot[_MASTER] is None \
+                    or slot[_CLOSE] is not link.slave._window_close:
+                return "link-not-connected"
+            if (slot[_SNIFF_OPEN] is None) != (slot[_SNIFF_CLOSE] is None):
+                return "unclassified"
+            following += slot[_SNIFF_OPEN] is not None
+        if 2 * following != extra or None in bursts:
+            return "unclassified"
+        return slots, bursts
+
+    # ------------------------------------------------------------------
+    # Eligibility (static per engagement; default-closed)
+    # ------------------------------------------------------------------
+
+    def _mean_loss(self, sender: "Transceiver",
+                   receiver: "Transceiver") -> float:
+        """Mean path loss from ``sender`` to ``receiver``, in dB, as the
+        medium computes (and caches) it."""
+        return self.medium._path_to(sender, receiver.medium_id)[2]
+
+    def _is_audible(self, sender: "Transceiver",
+                    listener: "Transceiver") -> bool:
+        """Whether ``listener`` is not provably deaf to ``sender``: the
+        medium's pruning rule (mean power + 8 sigma >= floor)."""
+        medium = self.medium
+        version = medium.topology.version
+        if version != self._audible_version:
+            self._audible.clear()
+            self._audible_version = version
+        key = (sender.medium_id, listener.medium_id)
+        audible = self._audible.get(key)
+        if audible is None:
+            margin = LINK_MARGIN_SIGMAS * medium.path_loss.shadowing_sigma_db
+            floor = max(medium.sensitivity_dbm, listener.sensitivity_dbm)
+            audible = self._audible[key] = (
+                sender.tx_power_dbm - self._mean_loss(sender, listener)
+                + margin >= floor)
+        return audible
+
+    def _ineligible(self, slots, bursts) -> Optional[str]:
+        """Why the world cannot be fast-forwarded now, or ``None``."""
+        medium = self.medium
+        # Medium must be silent: no frame in flight, no receiver locked,
+        # and no tap that reads more than airtime.
+        if medium._active or medium._locks:
+            return "medium-busy"
+        for tap in medium._taps:
+            if not getattr(tap, "airtime_only", False):
+                return "tap-not-airtime"
+        engaged = set()
+        # Links with a following follower first: an attack in progress
+        # (a sniffer with a callback) is the commonest veto.
+        for link, slot in sorted(zip(self.links, slots),
+                                 key=lambda pair: pair[1][_SNIFF_OPEN] is None):
+            lane = link.follower if slot[_SNIFF_OPEN] is not None else None
+            reason = self._link_reason(link)
+            if reason is None and lane is not None:
+                reason = self._follower_reason(link, lane, slot[_SNIFF_OPEN])
+            if reason is not None:
+                return reason
+            engaged.add(link.master.radio)
+            engaged.add(link.slave.radio)
+            if lane is not None:
+                engaged.add(lane.radio)
+        for interferer in self.tracks:
+            if not interferer._running \
+                    or interferer.radio.on_tx_complete is not None:
+                return "track-stopped"
+            engaged.add(interferer.radio)
+        # Every other transceiver stays idle while nothing else runs.
+        now = self.sim.now
+        for rx in medium._transceivers.values():
+            if rx in engaged:
+                continue
+            if rx._rx_channel is not None or rx.is_transmitting(at_us=now):
+                return "foreign-listener"
+        return None
+
+    @staticmethod
+    def _link_down(link: _Link) -> bool:
+        """Whether a registered link is not connected: not yet established,
+        or terminated."""
+        master, slave = link.master, link.slave
+        if master.state is not MasterState.CONNECTED or not master.is_connected:
+            return True
+        if slave.state is not SlaveState.CONNECTED or not slave.is_connected:
+            return True
+        mconn, sconn = master.conn, slave.conn
+        return not (mconn.established and sconn.established) \
+            or mconn.terminated or sconn.terminated
+
+    def _link_reason(self, link: _Link) -> Optional[str]:
+        """Why one link's steady state cannot be replayed, or ``None``."""
+        master, slave, medium = link.master, link.slave, self.medium
+        if self._link_down(link):
+            return "link-not-connected"
+        mconn, sconn = master.conn, slave.conn
+        if master._awaiting_response:
+            return "link-busy"
+        if master._tx_queue or slave._tx_queue:
+            return "link-busy"
+        if slave._terminate_after_response is not None:
+            return "link-busy"
+        if master._pending_encryption is not None \
+                or slave._pending_encryption is not None:
+            return "link-busy"
+        if master.encryption is not None or slave.encryption is not None:
+            return "link-encrypted"
+        for conn in (mconn, sconn):
+            if conn.pending_update is not None \
+                    or conn.pending_channel_map is not None \
+                    or conn.pending_phy is not None:
+                return "link-busy"
+            if not self._retransmit_state_ok(conn):
+                return "link-busy"
+            if conn.last_valid_rx_local_us is None:
+                return "link-out-of-step"
+        if slave._anchor_local is None or slave._events_since_anchor != 1:
+            return "link-out-of-step"
+        if master._anchor_local is None:
+            return "link-out-of-step"
+        mp, sp = mconn.params, sconn.params
+        if (mp.access_address != sp.access_address
+                or mp.crc_init != sp.crc_init
+                or mp.interval != sp.interval
+                or mp.use_csa2 != sp.use_csa2
+                or mp.master_sca_ppm != sp.master_sca_ppm):
+            return "link-out-of-step"
+        if mconn.event_count != sconn.event_count:
+            return "link-out-of-step"
+        mr, sr = master.radio, slave.radio
+        if master.phy is not slave.phy:
+            return "link-out-of-step"
+        if mr.rx_phy is not master.phy or sr.rx_phy is not slave.phy:
+            return "link-out-of-step"
+        if mp.interval_us < 2_000.0 or mp.timeout_us < 5_000.0:
+            return "link-out-of-step"
+        # The next window must open strictly after the previous response
+        # frame ends; bound the widening so it provably cannot reach back.
+        drift_k = (mp.master_sca_ppm + slave.clock.sca_ppm) / PPM
+        widening = slave.widening_scale * (
+            drift_k * mp.interval_us + WINDOW_WIDENING_CONSTANT_US)
+        if widening >= 0.25 * mp.interval_us:
+            return "link-out-of-step"
+        if not self._channels_lockstep(mconn, sconn):
+            return "link-out-of-step"
+        if mr._rx_channel is not None or sr._rx_channel is not None:
+            return "link-radio-busy"
+        if mr.on_tx_complete is not None or sr.on_tx_complete is not None:
+            return "link-radio-busy"
+        # Both links need enough margin that shadowing can never fade a
+        # frame below the sensitivity floor (hard-checked per draw anyway).
+        margin = LINK_MARGIN_SIGMAS * medium.path_loss.shadowing_sigma_db
+        floor_s = max(medium.sensitivity_dbm, sr.sensitivity_dbm)
+        floor_m = max(medium.sensitivity_dbm, mr.sensitivity_dbm)
+        if mr.tx_power_dbm - self._mean_loss(mr, sr) - floor_s <= margin:
+            return "link-margin"
+        if sr.tx_power_dbm - self._mean_loss(sr, mr) - floor_m <= margin:
+            return "link-margin"
+        return None
+
+    def _follower_reason(self, link: _Link, lane: "ConnectionSniffer",
+                         ev_sniff_open) -> Optional[str]:
+        """The follower must be a callback-free passive listener, in step
+        with the victims' hop sequence and not provably deaf to them."""
+        if not lane.following or lane.paused or lane.on_event is not None:
+            return "follower-not-passive"
+        conn, current = lane.connection, lane._current
+        if conn is None or not conn.alive or conn.last_anchor_us is None:
+            return "follower-not-passive"
+        if current is None or current.anchor_us is not None:
+            return "follower-out-of-step"
+        if conn._pending_update is not None \
+                or conn._pending_channel_map is not None \
+                or conn._pending_phy is not None:
+            return "follower-out-of-step"
+        master = link.master
+        mp, sconn = master.conn.params, link.slave.conn
+        if conn.params.access_address != mp.access_address \
+                or conn.params.crc_init != mp.crc_init:
+            return "follower-out-of-step"
+        if conn.phy is not master.phy:
+            return "follower-out-of-step"
+        channel = conn.current_channel
+        if channel != sconn.current_channel \
+                or ev_sniff_open.handler.args != (channel,):
+            return "follower-out-of-step"
+        a_sel, s_sel = conn.selector, sconn.selector
+        if conn._selector_is_csa2 != sconn._selector_is_csa2 \
+                or a_sel._channel_map != s_sel._channel_map:
+            return "follower-out-of-step"
+        if sconn._selector_is_csa2:
+            if a_sel._ch_id != s_sel._ch_id \
+                    or conn.event_count != sconn.event_count:
+                return "follower-out-of-step"
+        elif a_sel.hop_increment != s_sel.hop_increment \
+                or a_sel._last_unmapped != s_sel._last_unmapped:
+            return "follower-out-of-step"
+        radio = lane.radio
+        if radio.on_frame != lane._on_follow_frame \
+                or radio.rx_phy is not conn.phy \
+                or radio.is_transmitting(at_us=self.sim.now):
+            return "follower-out-of-step"
+        # Not provably deaf to either victim: the medium then draws the
+        # follower's shadowing for every frame, as the kernel does.
+        if not (self._is_audible(master.radio, radio)
+                and self._is_audible(link.slave.radio, radio)):
+            return "follower-deaf"
+        return None
+
+    @staticmethod
+    def _retransmit_state_ok(conn) -> bool:
+        """The last sent PDU must be replayable as an empty-PDU cycle."""
+        last = conn._last_sent
+        if last is None:
+            return True
+        header = last.header
+        return header.length == 0 and int(header.llid) != _LLID_CONTROL
+
+    @staticmethod
+    def _channels_lockstep(mconn, sconn) -> bool:
+        """Both selectors must produce the shared hop sequence in lockstep.
+
+        The Slave runs one selector step ahead (it advances when scheduling
+        the window, the Master when the event fires), so the Master's
+        unmapped index plus one hop must land on the Slave's.
+        """
+        m_sel, s_sel = mconn.selector, sconn.selector
+        if sconn.current_channel is None:
+            return False
+        if mconn.params.use_csa2:
+            if not (sconn._selector_is_csa2 and mconn._selector_is_csa2):
+                return False
+            if m_sel._ch_id != s_sel._ch_id:
+                return False
+            if m_sel._channel_map != s_sel._channel_map:
+                return False
+            return s_sel.channel_for_event(sconn.event_count) \
+                == sconn.current_channel
+        if sconn._selector_is_csa2 or mconn._selector_is_csa2:
+            return False
+        if m_sel.hop_increment != s_sel.hop_increment:
+            return False
+        if m_sel._channel_map != s_sel._channel_map:
+            return False
+        hop = s_sel.hop_increment
+        if (m_sel._last_unmapped + hop) % NUM_DATA_CHANNELS \
+                != s_sel._last_unmapped:
+            return False
+        return s_sel._map(s_sel._last_unmapped) == sconn.current_channel
+

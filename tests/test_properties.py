@@ -561,16 +561,25 @@ class TestFastForwardProperties:
 #: Worlds of several quiet background links, as the dense occupancy worlds
 #: build them: each pair a master at ``(x, y)`` and its slave 2 m away,
 #: on a hop interval of the dense worlds' cycle, all registered with the
-#: engine; a wall through the middle, and optionally a Wi-Fi track.
+#: engine; a wall through the middle, and up to two Wi-Fi tracks.  Each
+#: pair draws its own channel selection algorithm and its Master's and
+#: Slave's sleep-clock accuracy, so one block holds rows of different
+#: periods, selectors, drift and bail cycles.  (A pair is ``(interval, x,
+#: y)``, or ``(interval, x, y, use_csa2, master_sca_ppm, slave_sca_ppm)``;
+#: ``wifi`` is one track's settings, a list of them, or ``None``.)
+_SCA_PPM = st.sampled_from((20.0, 50.0, 150.0, 500.0))
 MULTI_LINK_WORLDS = st.fixed_dictionaries({
     "seed": st.integers(0, 1 << 16),
     "pairs": st.lists(st.tuples(st.sampled_from((24, 36, 48)),
-                                st.floats(0.0, 30.0), st.floats(0.0, 30.0)),
-                      min_size=2, max_size=4),
+                                st.floats(0.0, 30.0), st.floats(0.0, 30.0),
+                                st.booleans(), _SCA_PPM, _SCA_PPM),
+                      min_size=2, max_size=5),
     "wall_db": st.sampled_from([0.0, 8.0, 20.0]),
-    "wifi": st.sampled_from([None, {"channels": (11, 12, 13, 14, 15, 16,
-                                                 17, 18, 19, 20),
-                                    "duty_cycle": 0.10}]),
+    "wifi": st.lists(st.sampled_from([
+        {"channels": (11, 12, 13, 14, 15, 16, 17, 18, 19, 20),
+         "duty_cycle": 0.10},
+        {"channels": (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), "duty_cycle": 0.05}]),
+        max_size=2),
     "channel_map": st.just((1 << 37) - 1),
     "seconds": st.just(2),
 })
@@ -596,6 +605,21 @@ FORCED_CONTACT_WORLD = {
     "wifi": {"channels": (5, 6), "duty_cycle": 0.02, "mean_burst_us": 60.0},
     "channel_map": (1 << 5) | (1 << 6), "seconds": 3, "follower": True,
 }
+
+#: CSA#1 and CSA#2 links of different drift side by side, the attacker
+#: following the first (a CSA#2 link), and two Wi-Fi tracks.
+MIXED_SELECTOR_WORLD = {
+    "seed": 31, "pairs": [(24, 0.0, 0.0, True, 50.0, 150.0),
+                          (36, 6.0, 3.0, False, 20.0, 500.0),
+                          (48, 20.0, 10.0, True, 500.0, 20.0)],
+    "wall_db": 8.0,
+    "wifi": [{"channels": (11, 12, 13, 14, 15, 16, 17, 18, 19, 20),
+              "duty_cycle": 0.10},
+             {"channels": (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+              "duty_cycle": 0.05}],
+    "channel_map": (1 << 37) - 1, "seconds": 2, "follower": True,
+}
+
 
 #: Two links whose Masters stand at one spot, the attacker following the
 #: first: now and then a burst lands in a Master's response window while
@@ -630,10 +654,18 @@ def _run_multi_link_world(engine, world):
     sim = Simulator(seed=world["seed"], trace_enabled=True,
                     metrics_enabled=True)
     topo = Topology()
-    for i, (_interval, x, y) in enumerate(world["pairs"]):
+    # (interval, x, y, use CSA#2, Master SCA, Slave SCA) per pair.
+    pairs = [tuple(pair) + (False, 50.0, 50.0)[len(pair) - 3:]
+             for pair in world["pairs"]]
+    wifi = world["wifi"]
+    tracks = [] if wifi is None else [wifi] if isinstance(wifi, dict) \
+        else list(wifi)
+    for i, (_interval, x, y, *_) in enumerate(pairs):
         topo.place(f"m{i}", x, y)
         topo.place(f"s{i}", x + 2.0, y)
-    topo.place("wifi", 15.0, 10.0)
+    for j in range(max(1, len(tracks))):
+        topo.place("wifi" if j == 0 else f"wifi{j}", 15.0 - 12.0 * j,
+                   10.0 + 15.0 * j)
     if world["wall_db"] > 0:
         topo.add_wall(15.0, -10.0, 15.0, 50.0,
                       attenuation_db=world["wall_db"])
@@ -642,19 +674,22 @@ def _run_multi_link_world(engine, world):
     attacker = None
     if world.get("follower"):
         topo.place("attacker", 1.0, 2.0)
-        attacker = Attacker(sim, medium, "attacker")
+        attacker = Attacker(sim, medium, "attacker", use_csa2=pairs[0][3])
         attacker.sniff_new_connections()
     links = []
-    for i, (interval, _x, _y) in enumerate(world["pairs"]):
+    for i, (interval, _x, _y, use_csa2, master_sca, slave_sca) in \
+            enumerate(pairs):
         slave = SlaveLinkLayer(
             sim, medium, f"s{i}",
             BdAddress.generate(sim.streams.get(f"addr-s{i}")),
-            adv_interval_ms=40.0 + 7.0 * i)
+            adv_interval_ms=40.0 + 7.0 * i, use_csa2=use_csa2,
+            sca_ppm=slave_sca)
         master = MasterLinkLayer(
             sim, medium, f"m{i}",
             BdAddress.generate(sim.streams.get(f"addr-m{i}")),
             interval=interval, timeout=300,
-            channel_map=world["channel_map"])
+            channel_map=world["channel_map"], use_csa2=use_csa2,
+            sca_ppm=master_sca)
         slave.start_advertising()
         sim.schedule_at(ESTABLISH_STAGGER_US * (i + 1),
                         lambda m=master, s=slave: m.connect(s.address),
@@ -664,8 +699,10 @@ def _run_multi_link_world(engine, world):
             quiet_engine.add_link(master, slave, attacker.sniffer
                                   if attacker is not None and i == 0
                                   else None)
-    if world["wifi"] is not None:
-        interferer = WifiInterferer(sim, medium, "wifi", **world["wifi"])
+    for j, settings in enumerate(tracks):
+        interferer = WifiInterferer(sim, medium,
+                                    "wifi" if j == 0 else f"wifi{j}",
+                                    **settings)
         interferer.start()
         if quiet_engine is not None:
             quiet_engine.add_track(interferer)
@@ -684,6 +721,7 @@ class TestMultiLinkProperties:
     @example(world=FORCED_OVERLAP_WORLD)
     @example(world=FORCED_CONTACT_WORLD)
     @example(world=TWO_LISTENER_WORLD)
+    @example(world=MIXED_SELECTOR_WORLD)
     def test_engines_agree_on_multi_link_worlds(self, world):
         from repro.sim import fastforward
         from tests.test_engine_differential import run_both_engines
