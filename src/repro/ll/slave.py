@@ -85,6 +85,10 @@ class SlaveState(enum.Enum):
 #: (covers T_IFS plus a CONNECT_REQ's 352 µs air time with margin).
 _ADV_RX_WINDOW_US = T_IFS_US + 420.0
 
+#: How far below T_IFS jitter may pull the scheduled response (the
+#: fast-forward kernel applies the same clamp).
+_RESPONSE_JITTER_FLOOR_US = -4.0
+
 
 class SlaveLinkLayer(LinkLayerDevice):
     """A Peripheral: advertiser + connection Slave.
@@ -427,7 +431,8 @@ class SlaveLinkLayer(LinkLayerDevice):
         # Respond T_IFS after the received frame's end, whatever the CRC
         # said (the flow-control bits communicate the failure).
         self.sim.schedule_at(
-            frame.end_us + T_IFS_US + max(self.clock.sample_jitter(), -4.0),
+            frame.end_us + T_IFS_US
+            + max(self.clock.sample_jitter(), _RESPONSE_JITTER_FLOOR_US),
             self._send_response, f"{self.name}-response",
         )
 

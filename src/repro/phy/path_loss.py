@@ -112,16 +112,3 @@ class PathLossModel:
     ) -> float:
         """Received power for a transmitter at ``tx_power_dbm``."""
         return tx_power_dbm - self.sample_loss_db(distance_m, rng, walls)
-
-    def max_range_m(self, link_budget_db: float) -> float:
-        """Largest wall-free distance whose mean loss fits the budget.
-
-        Inverts :meth:`mean_loss_db` (walls only shorten the range, so
-        ignoring them keeps the result an upper bound).  The medium's
-        spatial index uses this to bound its candidate-receiver radius.
-        """
-        if link_budget_db <= self.reference_loss_db:
-            return self.min_distance_m
-        return 10.0 ** (
-            (link_budget_db - self.reference_loss_db) / (10.0 * self.exponent)
-        )

@@ -10,6 +10,10 @@ The model: a device clock runs at a fixed rate error ``r`` (ppm), sampled
 uniformly within ±SCA at construction, plus white per-reading jitter.  The
 local time after true time ``t`` is ``t * (1 + r/1e6) + jitter``.  Devices
 schedule *in local time*; the simulator converts to true time.
+
+A clock is the only reader of its generator's jitter draws: it buffers
+them in blocks, and the fast-forward kernel takes its share of the same
+buffer (:meth:`SleepClock.take`) rather than drawing a copy of its own.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.units import PPM
+
+#: Jitter draws a clock adds to its buffer at a time, at the least.  Only
+#: the sequence of draws is observable, so this sizes numpy calls only.
+_JITTER_BLOCK = 64
 
 #: SCA values (ppm) allowed by the specification, by SCA field value (0-7).
 SCA_FIELD_PPM = (500.0, 250.0, 150.0, 100.0, 75.0, 50.0, 30.0, 20.0)
@@ -59,6 +67,13 @@ class SleepClock:
     The conversion functions are exact inverses of each other, so a device
     that schedules an event at local time ``L`` wakes at the true time
     ``true_from_local(L)`` (plus jitter applied once, at scheduling).
+
+    After the rate draw, ``rng`` carries only jitter, drawn in blocks into
+    a buffer.  ``Generator.normal(0, s, n)`` yields exactly the ``n``
+    values of ``n`` scalar ``normal(0, s)`` calls, so every reader —
+    :meth:`sample_jitter` one value at a time, the fast-forward kernel a
+    block at a time through :meth:`take` and :meth:`give_back` — sees the
+    one sequence per-call draws would give.
     """
 
     def __init__(
@@ -83,6 +98,9 @@ class SleepClock:
         self.rate_error_ppm = (
             float(self._rng.uniform(-bound, bound)) if bound > 0 else 0.0
         )
+        #: Drawn jitter values; those before ``_pos`` are handed out.
+        self._jitter = np.empty(0)
+        self._pos = 0
 
     @property
     def rate(self) -> float:
@@ -109,7 +127,38 @@ class SleepClock:
         """One draw of scheduling jitter in µs (true time)."""
         if self.jitter_us == 0:
             return 0.0
-        return float(self._rng.normal(0.0, self.jitter_us))
+        pos = self._pos
+        if pos == len(self._jitter):
+            self._refill(1)
+            pos = 0
+        self._pos = pos + 1
+        return float(self._jitter[pos])
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` jitter draws at once (zeros, drawing nothing,
+        when jitter is off)."""
+        if self.jitter_us == 0:
+            return np.zeros(n)
+        if self._pos + n > len(self._jitter):
+            self._refill(n)
+        pos = self._pos
+        self._pos = pos + n
+        return self._jitter[pos:pos + n]
+
+    def give_back(self, n: int) -> None:
+        """Return the last ``n`` draws of the last :meth:`take`; the next
+        reader gets them again."""
+        if self.jitter_us != 0:
+            self._pos -= n
+
+    def _refill(self, n: int) -> None:
+        """Keep the values not yet handed out and draw more behind them,
+        so that ``n`` lie at the front of the buffer."""
+        rest = self._jitter[self._pos:]
+        fresh = self._rng.normal(0.0, self.jitter_us,
+                                 max(n - len(rest), _JITTER_BLOCK))
+        self._jitter = np.concatenate((rest, fresh)) if len(rest) else fresh
+        self._pos = 0
 
     def __repr__(self) -> str:
         return (

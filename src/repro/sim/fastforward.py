@@ -18,16 +18,25 @@ optionally with a *follower*, a passive
 event queue holds exactly each link's steady-state events and each
 track's next burst, and a conservative eligibility audit passes, the
 engine lays out a block of cycles for every link at once, as (links ×
-cycles) arrays, draws each track's bursts ahead from its own stream, and
-commits everything up to the first cycle it cannot replicate: one a
+cycles) arrays, reads each track's bursts ahead in its interferer's plan,
+and commits everything up to the first cycle it cannot replicate: one a
 link's own audit rejects, or a cross-link interaction (two links' frames
 overlapping on one channel, a burst overlapping a link frame that would
 not survive it, a frame heard in another source's listening window unless
 that contact is *inert*, or two sources' events within float tolerance).
-It emits the *same* trace records, metric increments, airtime-tap
-credits and RNG stream consumption the reference path would, writes the
-end state back and lets the reference engine resume mid-trial with no
-divergence.
+It emits the *same* trace records, metric increments and airtime-tap
+credits the reference path would, writes the end state back and lets the
+reference engine resume mid-trial with no divergence.
+
+Every random stream the kernel reads has one owner that draws from it,
+and the kernel takes its values from that owner rather than drawing a
+copy: a clock's jitter from :meth:`~repro.sim.clock.SleepClock.take`, a
+link's shadowing from the medium's per-link substreams, a track's bursts
+from :attr:`~repro.sim.interference.WifiInterferer.plan`.  What the kernel
+takes and does not commit it gives back or leaves planned, so the
+reference path reads the same sequences without any stream being
+rewound.  The one exception is the medium's shared collision stream
+(:meth:`QuietCycleEngine._settle`).
 
 Correctness contract (enforced by ``tests/test_engine_differential.py``):
 byte-identical traces and bit-identical results against the reference
@@ -54,6 +63,7 @@ from repro.ll.csa1 import NUM_DATA_CHANNELS
 from repro.ll.master import _RESPONSE_GRACE_US
 from repro.ll.pdu.data import LLID, DataPdu
 from repro.ll.pdu.frame import compute_crc
+from repro.ll.slave import _RESPONSE_JITTER_FLOOR_US
 from repro.ll.timing import (
     WINDOW_WIDENING_CONSTANT_US,
     WORST_CASE_SLAVE_SCA_PPM,
@@ -104,10 +114,6 @@ _LLID_EMPTY = int(LLID.DATA_CONTINUATION)
 #: (LLID, MD) of an empty data PDU with no more data to follow.
 _EMPTY_DESC = (_LLID_EMPTY, 0)
 
-#: How far below a frame's start the Slave's scheduled-response clamp may
-#: reach (mirrors the ``max(jitter, -4.0)`` clamp in ``slave.py``).
-_RESPONSE_JITTER_FLOOR_US = -4.0
-
 #: Cycles the first block of an engagement speculates; later blocks grow
 #: eightfold up to :data:`_BLOCK_CYCLES`, and every block is cut to the
 #: cycles the horizon and the event budget leave room for.  With several
@@ -136,41 +142,12 @@ _FAULTS = (
     "response completes",
 )
 
-#: A Wi-Fi track keeps its stream state before every this-many-th burst
-#: it draws, and rewinds to a burst in between by replaying the draws
-#: since the last kept state.  A state costs about as much as two draws;
-#: a cut that leaves drawn bursts behind comes about once per 70 bursts
-#: in busy dense worlds, so a mark every 8 bursts keeps both costs small.
-_BURST_MARK = 8
-
-#: A noise burst's air time by PDU length (1-250 bytes; index 0 unused).
-_BURST_AIR_US = tuple(air_time_us(length, PhyMode.LE_1M)
-                      for length in range(251))
-
 #: Disengage reasons a down link also causes (:meth:`QuietCycleEngine.
 #: _stand_down` reports those as ``link-not-connected``).
 _MAYBE_DOWN = frozenset(("live-count", "link-in-event"))
 
 _TIME = attrgetter("time_us")
 _FIRST = itemgetter(0)
-
-_events_fast_forwarded = 0
-
-
-def events_fast_forwarded() -> int:
-    """Total simulator events replaced by fast-forward, process-wide.
-
-    Serial runs (``--jobs 1``) accumulate here directly; parallel workers
-    each count their own share.  Benchmarks reset via
-    :func:`reset_fast_forward_count` and read this after a serial panel.
-    """
-    return _events_fast_forwarded
-
-
-def reset_fast_forward_count() -> None:
-    """Zero the process-wide :func:`events_fast_forwarded` counter."""
-    global _events_fast_forwarded
-    _events_fast_forwarded = 0
 
 
 def resolve_engine(explicit: Optional[str] = None) -> str:
@@ -217,65 +194,6 @@ def install_engine(
     quiet_engine = QuietCycleEngine(sim, medium, links)
     sim.install_fast_forward(quiet_engine)
     return quiet_engine
-
-
-class _StreamBuffer:
-    """Block-buffered normal draws, bit-identical to per-call draws.
-
-    ``numpy.random.Generator.normal(0, s, n)`` consumes the bit stream
-    exactly as ``n`` scalar ``normal(0, s)`` calls do (same values, same
-    end state), so the engine can take a whole block of cycles' draws at
-    once, hand back the ones a cut-short block did not use, and on
-    disengage rewind to the saved state and replay exactly the consumed
-    count, so the reference path continues on an identical stream.
-    """
-
-    __slots__ = ("_rng", "_sigma", "_values", "_pos", "_consumed",
-                 "_saved_state")
-
-    def __init__(self, rng, sigma: float):
-        self._rng = rng if (sigma > 0.0 and rng is not None) else None
-        self._sigma = sigma
-        self._values: np.ndarray = np.empty(0)
-        self._pos = 0
-        self._consumed = 0
-        self._saved_state: Optional[dict] = None
-
-    def take(self, n: int) -> np.ndarray:
-        """The next ``n`` draws (zeros, consuming nothing, when sigma is 0)."""
-        rng = self._rng
-        if rng is None:
-            return np.zeros(n)
-        if self._saved_state is None:
-            self._saved_state = rng.bit_generator.state
-        pos, values = self._pos, self._values
-        if pos + n > len(values):
-            fresh = rng.normal(0.0, self._sigma, n - (len(values) - pos))
-            values = self._values = np.concatenate((values[pos:], fresh))
-            pos = 0
-        self._pos = pos + n
-        self._consumed += n
-        return values[pos:pos + n]
-
-    def give_back(self, n: int) -> None:
-        """Return the last ``n`` taken draws; the next :meth:`take` sees
-        them again."""
-        if self._rng is not None:
-            self._pos -= n
-            self._consumed -= n
-
-    def unwind(self) -> None:
-        """Leave the stream exactly where per-call draws would have."""
-        rng = self._rng
-        if rng is None or self._saved_state is None:
-            return
-        rng.bit_generator.state = self._saved_state
-        if self._consumed:
-            rng.normal(0.0, self._sigma, self._consumed)
-        self._saved_state = None
-        self._values = np.empty(0)
-        self._pos = 0
-        self._consumed = 0
 
 
 def _take_frame_ids(count: int) -> int:
@@ -351,8 +269,9 @@ class _Links:
     every row at once, the engine finds how many cycles of each row every
     other source lets it commit (``cut``), ``commit`` emits those and
     rolls every row on, and ``write_back`` hands the links back to the
-    reference engine.  Only each link's own streams (clock jitter,
-    shadowing draws), its trace records and its ARQ bits stay per row.
+    reference engine.  Only each link's own streams (its clocks' jitter,
+    taken from and given back to the clocks, and its shadowing draws), its
+    trace records and its ARQ bits stay per row.
     """
 
     def __init__(self, engine: "QuietCycleEngine", links: list, queued: list):
@@ -476,8 +395,7 @@ class _Links:
                 mp.access_address, mp.crc_init, mconn.selector, s_sel, mr,
                 sr, a_radio, shadow(mr, sr), shadow(sr, mr),
                 shadow(mr, a_radio), shadow(sr, a_radio),
-                _StreamBuffer(slave.clock._rng, slave.clock.jitter_us),
-                _StreamBuffer(master.clock._rng, master.clock.jitter_us),
+                slave.clock, master.clock,
                 None if mp.use_csa2 else engine._csa1_table(s_sel),
                 0 if mp.use_csa2 else s_sel.hop_increment,
                 0 if mp.use_csa2 else s_sel._last_unmapped,
@@ -503,7 +421,7 @@ class _Links:
                 mr.tx_power_dbm, sr.tx_power_dbm, *lane_floats))
         (self.aa, self.crc_init, self.m_sels, self.s_sels, self.mr, self.sr,
          self.a_radio, self.ms_shadow, self.sm_shadow, self.ma_shadow,
-         self.sa_shadow, self.s_jitter, self.m_jitter, tables, hop,
+         self.sa_shadow, self.s_clock, self.m_clock, tables, hop,
          self.unmapped, self.m_seq, self.s_seq, self.channel,
          self.event_count, self.a_event_count, self.m_anchor, self.s_lv,
          self.arq) = map(list, zip(*objects)) if size else ([] for _ in
@@ -562,9 +480,9 @@ class _Links:
                   if count > 0]
         s_draws, m_draws = np.zeros((size, width, 3)), np.zeros((size, width))
         for row, count in counts:
-            s_draws[row, :count] = self.s_jitter[row].take(
+            s_draws[row, :count] = self.s_clock[row].take(
                 3 * count).reshape(count, 3)
-            m_draws[row, :count] = self.m_jitter[row].take(count)
+            m_draws[row, :count] = self.m_clock[row].take(count)
 
         # -- every cycle's timing, in the reference's float-op order, one
         #    row per link.  Cycle i+1 starts at cycle i's unclamped next
@@ -684,8 +602,8 @@ class _Links:
             self.pa_master[row], self.pa_slave[row] = pa_master, pa_slave
         for row, count in counts:
             if count > k_list[row]:
-                self.s_jitter[row].give_back(3 * (count - k_list[row]))
-                self.m_jitter[row].give_back(count - k_list[row])
+                self.s_clock[row].give_back(3 * (count - k_list[row]))
+                self.m_clock[row].give_back(count - k_list[row])
         self.k, self.bailed, self.s, self.e, self.s_after = \
             k, bailed, s, e, s_after
         self.t_m, self.end_m, self.t_resp, self.end_r = t_m, end_m, t_resp, \
@@ -771,8 +689,8 @@ class _Links:
         k = self.k
         for row in np.flatnonzero(counts < k).tolist():
             c, kept = int(counts[row]), int(k[row])
-            self.s_jitter[row].give_back(3 * (kept - c))
-            self.m_jitter[row].give_back(kept - c)
+            self.s_clock[row].give_back(3 * (kept - c))
+            self.m_clock[row].give_back(kept - c)
             if self.lanes[row] is not None:
                 self._give_back_follower(row, c, kept)
                 self.pa_master[row] = self.pa_master[row][:c]
@@ -1085,15 +1003,6 @@ class _Links:
                     for row, lane in enumerate(self.lanes)
                     if self.committed[row]), default=-np.inf)
 
-    def unwind(self) -> None:
-        """Leave the clocks' jitter streams where per-call draws would.
-        The per-link shadowing substreams need no unwind: their draws are
-        indexed by transmission counter, so the reference path picks up at
-        the written-back counters with identical values."""
-        for s_jitter, m_jitter in zip(self.s_jitter, self.m_jitter):
-            s_jitter.unwind()
-            m_jitter.unwind()
-
     def write_back(self) -> list:
         """Hand every link that committed a cycle back to the reference
         engine as if it had run each committed cycle itself.  Returns the
@@ -1200,157 +1109,46 @@ class _Links:
 
 
 class _TrackRun:
-    """One Wi-Fi track through an engagement: its bursts, drawn ahead from
-    its own stream one at a time.
+    """One Wi-Fi track through an engagement: a view on its interferer's
+    :attr:`~repro.sim.interference.WifiInterferer.plan`, which the kernel
+    reads ahead in (the interferer draws each burst it plans) and commits
+    from.  Bursts planned past the engagement's end stay in the plan, and
+    the reference path fires them from there."""
 
-    The interferer draws, at each burst event, the burst's length and
-    channel (only when its radio is idle) and then the gap to its next
-    burst, all from its ``wifi-{name}`` stream.  The three distributions
-    interleave on that one stream, so each burst is drawn in turn.  The
-    bit-generator state is kept before every :data:`_BURST_MARK`-th burst,
-    so the stream can be left before the first burst not committed by
-    replaying the draws since the last such mark.  Bursts drawn past the
-    end of the engagement are what the reference path then draws itself,
-    so the engine keeps them for the track's next engagement, which takes
-    them over if the stream is still where they begin.
-    """
-
-    __slots__ = ("engine", "interferer", "event", "rng", "radio", "tid",
-                 "owner", "channels", "mean_burst", "mean_gap", "drawn",
-                 "next_us", "tx_until", "next_state", "at_end", "unmarked",
-                 "mark", "replay", "committed", "seq", "last_us",
-                 "last_created", "sent")
+    __slots__ = ("engine", "interferer", "event", "plan", "radio", "tid",
+                 "committed", "seq", "last_us", "last_created", "sent")
 
     def __init__(self, engine: "QuietCycleEngine",
-                 interferer: "WifiInterferer", event: Event, owner: int):
+                 interferer: "WifiInterferer", event: Event):
         self.engine = engine
         self.interferer = interferer
         self.event = event
-        self.owner = owner
-        rng = self.rng = interferer._rng
+        self.plan = interferer.plan
         radio = self.radio = interferer.radio
         self.tid = radio.medium_id
-        self.channels = interferer.channels
-        self.mean_burst = interferer.mean_burst_us
-        duty = interferer.duty_cycle
-        self.mean_gap = interferer.mean_burst_us * (1.0 - duty) / duty
-        #: (time, end or None when the radio was busy, channel, PDU
-        #: length, next burst time, stream state before the draws or None
-        #: between marks, air time).
-        self.drawn: list = []
-        self.next_us = event.time_us
-        self.tx_until = radio._tx_until_us
-        #: The stream state after the last drawn burst, and whether the
-        #: stream is there now.
-        self.next_state = None
-        self.at_end = True
-        #: Bursts drawn since the last kept state; the last kept state of
-        #: a committed burst, and whether each burst committed since then
-        #: was sent (its draws, replayed to rewind the stream).
-        self.unmarked = _BURST_MARK
-        self.mark = None
-        self.replay: list = []
-        ahead = engine._ahead.pop(interferer, None)
-        if ahead is not None:
-            drawn, next_us, tx_until, next_state = ahead
-            skip = 0
-            while skip < len(drawn) and drawn[skip][0] < event.time_us:
-                skip += 1
-            first_us = drawn[skip][0] if skip < len(drawn) else next_us
-            if abs(first_us - event.time_us) <= TIME_EPS_US:
-                current = rng.bit_generator.state
-                state = self._state_before(drawn, skip, next_state)
-                if state == current:
-                    drawn = drawn[skip:]
-                    if drawn:
-                        drawn[0] = drawn[0][:5] + (state,) + drawn[0][6:]
-                    self.drawn, self.next_us, self.tx_until = \
-                        drawn, next_us, tx_until
-                    self.next_state, self.at_end = next_state, not drawn
-                    if drawn:
-                        self.unmarked = 0
-                else:
-                    rng.bit_generator.state = current
         self.committed = 0
         self.seq = engine.medium._tx_seq.get(self.tid, 0)
         self.last_us = self.last_created = 0.0
         self.sent = 0
 
-    def _redraw(self, sent: list) -> None:
-        """Draw again, from wherever the stream is, what bursts sent
-        (``True``) or skipped while busy (``False``) drew."""
-        rng, mean_burst, mean_gap = self.rng, self.mean_burst, self.mean_gap
-        choices = len(self.channels)
-        for burst_sent in sent:
-            if burst_sent:
-                rng.exponential(mean_burst)
-                rng.integers(0, choices)
-            rng.exponential(mean_gap)
-
-    def _state_before(self, drawn: list, index: int, next_state):
-        """The stream state before ``drawn[index]`` (``next_state`` past the
-        last), replayed from the last kept state before it; the stream is
-        left there."""
-        if index == len(drawn):
-            return next_state
-        mark = index
-        while drawn[mark][5] is None:
-            mark -= 1
-        if mark == index:
-            return drawn[index][5]
-        self.rng.bit_generator.state = drawn[mark][5]
-        self._redraw([burst[1] is not None for burst in drawn[mark:index]])
-        return self.rng.bit_generator.state
-
-    def draw_until(self, horizon_us: float) -> None:
-        """Draw every burst due before ``horizon_us``."""
-        rng, channels = self.rng, self.channels
-        choices = len(channels)
-        drawn = self.drawn
-        t = self.next_us
-        if t >= horizon_us:
-            return
-        if not self.at_end:
-            rng.bit_generator.state = self.next_state
-            self.at_end = True
-        tx_until, unmarked = self.tx_until, self.unmarked
-        mean_burst, mean_gap = self.mean_burst, self.mean_gap
-        while t < horizon_us:
-            state = None
-            if unmarked >= _BURST_MARK:
-                state, unmarked = rng.bit_generator.state, 0
-            unmarked += 1
-            end = None
-            channel = pdu_len = 0
-            duration = 0.0
-            if not tx_until > t + TIME_EPS_US:
-                length_us = max(40.0, float(rng.exponential(mean_burst)))
-                pdu_len = min(250, max(1, int(length_us / 8.0) - 8))
-                # Generator.choice over a sequence draws exactly one
-                # integers(0, len) from the stream.
-                channel = int(channels[int(rng.integers(0, choices))])
-                duration = _BURST_AIR_US[pdu_len]
-                end = tx_until = t + duration
-            gap = float(rng.exponential(mean_gap))
-            after = t + max(gap, 1.0)
-            drawn.append((t, end, channel, pdu_len, after, state, duration))
-            t = after
-        self.next_us = t
-        self.tx_until = tx_until
-        self.unmarked = unmarked
+    def next_burst_us(self, count: int) -> float:
+        """The time of the burst after the first ``count`` planned."""
+        plan = self.plan
+        return plan[count][0] if count < len(plan) \
+            else self.interferer.next_us
 
     def due_before(self, horizon_us: float) -> int:
-        """Bursts (drawn and not yet committed) firing before the
+        """Bursts (planned and not yet committed) firing before the
         horizon."""
-        # A drawn burst is a tuple led by its time, and a shorter tuple
+        # A planned burst is a tuple led by its time, and a shorter tuple
         # sorts first among equals: this is the first burst at or after.
-        return bisect_left(self.drawn, (horizon_us,))
+        return bisect_left(self.plan, (horizon_us,))
 
     def crossing(self, count: int):
         """The first ``count`` uncommitted bursts for the cross-link checks:
         the sent ones' channels, starts, ends and transmission indexes, and
         every event they fire."""
-        bursts = self.drawn[:count]
+        bursts = self.plan[:count]
         sent = [b for b in bursts if b[1] is not None]
         ends = [b[1] for b in sent]
         return ([b[2] for b in sent], [b[0] for b in sent], ends,
@@ -1361,7 +1159,7 @@ class _TrackRun:
         """The start of the first of ``count`` bursts still on air at the
         horizon (a busy radio skips bursts, so it need not be the last),
         else ``None``."""
-        for t, end, *_ in self.drawn[:count]:
+        for t, end, *_ in self.plan[:count]:
             if end is not None and end >= horizon_us:
                 return t
         return None
@@ -1369,18 +1167,19 @@ class _TrackRun:
     def events_in(self, count: int) -> int:
         """Simulator events the first ``count`` bursts fire: the burst and,
         for a sent one, its medium-finish."""
-        return sum(1 if b[1] is None else 2 for b in self.drawn[:count])
+        return sum(1 if b[1] is None else 2 for b in self.plan[:count])
 
     def commit(self, count: int, ids: list, sink, retained: list,
                contacts: dict, busy_at: dict, link_ids) -> None:
-        """Emit the first ``count`` drawn bursts with the given frame ids
-        (one per sent burst, in order), absorb their inert ``contacts`` and
-        write the rx-busy records of the radios locked onto a link frame
-        (``busy_at``; ``link_ids`` gives that frame's id) that hear
-        them."""
+        """Emit the first ``count`` planned bursts with the given frame ids
+        (one per sent burst, in order) and take them off the plan, absorb
+        their inert ``contacts`` and write the rx-busy records of the
+        radios locked onto a link frame (``busy_at``; ``link_ids`` gives
+        that frame's id) that hear them."""
         engine = self.engine
         medium = engine.medium
-        bursts, self.drawn = self.drawn[:count], self.drawn[count:]
+        bursts = self.plan[:count]
+        del self.plan[:count]
         name = self.radio.name
         sent = 0
         seq = self.seq
@@ -1390,12 +1189,8 @@ class _TrackRun:
             # A burst's end records may fall after the next burst's start;
             # sort this block's records by time before handing them on.
             out, sink = sink, Trace()
-        replay = self.replay
         busy = 0
-        for t, end, channel, pdu_len, _after, state, _dur in bursts:
-            if state is not None:
-                self.mark, replay = state, []
-            replay.append(end is not None)
+        for t, end, channel, pdu_len, _after, _duration in bursts:
             if end is not None:
                 frame_id = ids[sent]
                 listeners = heard.get(sent, ())
@@ -1426,7 +1221,6 @@ class _TrackRun:
             else:
                 self.last_us = max(self.last_us, t)
             self.last_created = t
-        self.replay = replay
         if out is not None:
             out._records.extend(sorted(sink._records, key=_TIME))
         if medium._metrics.enabled:
@@ -1441,38 +1235,19 @@ class _TrackRun:
         """``(start, channel, duration)`` of the sent bursts among the first
         ``count``."""
         return [(t, channel, duration)
-                for t, end, channel, _, _, _, duration in self.drawn[:count]
+                for t, end, channel, _, _, duration in self.plan[:count]
                 if end is not None]
 
     def write_back(self) -> list:
-        """Leave the stream before the first uncommitted burst, keep the
-        bursts drawn past it for the next engagement, and hand the track
-        back; returns its burst event to recreate, as
-        :meth:`_Links.write_back` does."""
-        drawn, rng = self.drawn, self.rng
-        if drawn:
-            next_state = rng.bit_generator.state if self.at_end \
-                else self.next_state
-            if drawn[0][5] is not None:
-                rng.bit_generator.state = drawn[0][5]
-            else:
-                # Rewind to the last kept state and replay the committed
-                # bursts since; the takeover compares the state reached.
-                rng.bit_generator.state = self.mark
-                self._redraw(self.replay)
-                drawn[0] = drawn[0][:5] + (rng.bit_generator.state,) \
-                    + drawn[0][6:]
-            self.engine._ahead[self.interferer] = (
-                drawn, self.next_us, self.tx_until, next_state)
-        elif not self.at_end:
-            rng.bit_generator.state = self.next_state
+        """Hand the track back; returns its burst event to recreate, at the
+        first burst not committed, as :meth:`_Links.write_back` does."""
         if not self.committed:
             return []
         interferer, sim = self.interferer, self.engine.sim
         self.event.cancel()
         interferer.bursts_sent += self.sent
         self.engine.medium._tx_seq[self.tid] = self.seq
-        next_us = drawn[0][0] if drawn else self.next_us
+        next_us = self.next_burst_us(0)
         return [(self.last_created,
                  lambda: sim.schedule_at(next_us, interferer._burst,
                                          "wifi-burst"))]
@@ -1494,9 +1269,9 @@ class QuietCycleEngine(QuietAudit):
     """
 
     __slots__ = ("sim", "medium", "links", "tracks", "_owners", "_base",
-                 "_followers", "_live_counts", "_ahead", "_metrics",
-                 "_m_counters", "_pdu_cache", "_csa1_tables", "_audible",
-                 "_audible_version")
+                 "_followers", "_live_counts", "_metrics", "_m_counters",
+                 "_pdu_cache", "_csa1_tables", "_audible", "_audible_version",
+                 "events_fast_forwarded")
 
     def __init__(self, sim: Simulator, medium: Medium,
                  links: Sequence[tuple] = ()):
@@ -1511,8 +1286,8 @@ class QuietCycleEngine(QuietAudit):
         self._base = 0
         self._followers = 0
         self._live_counts = frozenset((0,))
-        #: Per track, the bursts its last engagement drew past its end.
-        self._ahead: dict = {}
+        #: Simulator events this engine has replaced so far.
+        self.events_fast_forwarded = 0
         self._metrics = sim.metrics
         self._m_counters: dict = {}
         # (llid, md, sn, nesn, crc_init) -> (pdu_bytes, crc)
@@ -1675,9 +1450,8 @@ class QuietCycleEngine(QuietAudit):
             return 0
         block.prepare()
         size = block.size
-        tracks = [_TrackRun(self, interferer, event, size + index)
-                  for index, (interferer, event)
-                  in enumerate(zip(self.tracks, bursts))]
+        tracks = [_TrackRun(self, interferer, event)
+                  for interferer, event in zip(self.tracks, bursts)]
         credit = medium._metrics.enabled or bool(medium._taps)
         trace = sim.trace
         retained: list = []
@@ -1781,7 +1555,6 @@ class QuietCycleEngine(QuietAudit):
         # Materialise: write the end-of-stretch state back so the reference
         # engine resumes as if it had executed every cycle itself.
         # ------------------------------------------------------------------
-        block.unwind()
         pending = block.write_back()
         last_us = max(sim._now, block.last_event_us())
         for track in tracks:
@@ -1808,9 +1581,7 @@ class QuietCycleEngine(QuietAudit):
             transmission = _ActiveTransmission(frame, sender, seq)
             transmission.rx_power_dbm.update(powers)
             medium._append_recent(transmission)
-
-        global _events_fast_forwarded
-        _events_fast_forwarded += fired
+        self.events_fast_forwarded += fired
         return fired
 
     # ------------------------------------------------------------------
@@ -1844,11 +1615,12 @@ class QuietCycleEngine(QuietAudit):
         if block.size:
             horizon = min(block.horizons())
         else:
-            horizon = min(track.next_us for track in tracks) + span_us
+            horizon = min(track.interferer.next_us
+                          for track in tracks) + span_us
         if until_us is not None:
             horizon = min(horizon, until_us)
         for track in tracks:
-            track.draw_until(horizon)
+            track.interferer.plan_until(horizon)
         hit, rule, contacts, peeked = self._first_interaction(
             block, tracks, horizon)
         if hit < horizon:
@@ -1903,10 +1675,7 @@ class QuietCycleEngine(QuietAudit):
         if near.any():
             return False
         for track, track_c in zip(tracks, sent):
-            drawn = track.drawn
-            next_burst = drawn[track_c][0] if track_c < len(drawn) \
-                else track.next_us
-            if next_burst - horizon <= TIME_EPS_US:
+            if track.next_burst_us(track_c) - horizon <= TIME_EPS_US:
                 return False
         return True
 
@@ -2181,6 +1950,8 @@ class QuietCycleEngine(QuietAudit):
                     sir_db=power - self._peek_power(
                         radios[int(f_sender[x])], int(f_seq[x]), receiver))
                     for x in bursts]
+                # Shared by every reception, with a varying draw count per
+                # resolution: the one stream the kernel saves and restores.
                 state = rng.bit_generator.state
                 outcome = medium.collision.resolve(wanted, overlaps, rng)
                 collided.append((row, slot, cycle, receiver.medium_id, state,

@@ -5,6 +5,11 @@ other BLE devices and multiple WiFi routers" (§VII-A).  This module
 provides interferers that occupy the simulated band so robustness can be
 studied: a Wi-Fi-like wideband burster parked on a block of channels, and
 a rogue BLE advertiser hammering the advertising channels.
+
+An interferer is the only reader of its ``wifi-{name}`` stream: it keeps
+a plan of its bursts, drawn lazily in firing order, which its own burst
+events consume and the fast-forward kernel reads ahead in and commits
+from.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.phy.modulation import PhyMode, air_time_us
+from repro.sim.events import TIME_EPS_US
 from repro.sim.medium import Medium
 from repro.sim.simulator import Simulator
 from repro.sim.transceiver import Transceiver
@@ -24,6 +31,10 @@ from repro.sim.transceiver import Transceiver
 #: with this AA as channel energy, never as decodable PDUs.
 NOISE_ACCESS_ADDRESS = 0x55AA55AA
 
+#: A noise burst's air time by PDU length (1-250 bytes; index 0 unused).
+_BURST_AIR_US = tuple(air_time_us(length, PhyMode.LE_1M)
+                      for length in range(251))
+
 
 class WifiInterferer:
     """A Wi-Fi-like burst source occupying a block of BLE channels.
@@ -31,6 +42,14 @@ class WifiInterferer:
     A 20 MHz Wi-Fi channel covers ~10 BLE channels; each burst lands on a
     random channel of the block.  Burst length and spacing are drawn from
     exponential distributions parameterised by a duty cycle.
+
+    The bursts are drawn into :attr:`plan` one at a time, in the order the
+    burst events fire: a burst's length and channel (only when the radio
+    is idle, i.e. the last burst sent has ended) and then the gap to the
+    next burst.  Whether the radio is idle depends only on this
+    interferer's own bursts, so the plan is a pure function of its stream,
+    however far ahead it is drawn.  An interferer starts once: a restart
+    would have to rewind a stream the plan has already moved.
 
     Args:
         sim: owning simulator.
@@ -61,42 +80,74 @@ class WifiInterferer:
             range(11, 21))
         self.duty_cycle = duty_cycle
         self.mean_burst_us = mean_burst_us
+        self._mean_gap_us = mean_burst_us * (1.0 - duty_cycle) / duty_cycle
         self.radio = Transceiver(sim, medium, name,
                                  tx_power_dbm=tx_power_dbm)
         self._rng: np.random.Generator = sim.streams.get(f"wifi-{name}")
         self._running = False
+        #: The bursts drawn and not yet fired, in firing order: ``(time,
+        #: end or None when the radio is still busy, channel, PDU length,
+        #: next burst's time, air time)``.
+        self.plan: list = []
+        #: The time of the first burst not yet planned (its gap is drawn),
+        #: ``None`` before :meth:`start`.
+        self.next_us: Optional[float] = None
+        self._tx_until = self.radio._tx_until_us
         self.bursts_sent = 0
 
     def start(self) -> None:
         """Begin bursting."""
+        if self.next_us is not None:
+            raise ConfigurationError(
+                f"interferer {self.radio.name!r} cannot be restarted")
         self._running = True
-        self._schedule_next()
+        gap = float(self._rng.exponential(self._mean_gap_us))
+        self.next_us = self.sim.now + max(gap, 1.0)
+        self.sim.schedule_at(self.next_us, self._burst, "wifi-burst")
 
     def stop(self) -> None:
-        """Stop after any in-flight burst."""
+        """Stop after any in-flight burst; the planned ones never fire."""
         self._running = False
+        self.plan.clear()
 
-    def _schedule_next(self) -> None:
-        if not self._running:
-            return
-        mean_gap = self.mean_burst_us * (1.0 - self.duty_cycle) / self.duty_cycle
-        gap = float(self._rng.exponential(mean_gap))
-        self.sim.schedule_in(max(gap, 1.0), self._burst, "wifi-burst")
+    def plan_until(self, horizon_us: float) -> None:
+        """Plan every burst due before ``horizon_us``."""
+        assert self.next_us is not None  # started
+        rng, channels = self._rng, self.channels
+        mean_burst, mean_gap = self.mean_burst_us, self._mean_gap_us
+        t, tx_until, plan = self.next_us, self._tx_until, self.plan
+        while t < horizon_us:
+            end = None
+            channel = pdu_len = 0
+            duration = 0.0
+            # Transceiver.is_transmitting(t): a burst waits out the last.
+            if not tx_until > t + TIME_EPS_US:
+                length_us = max(40.0, float(rng.exponential(mean_burst)))
+                # Burst length is encoded as a PDU long enough to span it
+                # (8 µs per byte at LE 1M equivalence).
+                pdu_len = min(250, max(1, int(length_us / 8.0) - 8))
+                # One integers(0, len) draw, as Generator.choice makes.
+                channel = int(channels[int(rng.integers(0, len(channels)))])
+                duration = _BURST_AIR_US[pdu_len]
+                end = tx_until = t + duration
+            after = t + max(float(rng.exponential(mean_gap)), 1.0)
+            plan.append((t, end, channel, pdu_len, after, duration))
+            t = after
+        self.next_us, self._tx_until = t, tx_until
 
     def _burst(self) -> None:
         if not self._running:
             return
-        if not self.radio.is_transmitting(self.sim.now):
-            length_us = max(40.0, float(
-                self._rng.exponential(self.mean_burst_us)))
-            # Burst length is encoded as a PDU long enough to span it
-            # (8 µs per byte at LE 1M equivalence).
-            pdu_len = min(250, max(1, int(length_us / 8.0) - 8))
-            channel = int(self._rng.choice(self.channels))
+        plan = self.plan
+        if not plan:
+            # Bursts lie 1 µs apart at the least: this plans exactly one.
+            self.plan_until(self.sim.now + 1.0)
+        _t, end, channel, pdu_len, after, _duration = plan.pop(0)
+        if end is not None:
             self.radio.transmit(NOISE_ACCESS_ADDRESS, bytes(pdu_len), 0,
                                 channel)
             self.bursts_sent += 1
-        self._schedule_next()
+        self.sim.schedule_at(after, self._burst, "wifi-burst")
 
 
 class RogueAdvertiser:

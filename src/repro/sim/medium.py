@@ -31,11 +31,6 @@ at the 100+ connection dense-RF worlds the occupancy sweep runs):
   the frame's channel;
 * **per-channel active/recent frame indexes** — collision resolution and
   :meth:`active_on_channel` touch only co-channel overlaps;
-* **a spatial grid over the topology** (:class:`~repro.sim.topology.
-  SpatialGrid`, cell ≈ the max propagation range at the sensitivity
-  floor), consulted once a channel's listener set is large enough to be
-  worth range-pruning before any path-loss math; rebuilt lazily whenever
-  :attr:`Topology.version` moves;
 * **lazy per-link shadowing** — shadowing draws come from counter-based
   per-(sender, receiver) RNG substreams indexed by the sender's
   transmission sequence number, so a draw is a pure function of
@@ -84,7 +79,7 @@ from repro.phy.path_loss import PathLossModel
 from repro.phy.signal import RadioFrame
 from repro.sim.events import TIME_EPS_US
 from repro.sim.simulator import Simulator
-from repro.sim.topology import SpatialGrid, Topology
+from repro.sim.topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.transceiver import Transceiver
@@ -101,17 +96,6 @@ RECENT_HORIZON_US = 20_000.0
 #: below the sensitivity floor (single-draw probability ~1e-15 — the same
 #: tolerance the fast-forward engine's engagement audit uses).
 LINK_MARGIN_SIGMAS = 8.0
-
-#: Minimum on-channel listener count before the spatial grid is consulted;
-#: below it the per-channel interest set is already small enough that a
-#: grid query costs more than the path-loss math it would prune.
-_GRID_MIN_LISTENERS = 24
-
-#: Nominal transmit power used to size grid cells (0 dBm is typical BLE).
-#: Cell size is a performance knob only — ``SpatialGrid.near`` covers the
-#: per-frame radius with however many rings it takes, so a hotter
-#: transmitter just walks one extra ring.
-_GRID_REF_TX_POWER_DBM = 0.0
 
 
 class _ActiveTransmission:
@@ -238,7 +222,7 @@ class Medium:
         collision: capture-effect model.
         sensitivity_dbm: default receiver sensitivity; frames arriving below
             it neither lock nor deliver.
-        indexed: use the per-channel/spatial indexes and lazy per-link
+        indexed: use the per-channel indexes, range pruning and lazy per-link
             shadowing (the default); ``False`` restores the broadcast
             medium that eagerly samples every frame at every transceiver —
             same traces, O(world) per frame — kept as the differential and
@@ -285,7 +269,6 @@ class Medium:
         # loss dB); rebuilt lazily whenever the topology version moves.
         self._path_cache: dict[tuple[int, int], tuple[float, tuple, float]] = {}
         self._path_cache_version = -1
-        self._grid: Optional[SpatialGrid] = None
         metrics = sim.metrics
         self._metrics = metrics
         self._m_tx = metrics.counter("medium.tx")
@@ -331,7 +314,6 @@ class Medium:
         topology = self.topology
         if topology.version != self._path_cache_version:
             self._path_cache.clear()
-            self._grid = None
             self._path_cache_version = topology.version
         key = (sender.medium_id, tid)
         path = self._path_cache.get(key)
@@ -366,30 +348,6 @@ class Medium:
             power = tx.frame.tx_power_dbm - loss
             tx.rx_power_dbm[tid] = power
         return power
-
-    def _grid_candidates(self, tx: _ActiveTransmission,
-                         n_listeners: int) -> Optional[set]:
-        """Names possibly in range of ``tx``, or ``None`` (no pruning).
-
-        Only consulted for crowded channels; the returned set is a superset
-        of the in-range devices (grid rings + the link-margin radius), so
-        membership filtering drops provably-deaf receivers only.
-        """
-        if n_listeners < _GRID_MIN_LISTENERS:
-            return None
-        topology = self.topology
-        grid = self._grid
-        if grid is None or grid.version != topology.version:
-            sigma = self.path_loss.shadowing_sigma_db
-            cell_budget = (_GRID_REF_TX_POWER_DBM - self.sensitivity_dbm
-                           + LINK_MARGIN_SIGMAS * sigma)
-            grid = self._grid = SpatialGrid(
-                topology, self.path_loss.max_range_m(cell_budget))
-        sigma = self.path_loss.shadowing_sigma_db
-        budget = (tx.frame.tx_power_dbm - self.sensitivity_dbm
-                  + LINK_MARGIN_SIGMAS * sigma)
-        radius = self.path_loss.max_range_m(budget)
-        return grid.near(topology.position_of(tx.sender.name), radius)
 
     # ------------------------------------------------------------------
     # Transmission path
@@ -453,7 +411,6 @@ class Medium:
         frame = tx.frame
         sender_id = tx.sender.medium_id
         margin = 0.0
-        near: Optional[set] = None
         if self.indexed:
             listeners = self._listeners.get(frame.channel)
             if not listeners:
@@ -463,7 +420,6 @@ class Medium:
             # insertion order are identical between the two modes.
             candidates = [(tid, listeners[tid]) for tid in sorted(listeners)]
             margin = LINK_MARGIN_SIGMAS * self.path_loss.shadowing_sigma_db
-            near = self._grid_candidates(tx, len(candidates))
         else:
             candidates = list(self._transceivers.items())
         for tid, rx in candidates:
@@ -477,8 +433,6 @@ class Medium:
                 continue  # half duplex
             floor = max(self.sensitivity_dbm, rx.sensitivity_dbm)
             if self.indexed:
-                if near is not None and rx.name not in near:
-                    continue
                 mean_loss = self._path_to(tx.sender, tid)[2]
                 if frame.tx_power_dbm - mean_loss + margin < floor:
                     continue  # deaf even under an 8-sigma fade-up: no draw

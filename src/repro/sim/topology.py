@@ -132,58 +132,3 @@ class Topology:
         topo.place(names[1], edge_m, 0.0)
         topo.place(names[2], edge_m / 2.0, edge_m * math.sqrt(3.0) / 2.0)
         return topo
-
-
-class SpatialGrid:
-    """A uniform grid hash over device positions.
-
-    Buckets every placed device into ``cell_m``-sized square cells so the
-    medium can range-prune candidate receivers in O(cells touched) instead
-    of O(devices).  :meth:`near` walks whole Chebyshev rings of cells and
-    therefore returns a *superset* of the devices within ``radius_m``:
-    callers still apply their exact range/link-budget check, so a coarse
-    grid costs candidates, never correctness.
-
-    The grid is an immutable snapshot: it records the topology's
-    :attr:`Topology.version` at build time, and consumers compare that to
-    the live version to detect staleness (a moved device would otherwise
-    be looked up in its stale cell).
-    """
-
-    __slots__ = ("cell_m", "version", "_cells")
-
-    #: Floor on the cell edge; sub-metre cells only multiply ring walks.
-    MIN_CELL_M = 1.0
-
-    def __init__(self, topology: Topology, cell_m: float):
-        self.cell_m = max(cell_m, self.MIN_CELL_M)
-        self.version = topology.version
-        cells: dict[tuple[int, int], list[str]] = {}
-        cell = self.cell_m
-        for name, p in topology.positions.items():
-            key = (int(p.x // cell), int(p.y // cell))
-            bucket = cells.get(key)
-            if bucket is None:
-                cells[key] = [name]
-            else:
-                bucket.append(name)
-        self._cells = cells
-
-    def near(self, center: Point, radius_m: float) -> set:
-        """Names of all devices possibly within ``radius_m`` of ``center``.
-
-        Covers ``rings = floor(radius/cell) + 1`` rings around the centre
-        cell; any point within the radius is at most ``rings`` cells away
-        in Chebyshev distance, so the result is a guaranteed superset.
-        """
-        cell = self.cell_m
-        rings = int(radius_m / cell) + 1
-        cx, cy = int(center.x // cell), int(center.y // cell)
-        cells = self._cells
-        out: set = set()
-        for gx in range(cx - rings, cx + rings + 1):
-            for gy in range(cy - rings, cy + rings + 1):
-                bucket = cells.get((gx, gy))
-                if bucket is not None:
-                    out.update(bucket)
-        return out

@@ -77,15 +77,21 @@ def run_both_engines(build_and_run):
     return sim_ref, sim_fast
 
 
+def fast_forwarded(sim) -> int:
+    """Simulator events ``sim``'s fast engine has replaced so far (0 on
+    the reference engine)."""
+    engine = sim._fast_forward
+    return 0 if engine is None else engine.events_fast_forwarded
+
+
 def _first_trial(units) -> InjectionTrial:
     return units[0][1]
 
 
-def _assert_world_differential(run_world, trial,
-                               continue_to_us=None) -> dict:
+def _assert_world_differential(run_world, trial, continue_to_us=None):
     """``run_world(trial, engine=..., trace_enabled=True)`` for both
-    engines: identical non-empty traces and equal results, which it
-    returns by engine name.
+    engines: identical non-empty traces and equal results.  Returns the
+    results by engine name and the fast engine's simulator.
 
     With ``continue_to_us``, each returned world keeps running to that
     time before the traces are compared.  A trial ends a few seconds
@@ -101,13 +107,13 @@ def _assert_world_differential(run_world, trial,
             sim.run(until_us=continue_to_us)
         return sim
 
-    sim_ref, _ = run_both_engines(build_and_run)
+    sim_ref, sim_fast = run_both_engines(build_and_run)
     assert len(sim_ref.trace) > 0
     fast = results["fast"]
     if fast.metrics is not None:
         fast = replace(fast, metrics=_world_metrics(fast.metrics))
     assert results["reference"] == fast
-    return results
+    return results, sim_fast
 
 
 def _assert_trial_differential(trial: InjectionTrial) -> None:
@@ -121,15 +127,14 @@ def _assert_trial_differential(trial: InjectionTrial) -> None:
     before_attack: list = []
     run_attack = common.run_attack
 
-    def counting_run_attack(*args, **kwargs):
-        before_attack.append(fastforward.events_fast_forwarded())
-        return run_attack(*args, **kwargs)
+    def counting_run_attack(sim, *args, **kwargs):
+        before_attack.append(fast_forwarded(sim))
+        return run_attack(sim, *args, **kwargs)
 
-    fastforward.reset_fast_forward_count()
     with mock.patch.object(common, "run_attack", counting_run_attack):
         _assert_world_differential(run_trial_world, trial,
                                    continue_to_us=TRIAL_DEADLINE_US)
-    # One reading per engine; the reference run leaves the counter at 0.
+    # One reading per engine; the reference engine replaces no event.
     assert before_attack[0] == 0
     assert before_attack[1] > 0, (
         "fast engine never engaged during set-up — the follower lane is "
@@ -229,11 +234,11 @@ class TestTappedWorlds:
                    layout="stadium", collect_metrics=True),
     ], ids=["sparse", "busy", "busy-stadium"])
     def test_dense_trial(self, trial):
-        fastforward.reset_fast_forward_count()
-        results = _assert_world_differential(run_dense_trial_world, trial)
+        results, sim_fast = _assert_world_differential(
+            run_dense_trial_world, trial)
         assert results["fast"].occupancy.hex() \
             == results["reference"].occupancy.hex()
-        assert fastforward.events_fast_forwarded() > 0, (
+        assert fast_forwarded(sim_fast) > 0, (
             "the fast engine never engaged in the dense world")
         if trial.collect_metrics:
             # Busy worlds hear foreign frames in open windows all the
@@ -288,16 +293,15 @@ class TestAdversarialDisengage:
         if counts is not None:
             # Pause past the disturbance to read the fast-forward counter.
             sim.run(until_us=12_000_000)
-            counts.append(fastforward.events_fast_forwarded())
+            counts.append(fast_forwarded(sim))
         sim.run(until_us=30_000_000)
         if counts is not None:
-            counts.append(fastforward.events_fast_forwarded())
+            counts.append(fast_forwarded(sim))
         return sim
 
     def test_quiet_world_fast_forwards(self):
-        fastforward.reset_fast_forward_count()
         ref, fast = run_both_engines(self._build)
-        assert fastforward.events_fast_forwarded() > 0
+        assert fast_forwarded(fast) > 0
 
     def test_mid_window_attacker_tx_bails_out_cleanly(self):
         # The rogue frame adds a 4th live event, so the engine must stand
@@ -307,7 +311,6 @@ class TestAdversarialDisengage:
         counts = {}
 
         def build_and_run(engine):
-            fastforward.reset_fast_forward_count()
             counts[engine] = []
             return self._build(engine, attacker_tx_at=10_000_000.0,
                                counts=counts[engine])
@@ -358,9 +361,8 @@ class TestCsa2Connection:
         return sim
 
     def test_traces_byte_identical(self):
-        fastforward.reset_fast_forward_count()
-        run_both_engines(self._build)
-        assert fastforward.events_fast_forwarded() > 0
+        _, fast = run_both_engines(self._build)
+        assert fast_forwarded(fast) > 0
 
 
 class TestIndexedVsBroadcast:

@@ -7,6 +7,8 @@ from repro.devices import Lightbulb, Smartphone
 from repro.errors import ConfigurationError
 from repro.host.att.pdus import WriteReq
 from repro.host.l2cap import CID_ATT, l2cap_encode
+from repro.phy.modulation import PhyMode, air_time_us
+from repro.sim.events import TIME_EPS_US
 from repro.sim.interference import RogueAdvertiser, WifiInterferer
 from repro.sim.medium import Medium
 from repro.sim.simulator import Simulator
@@ -46,6 +48,67 @@ class TestWifiInterferer:
         sim, medium, *_ = build_noisy_world()
         with pytest.raises(ConfigurationError):
             WifiInterferer(sim, medium, "wifi", duty_cycle=1.5)
+
+    def test_second_start_rejected(self):
+        sim, medium, *_ , wifi, _ = build_noisy_world()
+        wifi.start()
+        wifi.stop()
+        with pytest.raises(ConfigurationError):
+            wifi.start()
+
+
+def _per_burst_draws(rng, wifi, horizon_us):
+    """The bursts before ``horizon_us`` as ``(time, channel, PDU length)``,
+    drawn as a burst event draws them when it fires: its length and
+    channel (by ``Generator.choice``) when the last burst has ended, then
+    the gap to the next.  The interferer starts at time 0."""
+    mean_gap = wifi.mean_burst_us * (1.0 - wifi.duty_cycle) / wifi.duty_cycle
+    t = max(float(rng.exponential(mean_gap)), 1.0)
+    tx_until = -1.0
+    bursts = []
+    while t < horizon_us:
+        if not tx_until > t + TIME_EPS_US:
+            length_us = max(40.0, float(rng.exponential(wifi.mean_burst_us)))
+            pdu_len = min(250, max(1, int(length_us / 8.0) - 8))
+            channel = int(rng.choice(wifi.channels))
+            tx_until = t + air_time_us(pdu_len, PhyMode.LE_1M)
+            bursts.append((t, channel, pdu_len))
+        t = t + max(float(rng.exponential(mean_gap)), 1.0)
+    return bursts
+
+
+class TestBurstPlan:
+    """An interferer plans its bursts ahead from its own stream; the plan
+    is what the burst events would have drawn one by one."""
+
+    HORIZON_US = 300_000.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 70])
+    def test_plan_matches_per_burst_draws(self, seed):
+        # At a 50 % duty cycle bursts often find the last still on air.
+        sim, medium, *_ , wifi, _ = build_noisy_world(seed=seed,
+                                                      duty_cycle=0.5)
+        wifi.start()
+        wifi.plan_until(self.HORIZON_US)
+        assert any(end is None for _, end, *_ in wifi.plan)
+        planned = [(t, channel, pdu_len)
+                   for t, end, channel, pdu_len, *_ in wifi.plan
+                   if end is not None]
+        rng = Simulator(seed=seed).streams.get("wifi-wifi")
+        assert planned == _per_burst_draws(rng, wifi, self.HORIZON_US)
+
+    def test_bursts_fire_as_planned(self):
+        sim, medium, *_ , wifi, _ = build_noisy_world(seed=5,
+                                                      duty_cycle=0.5)
+        wifi.start()
+        wifi.plan_until(self.HORIZON_US / 2)
+        planned = [(t, channel) for t, end, channel, *_ in wifi.plan
+                   if end is not None]
+        sim.run(until_us=self.HORIZON_US / 2)
+        fired = [(r.time_us, r.detail["channel"])
+                 for r in sim.trace.filter(kind="tx", source="wifi")]
+        assert fired == planned
+        assert wifi.bursts_sent == len(planned)
 
 
 class TestConnectionUnderInterference:

@@ -364,27 +364,16 @@ NEAR_FLOOR_WORLD = {
 class _ScriptedStream:
     """Stands in for a Wi-Fi track's numpy stream: hands out preset values
     in order, whatever distribution is asked for (gaps, burst lengths and
-    channel indexes alike).  Its state is its position, which the fast
-    engine saves and restores like a bit generator's."""
+    channel indexes alike)."""
 
     def __init__(self, values):
-        self._values = list(values)
-        self.state = 0
-        self.bit_generator = self
-
-    def _next(self):
-        value = self._values[self.state]
-        self.state += 1
-        return value
+        self._values = iter(values)
 
     def exponential(self, scale=1.0):
-        return self._next()
+        return next(self._values)
 
     def integers(self, low, high=None):
-        return self._next()
-
-    def choice(self, options):
-        return options[self.integers(0, len(options))]
+        return next(self._values)
 
 
 def _one_burst(start_us, pdu_len):
@@ -723,8 +712,10 @@ class TestMultiLinkProperties:
     @example(world=TWO_LISTENER_WORLD)
     @example(world=MIXED_SELECTOR_WORLD)
     def test_engines_agree_on_multi_link_worlds(self, world):
-        from repro.sim import fastforward
-        from tests.test_engine_differential import run_both_engines
+        from tests.test_engine_differential import (
+            fast_forwarded,
+            run_both_engines,
+        )
 
         results = {}
 
@@ -732,10 +723,9 @@ class TestMultiLinkProperties:
             results[engine], sim = _run_multi_link_world(engine, world)
             return sim
 
-        fastforward.reset_fast_forward_count()
-        run_both_engines(build_and_run)
+        _, sim_fast = run_both_engines(build_and_run)
         assert results["reference"] == _world_result(results["fast"])
-        assert fastforward.events_fast_forwarded() > 0
+        assert fast_forwarded(sim_fast) > 0
 
     def test_cut_cycles_are_not_respeculated(self, monkeypatch):
         # A cross-link cut hands the cycles it involves to the reference
@@ -792,24 +782,66 @@ class TestMultiLinkProperties:
 
     def test_track_bursts_drawn_past_a_cut_are_taken_over(self,
                                                           monkeypatch):
-        # A cut leaves a track's stream before its first uncommitted
-        # burst and keeps the bursts drawn past it; the track's next
-        # engagement drops those the reference path has fired since and
-        # takes the rest over when the stream is where they begin.  Fast
-        # and reference must still agree.
-        from repro.sim import fastforward
+        # A cut leaves the bursts the kernel planned past it in the
+        # interferer's plan, and the reference path fires them from
+        # there.  Fast and reference must still agree.
+        from repro.sim.interference import WifiInterferer
         from tests.test_engine_differential import run_both_engines
 
-        takeovers: list = []
-        init = fastforward._TrackRun.__init__
+        # Per engine, whether each burst event found its burst planned.
+        from_plan: list = []
+        burst = WifiInterferer._burst
 
-        def spy_init(self, engine, interferer, event, owner):
-            ahead = engine._ahead.get(interferer)
-            init(self, engine, interferer, event, owner)
-            if self.drawn:
-                takeovers.append(ahead[0][0][0] < event.time_us)
+        def spy_burst(self):
+            from_plan[-1].append(bool(self.plan))
+            burst(self)
 
-        monkeypatch.setattr(fastforward._TrackRun, "__init__", spy_init)
+        monkeypatch.setattr(WifiInterferer, "_burst", spy_burst)
+        results = {}
+
+        def build_and_run(engine):
+            from_plan.append([])
+            results[engine], sim = _run_multi_link_world(
+                engine, FORCED_OVERLAP_WORLD)
+            return sim
+
+        run_both_engines(build_and_run)
+        assert results["reference"] == _world_result(results["fast"])
+        reference, fast = from_plan
+        # Alone, the burst event draws its own burst when it fires.
+        assert reference and not any(reference)
+        assert any(fast), (
+            "the reference path fired no burst the kernel planned past a "
+            "cut")
+
+    def test_track_stopped_after_the_kernel_planned_ahead(self,
+                                                          monkeypatch):
+        # The first corrupted frame after a second stops the Wi-Fi track
+        # from inside the reference path.  On the fast engine the plan
+        # then holds bursts the kernel drew ahead; they never fire, and
+        # fast and reference agree.
+        from repro.sim.interference import WifiInterferer
+        from repro.sim.trace import Trace
+        from tests.test_engine_differential import run_both_engines
+
+        interferers: list = []
+        # Per engine: (stop time, bursts planned and dropped).
+        stops: list = []
+        start, record = WifiInterferer.start, Trace.record
+
+        def spy_start(self):
+            interferers.append(self)
+            start(self)
+
+        def spy_record(self, time_us, source, kind, **detail):
+            record(self, time_us, source, kind, **detail)
+            wifi = interferers[-1]
+            if kind == "crc-error" and time_us > 1e6 and wifi._running:
+                stops.append((time_us, len(wifi.plan)))
+                wifi.stop()
+
+        monkeypatch.setattr(WifiInterferer, "start", spy_start)
+        monkeypatch.setattr(Trace, "record", spy_record)
         results = {}
 
         def build_and_run(engine):
@@ -817,10 +849,12 @@ class TestMultiLinkProperties:
                 engine, FORCED_OVERLAP_WORLD)
             return sim
 
-        run_both_engines(build_and_run)
+        sim_ref, _ = run_both_engines(build_and_run)
         assert results["reference"] == _world_result(results["fast"])
-        assert True in takeovers, (
-            "no engagement took over bursts drawn past a cut")
+        (stop_us, _), (_, dropped) = stops
+        assert dropped > 0, "the kernel had planned no burst past the stop"
+        assert not [r for r in sim_ref.trace if r.source == "wifi"
+                    and r.kind == "tx" and r.time_us > stop_us]
 
 
 class TestInertContacts:

@@ -102,3 +102,48 @@ class TestSleepClock:
     def test_negative_jitter_rejected(self):
         with pytest.raises(ConfigurationError):
             SleepClock(10.0, jitter_us=-1.0)
+
+
+class TestJitterBuffer:
+    """A clock buffers its jitter draws: scalar reads, the fast-forward
+    kernel's bulk takes and its give-backs all hand out exactly the
+    sequence of scalar ``normal(0, s)`` draws from one generator."""
+
+    @staticmethod
+    def _clock(seed, jitter):
+        # 0 ppm: no rate draw, so the stream carries only jitter.
+        return SleepClock(0.0, rng=np.random.default_rng(seed),
+                          jitter_us=jitter)
+
+    @staticmethod
+    def _scalar(seed, jitter, n):
+        rng = np.random.default_rng(seed)
+        return [float(rng.normal(0.0, jitter)) for _ in range(n)]
+
+    @pytest.mark.parametrize("takes", [(1,), (3, 5), (600,), (511, 2, 513)])
+    def test_takes_and_scalar_reads_match_scalar_draws(self, takes):
+        clock = self._clock(17, 1.5)
+        drawn = []
+        for n in takes:
+            drawn.append(clock.sample_jitter())
+            drawn += clock.take(n).tolist()
+        drawn.append(clock.sample_jitter())
+        assert drawn == self._scalar(17, 1.5, sum(takes) + len(takes) + 1)
+
+    def test_given_back_draws_are_neither_consumed_nor_lost(self):
+        clock = self._clock(4, 2.0)
+        head = clock.take(900)[:400].tolist()
+        clock.give_back(500)
+        rest = clock.take(300).tolist()
+        clock.give_back(100)
+        tail = [clock.sample_jitter() for _ in range(101)]
+        assert head + rest[:200] + tail == self._scalar(4, 2.0, 701)
+
+    def test_zero_jitter_gives_zeros_and_draws_nothing(self):
+        rng = np.random.default_rng(8)
+        clock = SleepClock(0.0, rng=rng, jitter_us=0.0)
+        before = rng.bit_generator.state
+        assert clock.take(4).tolist() == [0.0] * 4
+        clock.give_back(2)
+        assert clock.sample_jitter() == 0.0
+        assert rng.bit_generator.state == before

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.phy.path_loss import PathLossModel
-from repro.sim.fastforward import _StreamBuffer
 from repro.sim.medium import Medium, _LinkShadow
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology
@@ -242,7 +241,8 @@ class TestInterestSets:
 
 
 def _crowded_world(**medium_kwargs):
-    """30+ co-channel listeners, enough to engage the spatial grid."""
+    """30 co-channel listeners within a few metres of the transmitter, and
+    one 4 km away that no fade can reach."""
     positions = {"tx": (0.0, 0.0), "far": (4000.0, 0.0)}
     for i in range(30):
         positions[f"n{i:02d}"] = (1.0 + 0.05 * i, 0.5)
@@ -252,7 +252,9 @@ def _crowded_world(**medium_kwargs):
 
 
 class TestGridIndex:
-    """Grid pruning must track topology changes mid-trial."""
+    """The indexed medium's range pruning on a crowded channel: the
+    out-of-range listener is pruned, a device moved into range hears the
+    next frame, and delivery matches the broadcast medium."""
 
     def test_out_of_range_pruned_in_crowded_world(self):
         sim, medium, radios = _crowded_world()
@@ -266,9 +268,8 @@ class TestGridIndex:
         assert got == []
 
     def test_moved_device_not_stuck_in_stale_cell(self):
-        # Regression: the grid snapshot must be rebuilt when the topology
-        # version moves, or a device that walked into range would stay
-        # filed in its old (out-of-range) cell and never receive again.
+        # The per-pair path cache is rebuilt when the topology version
+        # moves, so a device that walked into range receives again.
         sim, medium, radios = _crowded_world()
         got = []
         radios["far"].on_frame = lambda f, rssi: got.append(f)
@@ -422,44 +423,6 @@ class TestLinkShadow:
         for seq in range(newest - horizon, first):
             if seq % 7:
                 assert shadow.value(seq) == expected[seq]
-
-
-class TestStreamBuffer:
-    """The fast-forward engine's bulk jitter draws replay exactly."""
-
-    @pytest.mark.parametrize("takes", [(1,), (3, 5), (600,), (511, 2, 513)])
-    def test_take_then_unwind_matches_scalar_draws(self, takes):
-        scalar_rng = np.random.default_rng(17)
-        scalar = [scalar_rng.normal(0.0, 1.5) for _ in range(sum(takes))]
-        rng = np.random.default_rng(17)
-        buffer = _StreamBuffer(rng, 1.5)
-        drawn = []
-        for n in takes:
-            drawn += buffer.take(n).tolist()
-        buffer.unwind()
-        assert drawn == scalar
-        assert rng.bit_generator.state == scalar_rng.bit_generator.state
-
-    def test_given_back_draws_are_neither_consumed_nor_lost(self):
-        scalar_rng = np.random.default_rng(4)
-        scalar = [scalar_rng.normal(0.0, 2.0) for _ in range(700)]
-        rng = np.random.default_rng(4)
-        buffer = _StreamBuffer(rng, 2.0)
-        head = buffer.take(900)[:400].tolist()
-        buffer.give_back(500)
-        rest = buffer.take(300).tolist()
-        buffer.unwind()
-        assert head + rest == scalar
-        assert rng.bit_generator.state == scalar_rng.bit_generator.state
-
-    def test_zero_sigma_draws_zeros_and_consumes_nothing(self):
-        rng = np.random.default_rng(8)
-        before = rng.bit_generator.state
-        buffer = _StreamBuffer(rng, 0.0)
-        assert buffer.take(4).tolist() == [0.0] * 4
-        buffer.give_back(2)
-        buffer.unwind()
-        assert rng.bit_generator.state == before
 
 
 class TestTap:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.topology import Point, SpatialGrid, Topology, WallSegment
+from repro.sim.topology import Point, Topology, WallSegment
 
 
 class TestPoint:
@@ -89,49 +89,3 @@ class TestTopology:
         topo.add_wall(0, -1, 0, 1)
         v2 = topo.version
         assert v0 != v1 and v1 != v2
-
-
-def _scatter(n=60):
-    """A deterministic pseudo-random scatter over ~50x50 m."""
-    topo = Topology()
-    for i in range(n):
-        topo.place(f"d{i}", float((i * 17) % 53), float((i * 29) % 47))
-    return topo
-
-
-class TestSpatialGrid:
-    def test_near_is_superset_of_devices_in_radius(self):
-        # The grid guarantees a superset: walking ceil(r/cell)+1 Chebyshev
-        # rings covers every cell a circle of radius r can touch.
-        topo = _scatter()
-        grid = SpatialGrid(topo, cell_m=10.0)
-        for center_name in ("d0", "d7", "d31"):
-            center = topo.position_of(center_name)
-            for radius in (0.0, 5.0, 12.5, 40.0):
-                near = grid.near(center, radius)
-                for name, p in topo.positions.items():
-                    if center.distance_to(p) <= radius:
-                        assert name in near, (center_name, radius, name)
-
-    def test_cell_size_clamped_to_minimum(self):
-        topo = _scatter(4)
-        grid = SpatialGrid(topo, cell_m=0.0)
-        assert grid.cell_m == SpatialGrid.MIN_CELL_M
-
-    def test_snapshot_records_topology_version(self):
-        topo = _scatter(4)
-        grid = SpatialGrid(topo, cell_m=5.0)
-        assert grid.version == topo.version
-        topo.place("d0", 1000.0, 1000.0)
-        # The snapshot is stale now — consumers rebuild on version mismatch.
-        assert grid.version != topo.version
-        assert "d0" in grid.near(Point(0.0, 0.0), 60.0)
-
-    def test_zero_radius_covers_own_and_adjacent_cells(self):
-        topo = Topology()
-        topo.place("a", 0.5, 0.5)
-        topo.place("b", 1.5, 0.5)  # adjacent cell
-        topo.place("c", 40.0, 40.0)
-        grid = SpatialGrid(topo, cell_m=1.0)
-        near = grid.near(topo.position_of("a"), 0.0)
-        assert "a" in near and "b" in near and "c" not in near

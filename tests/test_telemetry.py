@@ -15,7 +15,6 @@ from repro.experiments.dense import (
     DenseTrial,
     run_dense_trial_world,
 )
-from repro.sim import fastforward
 from repro.sim.simulator import Simulator
 from repro.sim.trace import Trace, TraceRecord
 from repro.telemetry import (
@@ -27,6 +26,7 @@ from repro.telemetry import (
     merge_snapshots,
     read_jsonl,
 )
+from tests.test_engine_differential import fast_forwarded
 
 
 class TestInstruments:
@@ -285,10 +285,9 @@ class TestTelemetryOffIsFree:
     def test_disabled_worlds_make_no_telemetry_calls(self, world,
                                                      monkeypatch):
         calls = _spy_on_telemetry(monkeypatch)
-        fastforward.reset_fast_forward_count()
-        result, _sim = world(collect_metrics=False)
+        result, sim = world(collect_metrics=False)
         assert result.attempts > 0
-        assert fastforward.events_fast_forwarded() > 0
+        assert fast_forwarded(sim) > 0
         assert calls == dict.fromkeys(calls, 0)
 
     def test_enabled_worlds_do_call_the_spies(self, world, monkeypatch):
