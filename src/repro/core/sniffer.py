@@ -102,6 +102,10 @@ class ConnectionSniffer:
         self.sim = sim
         self.radio = radio
         self.assumed_master_sca_ppm = assumed_master_sca_ppm
+        #: Bumped when the sniffer starts or stops following, pauses or
+        #: resumes, or gets or drops its per-event hook: the fast-forward
+        #: audit re-derives its verdict on this follower then.
+        self.audit_version = 0
         #: Track CSA#2 connections (BLE 5.0).  In reality the algorithm is
         #: negotiated in the feature exchange the sniffer also observes;
         #: here it is a configuration flag.  Parameter *recovery* of
@@ -112,8 +116,7 @@ class ConnectionSniffer:
         self.connection: Optional[SniffedConnection] = None
         #: Called when synchronisation completes.
         self.on_synchronized: Optional[Callable[[SniffedConnection], None]] = None
-        #: Called after each followed connection event.
-        self.on_event: Optional[Callable[[SniffedEvent], None]] = None
+        self._on_event: Optional[Callable[[SniffedEvent], None]] = None
         #: Called when the followed connection is lost / terminated.
         self.on_lost: Optional[Callable[[str], None]] = None
         self._events: list[Event] = []
@@ -128,8 +131,8 @@ class ConnectionSniffer:
         self._visit_times: list[float] = []
         self._increment_first: Optional[tuple[int, float]] = None
         self._recovered_interval: Optional[int] = None
-        self.following = False
-        self.paused = False
+        self._following = False
+        self._paused = False
         metrics = sim.metrics
         self._metrics = metrics
         self._m_events = metrics.counter("sniffer.events")
@@ -141,6 +144,37 @@ class ConnectionSniffer:
             "sniffer.anchor_drift_us",
             buckets=(-200.0, -100.0, -50.0, -20.0, -10.0, -5.0, -2.0, 0.0,
                      2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0))
+
+    @property
+    def on_event(self) -> Optional[Callable[[SniffedEvent], None]]:
+        """Called after each followed connection event."""
+        return self._on_event
+
+    @on_event.setter
+    def on_event(self, hook: Optional[Callable[[SniffedEvent], None]]) -> None:
+        self._on_event = hook
+        self.audit_version += 1
+
+    @property
+    def following(self) -> bool:
+        """Whether the sniffer is following its connection."""
+        return self._following
+
+    @following.setter
+    def following(self, following: bool) -> None:
+        self._following = following
+        self.audit_version += 1
+
+    @property
+    def paused(self) -> bool:
+        """Whether following is paused: the windows stay armed, but the
+        sniffer neither tunes in nor takes frames."""
+        return self._paused
+
+    @paused.setter
+    def paused(self, paused: bool) -> None:
+        self._paused = paused
+        self.audit_version += 1
 
     # ------------------------------------------------------------------
     # Scheduling helpers

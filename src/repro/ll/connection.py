@@ -167,6 +167,10 @@ class ConnectionState:
         self.established = False
         self.terminated = False
         self.terminate_reason: Optional[str] = None
+        #: Bumped whenever a procedure is armed or falls due and when the
+        #: connection is first established: the fast-forward audit
+        #: re-derives its verdict on the link then.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Channel selection
@@ -198,6 +202,7 @@ class ConnectionState:
                 f"(event count {self.event_count})"
             )
         self.pending_update = PendingUpdate(update.instant, update)
+        self.version += 1
 
     def schedule_channel_map(self, update: ChannelMapInd) -> None:
         """Store a channel-map update to apply at its instant."""
@@ -208,6 +213,7 @@ class ConnectionState:
                 f"channel map instant {update.instant} is in the past"
             )
         self.pending_channel_map = PendingUpdate(update.instant, update)
+        self.version += 1
 
     def schedule_phy(self, update: "PhyUpdateInd") -> None:
         """Store a PHY update to apply at its instant."""
@@ -218,12 +224,14 @@ class ConnectionState:
                 f"PHY update instant {update.instant} is in the past"
             )
         self.pending_phy = PendingUpdate(update.instant, update)
+        self.version += 1
 
     def take_due_phy(self) -> Optional["PhyUpdateInd"]:
         """Pop the PHY update if its instant is the current event."""
         pending = self.pending_phy
         if pending is not None and pending.instant == self.event_count:
             self.pending_phy = None
+            self.version += 1
             return pending.update  # type: ignore[return-value]
         return None
 
@@ -241,6 +249,7 @@ class ConnectionState:
         pending = self.pending_channel_map
         if pending is not None and pending.instant == self.event_count:
             self.pending_channel_map = None
+            self.version += 1
             assert isinstance(pending.update, ChannelMapInd)
             return pending.update
         return None
@@ -250,6 +259,7 @@ class ConnectionState:
         pending = self.pending_update
         if pending is not None and pending.instant == self.event_count:
             self.pending_update = None
+            self.version += 1
             assert isinstance(pending.update, ConnectionUpdateInd)
             return pending.update
         return None
@@ -312,7 +322,9 @@ class ConnectionState:
     def note_valid_rx(self, local_time_us: float) -> None:
         """Reset the supervision timer after a CRC-valid frame."""
         self.last_valid_rx_local_us = local_time_us
-        self.established = True
+        if not self.established:
+            self.established = True
+            self.version += 1
 
     def supervision_expired(self, local_time_us: float) -> bool:
         """Whether the supervision timeout has elapsed without traffic.

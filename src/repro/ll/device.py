@@ -67,6 +67,10 @@ class LinkLayerDevice:
         self.peer_address: Optional[BdAddress] = None
         self.encryption: Optional[LinkEncryption] = None
         self._tx_queue: deque[DataPdu] = deque()
+        #: Bumped when the connection forms or is torn down and when its
+        #: encryption, PHY or termination is set up: the fast-forward
+        #: audit re-derives its verdict on the link then.
+        self.audit_version = 0
         # Host-facing callbacks.
         self.on_connected: Optional[Callable[[], None]] = None
         self.on_disconnected: Optional[Callable[[str], None]] = None
@@ -210,6 +214,7 @@ class LinkLayerDevice:
         self.conn.terminate(reason)
         self.conn = None
         self.encryption = None
+        self.audit_version += 1
         self.clear_queue()
         self.radio.stop_listening()
         if self.sim.trace.enabled:

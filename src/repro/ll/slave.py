@@ -268,6 +268,7 @@ class SlaveLinkLayer(LinkLayerDevice):
         self._anchor_local = None
         self._events_since_anchor = 1
         self._terminate_after_response = None
+        self.audit_version += 1
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.name, "conn-created",
                                   aa=params.access_address, interval=params.interval)
@@ -347,6 +348,7 @@ class SlaveLinkLayer(LinkLayerDevice):
         if due_phy is not None:
             self.phy = phy_mode_from_mask(due_phy.m_to_s_phy)
             self.radio.rx_phy = self.phy
+            self.audit_version += 1
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.name, "phy-applied",
                                       event_count=conn.event_count,
@@ -450,6 +452,7 @@ class SlaveLinkLayer(LinkLayerDevice):
             self._terminate_after_response = (
                 f"LL_TERMINATE_IND (0x{control.error_code:02X})"
             )
+            self.audit_version += 1
         elif isinstance(control, ConnectionUpdateInd):
             try:
                 conn.schedule_update(control)
@@ -504,6 +507,7 @@ class SlaveLinkLayer(LinkLayerDevice):
         self._pending_encryption = LinkEncryption(
             session_key, req.iv_m, iv_s, is_master=False
         )
+        self.audit_version += 1
         self.send_control(EncRsp(skd_s=skd_s, iv_s=iv_s))
 
     # ------------------------------------------------------------------
@@ -527,6 +531,7 @@ class SlaveLinkLayer(LinkLayerDevice):
             if isinstance(control, EncRsp):
                 self.encryption = self._pending_encryption
                 self._pending_encryption = None
+                self.audit_version += 1
                 if self.sim.trace.enabled:
                     self.sim.trace.record(self.sim.now, self.name,
                                           "encryption-enabled")

@@ -73,7 +73,7 @@ from repro.phy.collision import CollisionOutcome, Overlap
 from repro.phy.modulation import PhyMode, air_time_us
 from repro.phy.signal import RadioFrame
 from repro.sim.events import TIME_EPS_US, Event
-from repro.sim.interference import NOISE_ACCESS_ADDRESS
+from repro.sim.interference import _BURST_AIR_US, NOISE_ACCESS_ADDRESS
 from repro.sim.medium import (
     RECENT_HORIZON_US,
     Medium,
@@ -147,6 +147,9 @@ _FAULTS = (
 _MAYBE_DOWN = frozenset(("live-count", "link-in-event"))
 
 _TIME = attrgetter("time_us")
+
+#: A noise burst's air time by PDU length.
+_BURST_AIR = np.array(_BURST_AIR_US)
 _FIRST = itemgetter(0)
 
 
@@ -219,10 +222,13 @@ def _with_contacts(receivers: list, heard: Optional[list], i: int,
 
 
 class _Link:
-    """A registered link: its devices, and the label of its Slave's
-    window-open events (their handlers are per-event closures)."""
+    """A registered link: its devices, the label of its Slave's
+    window-open events (their handlers are per-event closures), and the
+    set-up halves of its and its follower's verdicts with the versions
+    they were derived at (:class:`~repro.sim.quiet_audit.QuietAudit`)."""
 
-    __slots__ = ("master", "slave", "follower", "wo_label")
+    __slots__ = ("master", "slave", "follower", "wo_label", "version",
+                 "verdict", "lane_version", "lane_verdict")
 
     def __init__(self, master: "MasterLinkLayer", slave: "SlaveLinkLayer",
                  follower: Optional["ConnectionSniffer"] = None):
@@ -232,6 +238,10 @@ class _Link:
         #: listen-only lane of every cycle it follows.
         self.follower = follower
         self.wo_label = f"{slave.name}-window-open"
+        self.version: Optional[tuple] = None
+        self.verdict: Optional[str] = None
+        self.lane_version = -1
+        self.lane_verdict: Optional[str] = None
 
 
 def _collision(sink: Trace, at_us: float, name: str, frame_id: int,
@@ -317,6 +327,10 @@ class _Links:
         self.per_cycle = np.array([6 if lane is None else 8
                                    for lane in lanes], dtype=np.int64)
         self.receivers = self.per_cycle - 4
+        # Per row: its frames' air time, and how many of its own radios
+        # receive each frame (the counterpart, and the follower).
+        self.frame_dur_row = np.array(self.frame_dur, dtype=np.float64)
+        self.own_row = self.per_cycle // 4
         self.committed = [0] * size
 
     def next_cycle_bails(self, until_us: Optional[float]) -> list:
@@ -704,47 +718,38 @@ class _Links:
                    + int(np.count_nonzero(self.seven[row, :c]))
                    for row, c in enumerate(counts.tolist()) if c)
 
-    def frames(self, counts: np.ndarray, *fields: str) -> tuple:
-        """The frames of each row's first ``counts[row]`` cycles, row by
-        row and each row's Master frames before its Slave's: an array per
-        field asked for — ``start``, ``end``, ``channel``, ``seq`` (the
-        transmission index) or ``sender`` (its place in :attr:`radios`)."""
-        rows = [(row, count) for row, count in enumerate(counts.tolist())
-                if count]
+    def lay_out(self, counts: np.ndarray) -> None:
+        """The block's frame layout: each row's first ``counts[row]``
+        cycles' frames, row by row and each row's Master frames before its
+        Slave's, as one array per field -- ``f_start``, ``f_end``,
+        ``f_channel``, ``f_seq`` (the transmission index), ``f_sender``
+        (its place in :attr:`radios`), and the ``f_row``, ``f_slot`` (0 a
+        Master frame, 1 a response) and ``f_cycle`` each frame comes from.
+        The cross-link checks, the frame ids and the commit all read it;
+        :meth:`keep` narrows it to the cycles a cut leaves."""
+        size, width = self.size, self.t_m.shape[1]
+        live = self.col < counts[:, None]
+        rows, slots, cycles = np.nonzero(
+            np.broadcast_to(live[:, None, :], (size, 2, width)))
+        self.f_row, self.f_slot, self.f_cycle = rows, slots, cycles
+        self.f_start = np.where(slots, self.t_resp[rows, cycles],
+                                self.t_m[rows, cycles])
+        self.f_end = np.where(slots, self.end_r[rows, cycles],
+                              self.end_m[rows, cycles])
+        self.f_channel = self.channels[rows, cycles]
+        self.f_seq = np.where(slots, np.array(self.s_seq)[rows],
+                              np.array(self.m_seq)[rows]) + cycles
+        self.f_sender = rows + slots * size
 
-        def field(name):
-            if name == "seq":
-                return np.concatenate([np.arange(count) + seq for row, count
-                                       in rows for seq in (self.m_seq[row],
-                                                           self.s_seq[row])]
-                                      or [np.empty(0, np.int64)])
-            if name == "sender":
-                return np.repeat([row + slot for row, _ in rows
-                                  for slot in (0, self.size)],
-                                 [count for _, count in rows for _ in (0, 1)]
-                                 ).astype(np.int64)
-            first, second = {"start": (self.t_m, self.t_resp),
-                             "end": (self.end_m, self.end_r),
-                             "channel": (self.channels, self.channels)}[name]
-            return np.concatenate([values[row, :count] for row, count in rows
-                                   for values in (first, second)]
-                                  or [np.empty(0)])
-
-        return tuple(map(field, fields))
-
-    def frame_at(self, counts: np.ndarray, index: int) -> tuple:
-        """The ``(row, slot, cycle)`` of link frame ``index`` as
-        :meth:`frames` lays them out (slot 0 a Master frame, 1 a
-        response)."""
-        for row, count in enumerate(counts.tolist()):
-            if index < 2 * count:
-                return (row, *divmod(index, count))
-            index -= 2 * count
-        raise IndexError(index)
+    def keep(self, counts: np.ndarray) -> np.ndarray:
+        """Which frames of the layout lie in each row's first
+        ``counts[row]`` cycles."""
+        return self.f_cycle < counts[self.f_row]
 
     def frame_index(self, counts: np.ndarray, row: int, slot: int,
                     cycle: int) -> int:
-        """The inverse of :meth:`frame_at`."""
+        """The index of a frame in the layout of the first ``counts[row]``
+        cycles of each row."""
         return 2 * int(counts[:row].sum()) + slot * int(counts[row]) + cycle
 
     # ------------------------------------------------------------------
@@ -1110,20 +1115,23 @@ class _Links:
 
 class _TrackRun:
     """One Wi-Fi track through an engagement: a view on its interferer's
-    :attr:`~repro.sim.interference.WifiInterferer.plan`, which the kernel
-    reads ahead in (the interferer draws each burst it plans) and commits
-    from.  Bursts planned past the engagement's end stay in the plan, and
-    the reference path fires them from there."""
+    plan, which the kernel reads ahead in (the interferer draws each burst
+    it plans) and commits from by moving the plan's head.  Each block,
+    :meth:`lay_out` reads the bursts due before the block's horizon as
+    array slices of the plan (``t``, ``end``, ``channel``, ``length`` and
+    ``sent``, whether the radio sends it); the block's counts are prefixes
+    of those.  Bursts planned past the engagement's end stay in the plan,
+    and the reference path fires them from there."""
 
-    __slots__ = ("engine", "interferer", "event", "plan", "radio", "tid",
-                 "committed", "seq", "last_us", "last_created", "sent")
+    __slots__ = ("engine", "interferer", "event", "radio", "tid",
+                 "committed", "seq", "last_us", "last_created", "sent",
+                 "t", "end", "channel", "length", "is_sent")
 
     def __init__(self, engine: "QuietCycleEngine",
                  interferer: "WifiInterferer", event: Event):
         self.engine = engine
         self.interferer = interferer
         self.event = event
-        self.plan = interferer.plan
         radio = self.radio = interferer.radio
         self.tid = radio.medium_id
         self.committed = 0
@@ -1131,98 +1139,126 @@ class _TrackRun:
         self.last_us = self.last_created = 0.0
         self.sent = 0
 
+    def lay_out(self, horizon_us: float) -> None:
+        """Read the planned bursts firing before the horizon."""
+        interferer = self.interferer
+        head = interferer.head
+        stop = bisect_left(interferer.plan_t, horizon_us, head)
+        self.t = np.array(interferer.plan_t[head:stop], dtype=np.float64)
+        self.end = np.array(interferer.plan_end[head:stop], dtype=np.float64)
+        self.channel = np.array(interferer.plan_channel[head:stop],
+                                dtype=np.int64)
+        self.length = np.array(interferer.plan_len[head:stop], dtype=np.int64)
+        self.is_sent = self.length > 0
+
     def next_burst_us(self, count: int) -> float:
         """The time of the burst after the first ``count`` planned."""
-        plan = self.plan
-        return plan[count][0] if count < len(plan) \
-            else self.interferer.next_us
+        interferer = self.interferer
+        index = interferer.head + count
+        return interferer.plan_t[index] if index < len(interferer.plan_t) \
+            else interferer.next_us
 
     def due_before(self, horizon_us: float) -> int:
-        """Bursts (planned and not yet committed) firing before the
-        horizon."""
-        # A planned burst is a tuple led by its time, and a shorter tuple
-        # sorts first among equals: this is the first burst at or after.
-        return bisect_left(self.plan, (horizon_us,))
+        """Bursts of the layout firing before the horizon."""
+        return int(np.searchsorted(self.t, horizon_us))
 
     def crossing(self, count: int):
-        """The first ``count`` uncommitted bursts for the cross-link checks:
-        the sent ones' channels, starts, ends and transmission indexes, and
-        every event they fire."""
-        bursts = self.plan[:count]
-        sent = [b for b in bursts if b[1] is not None]
-        ends = [b[1] for b in sent]
-        return ([b[2] for b in sent], [b[0] for b in sent], ends,
-                np.arange(len(sent)) + self.seq,
-                [b[0] for b in bursts] + ends)
+        """The first ``count`` bursts for the cross-link checks: the sent
+        ones' channels, starts, ends and transmission indexes, and every
+        event they fire."""
+        sent = self.is_sent[:count]
+        ends = self.end[:count][sent]
+        return (self.channel[:count][sent], self.t[:count][sent], ends,
+                np.arange(len(ends)) + self.seq,
+                np.concatenate((self.t[:count], ends)))
 
     def straddles(self, count: int, horizon_us: float) -> Optional[float]:
         """The start of the first of ``count`` bursts still on air at the
         horizon (a busy radio skips bursts, so it need not be the last),
-        else ``None``."""
-        for t, end, *_ in self.plan[:count]:
-            if end is not None and end >= horizon_us:
-                return t
-        return None
+        else ``None``.  A skipped burst ends when it starts, before the
+        horizon."""
+        late = self.end[:count] >= horizon_us
+        first = int(late.argmax()) if count else 0
+        return float(self.t[first]) if count and late[first] else None
 
     def events_in(self, count: int) -> int:
         """Simulator events the first ``count`` bursts fire: the burst and,
         for a sent one, its medium-finish."""
-        return sum(1 if b[1] is None else 2 for b in self.plan[:count])
+        return count + int(np.count_nonzero(self.is_sent[:count]))
+
+    def sent_frames(self, count: int) -> tuple:
+        """The starts, channels and air times of the sent bursts among the
+        first ``count``."""
+        sent = self.is_sent[:count]
+        return (self.t[:count][sent], self.channel[:count][sent],
+                _BURST_AIR[self.length[:count][sent]])
 
     def commit(self, count: int, ids: list, sink, retained: list,
                contacts: dict, busy_at: dict, link_ids) -> None:
         """Emit the first ``count`` planned bursts with the given frame ids
-        (one per sent burst, in order) and take them off the plan, absorb
-        their inert ``contacts`` and write the rx-busy records of the
-        radios locked onto a link frame (``busy_at``; ``link_ids`` gives
-        that frame's id) that hear them."""
-        engine = self.engine
+        (one per sent burst, in order) and move the plan past them, absorb
+        their inert ``contacts``, write the rx-busy records of the radios
+        locked onto a link frame (``busy_at``; ``link_ids`` gives that
+        frame's id) that hear them, and file the sent ones ending within
+        the recent horizon of the last one in ``retained``."""
+        engine, interferer = self.engine, self.interferer
         medium = engine.medium
-        bursts = self.plan[:count]
-        del self.plan[:count]
-        name = self.radio.name
-        sent = 0
-        seq = self.seq
-        heard = engine._absorb(contacts, self.radio, seq, len(ids))
-        out = None
-        if heard and sink.enabled:
-            # A burst's end records may fall after the next burst's start;
-            # sort this block's records by time before handing them on.
-            out, sink = sink, Trace()
+        interferer.head += count
+        sent_mask = self.is_sent[:count]
+        times = self.t[:count][sent_mask].tolist()
+        ends = self.end[:count][sent_mask].tolist()
+        channels = self.channel[:count][sent_mask].tolist()
+        lengths = self.length[:count][sent_mask].tolist()
+        sent = len(times)
+        name, seq, radio = self.radio.name, self.seq, self.radio
+        heard = engine._absorb(contacts, radio, seq, sent)
         busy = 0
-        for t, end, channel, pdu_len, _after, _duration in bursts:
-            if end is not None:
-                frame_id = ids[sent]
-                listeners = heard.get(sent, ())
-                for radio, locked in busy_at.get((self.tid, seq + sent), ()):
+        if sink.enabled:
+            out = None
+            if heard:
+                # A burst's end records may fall after the next burst's
+                # start; sort this block's records by time before handing
+                # them on.
+                out, sink = sink, Trace()
+            transceivers = medium._transceivers
+            for index, (t, end, channel, pdu_len, frame_id) in enumerate(
+                    zip(times, ends, channels, lengths, ids)):
+                listeners = heard.get(index, ())
+                for listener, locked in busy_at.get((self.tid, seq + index),
+                                                    ()):
                     busy += 1
-                    if sink.enabled:
-                        sink.record(t, radio.name, "rx-busy",
-                                    frame_id=frame_id,
-                                    locked_to=link_ids(locked))
-                if sink.enabled:
-                    for tid, power in listeners:
-                        sink.record(t, medium._transceivers[tid].name,
-                                    "rx-lock", frame_id=frame_id,
-                                    channel=channel, rssi_dbm=power)
-                    sink.record(t, name, "tx", channel=channel,
-                                aa=NOISE_ACCESS_ADDRESS, pdu_len=pdu_len,
-                                frame_id=frame_id)
-                    for tid, power in listeners:
-                        sink.record(end, medium._transceivers[tid].name,
-                                    "rx", frame_id=frame_id,
-                                    corrupted=False, rssi_dbm=power)
-                retained.append((end, frame_id, t, channel, bytes(pdu_len),
-                                 0, listeners, self.radio, seq + sent,
+                    sink.record(t, listener.name, "rx-busy",
+                                frame_id=frame_id, locked_to=link_ids(locked))
+                for tid, power in listeners:
+                    sink.record(t, transceivers[tid].name, "rx-lock",
+                                frame_id=frame_id, channel=channel,
+                                rssi_dbm=power)
+                sink.record(t, name, "tx", channel=channel,
+                            aa=NOISE_ACCESS_ADDRESS, pdu_len=pdu_len,
+                            frame_id=frame_id)
+                for tid, power in listeners:
+                    sink.record(end, transceivers[tid].name, "rx",
+                                frame_id=frame_id, corrupted=False,
+                                rssi_dbm=power)
+            if out is not None:
+                out._records.extend(sorted(sink._records, key=_TIME))
+        elif busy_at:
+            busy = sum(len(busy_at.get((self.tid, seq + index), ()))
+                       for index in range(sent))
+        if sent:
+            # Only bursts ending within the recent horizon of the last one
+            # survive into the medium's recent window.
+            cutoff = ends[-1] - RECENT_HORIZON_US
+            for index in range(bisect_left(ends, cutoff), sent):
+                retained.append((ends[index], ids[index], times[index],
+                                 channels[index], bytes(lengths[index]), 0,
+                                 heard.get(index, ()), radio, seq + index,
                                  NOISE_ACCESS_ADDRESS, PhyMode.LE_1M))
-                sent += 1
-                self.radio._tx_until_us = end
-                self.last_us = end
-            else:
-                self.last_us = max(self.last_us, t)
-            self.last_created = t
-        if out is not None:
-            out._records.extend(sorted(sink._records, key=_TIME))
+            radio._tx_until_us = ends[-1]
+            self.last_us = max(self.last_us, ends[-1])
+        if count:
+            self.last_us = max(self.last_us, float(self.t[count - 1]))
+            self.last_created = float(self.t[count - 1])
         if medium._metrics.enabled:
             medium._m_tx.inc(sent)
             if busy:
@@ -1230,13 +1266,6 @@ class _TrackRun:
         self.seq += sent
         self.sent += sent
         self.committed += count
-
-    def sent_frames(self, count: int) -> list:
-        """``(start, channel, duration)`` of the sent bursts among the first
-        ``count``."""
-        return [(t, channel, duration)
-                for t, end, channel, _, _, duration in self.plan[:count]
-                if end is not None]
 
     def write_back(self) -> list:
         """Hand the track back; returns its burst event to recreate, at the
@@ -1271,6 +1300,7 @@ class QuietCycleEngine(QuietAudit):
     __slots__ = ("sim", "medium", "links", "tracks", "_owners", "_base",
                  "_followers", "_live_counts", "_metrics", "_m_counters",
                  "_pdu_cache", "_csa1_tables", "_audible", "_audible_version",
+                 "_in_event_hint", "_unowned_hint", "_veto_hint",
                  "events_fast_forwarded")
 
     def __init__(self, sim: Simulator, medium: Medium,
@@ -1284,7 +1314,8 @@ class QuietCycleEngine(QuietAudit):
         # Live events of the steady state: 3 per link and 1 per track,
         # plus 2 per following follower.
         self._base = 0
-        self._followers = 0
+        # The links registered with a follower.
+        self._followers: list = []
         self._live_counts = frozenset((0,))
         #: Simulator events this engine has replaced so far.
         self.events_fast_forwarded = 0
@@ -1298,6 +1329,12 @@ class QuietCycleEngine(QuietAudit):
         # deaf to the sender; valid for one topology version.
         self._audible: dict = {}
         self._audible_version = -1
+        # The link last found inside a connection event, and the queued
+        # event last found to have no owner (QuietAudit._classify).
+        self._in_event_hint = 0
+        self._unowned_hint: Optional[Event] = None
+        # The link whose verdict vetoed the last audit (QuietAudit._vetoed).
+        self._veto_hint = 0
         for link in links:
             self.add_link(*link)
 
@@ -1316,7 +1353,7 @@ class QuietCycleEngine(QuietAudit):
         if follower is not None:
             owners[follower._listen_if_following] = (index, _SNIFF_OPEN)
             owners[follower._event_window_closed] = (index, _SNIFF_CLOSE)
-            self._followers += 1
+            self._followers.append(link)
         self._count_live()
 
     def add_track(self, interferer: "WifiInterferer") -> None:
@@ -1326,10 +1363,23 @@ class QuietCycleEngine(QuietAudit):
         self._base += 1
         self._count_live()
 
+    def drop_track(self, interferer: "WifiInterferer") -> None:
+        """Take a stopped interferer out of the tracks, if registered: its
+        last burst event, if still queued, fires as a foreign event."""
+        if interferer not in self.tracks:
+            return
+        self.tracks.remove(interferer)
+        del self._owners[interferer._burst]
+        for index, track in enumerate(self.tracks):
+            self._owners[track._burst] = (index, _BURST)
+        self._base -= 1
+        self._count_live()
+
     def _count_live(self) -> None:
+        self._unowned_hint = None
         self._live_counts = frozenset(self._base + 2 * following
                                       for following in range(
-                                          self._followers + 1))
+                                          len(self._followers) + 1))
 
     def _stand_down(self, reason: str) -> None:
         """Count one disengage as ``ff.disengage.<reason>``; callers check
@@ -1371,10 +1421,11 @@ class QuietCycleEngine(QuietAudit):
             if self._metrics.enabled:
                 self._stand_down("live-count")
             return 0
+        extra = queue._live - self._base
         if budget < 6:
             reason = "budget"
-        else:
-            queued = self._classify(queue, queue._live - self._base)
+        elif (reason := self._vetoed(extra)) is None:
+            queued = self._classify(queue, extra)
             if isinstance(queued, str):
                 reason = queued
             else:
@@ -1397,10 +1448,7 @@ class QuietCycleEngine(QuietAudit):
         medium = self.medium
         loss = self._mean_loss(sender, listener)
         if medium.path_loss.shadowing_sigma_db > 0.0:
-            shadow = medium._link_shadow(sender, listener.medium_id)
-            draw = shadow.take(seq, 1)
-            shadow.give_back(seq, draw)
-            loss += float(draw[0])
+            loss += medium._link_shadow(sender, listener.medium_id).peek(seq)
         return sender.tx_power_dbm - loss
 
     def _heard(self, sender: "Transceiver", seq: int,
@@ -1488,19 +1536,16 @@ class QuietCycleEngine(QuietAudit):
 
             # -- 3. frame ids in start order across every source --------
             block.cut(counts)
-            link_starts, link_channels, senders = block.frames(
-                counts, "start", "channel", "sender")
-            starts, channels = [link_starts], [link_channels.astype(np.int64)]
-            durations = [np.array(block.frame_dur)[senders % size] if size
-                         else link_starts]
+            keep = block.keep(counts)
+            link_starts = block.f_start[keep]
+            starts, channels = [link_starts], [block.f_channel[keep]]
+            durations = [block.frame_dur_row[block.f_row[keep]]]
             sent_bursts = [track.sent_frames(c)
                            for track, c in zip(tracks, sent)]
-            for frames in sent_bursts:
-                if frames:
-                    start, chan, duration = zip(*frames)
-                    starts.append(np.array(start))
-                    channels.append(np.array(chan, dtype=np.int64))
-                    durations.append(np.array(duration))
+            for start, chan, duration in sent_bursts:
+                starts.append(start)
+                channels.append(chan)
+                durations.append(duration)
             # (A block of busy-skipped bursts alone sends no frame.)
             order = np.argsort(np.concatenate(starts), kind="stable")
             ids = np.empty(len(order), dtype=np.int64)
@@ -1524,7 +1569,7 @@ class QuietCycleEngine(QuietAudit):
             def link_ids(locked):
                 return ids_list[block.frame_index(counts, *locked)]
 
-            for track, c, frames in zip(tracks, sent, sent_bursts):
+            for track, c, (frames, _, _) in zip(tracks, sent, sent_bursts):
                 if not c:
                     continue
                 n_sent = len(frames)
@@ -1621,6 +1666,8 @@ class QuietCycleEngine(QuietAudit):
             horizon = min(horizon, until_us)
         for track in tracks:
             track.interferer.plan_until(horizon)
+            track.lay_out(horizon)
+        block.lay_out(block.counts(horizon))
         hit, rule, contacts, peeked = self._first_interaction(
             block, tracks, horizon)
         if hit < horizon:
@@ -1711,14 +1758,12 @@ class QuietCycleEngine(QuietAudit):
             # a lone source meets nobody
             return np.inf, None, contacts, (collided, busy_at)
         counts = block.counts(horizon)
-        fs, fe, fch, f_seq, f_sender = block.frames(
-            counts, "start", "end", "channel", "seq", "sender")
-        f_owner = f_sender % max(size, 1)
         # A link's frame starts inside its receiver's window and, with a
         # follower, inside the follower's.
         f_ch, f_start, f_end, f_seqs, f_senders, f_owners = \
-            [fch], [fs], [fe], [f_seq], [f_sender], [f_owner]
-        f_own = [block.per_cycle[f_owner] // 4]
+            [block.f_channel], [block.f_start], [block.f_end], [block.f_seq], \
+            [block.f_sender], [block.f_row]
+        f_own = [block.own_row[block.f_row]]
         # Listening windows: the Slave from window-open to the master
         # frame's end, the Master from rx-on to the response's end and a
         # follower from its sniff-open to its next one; and every event.
@@ -1765,23 +1810,22 @@ class QuietCycleEngine(QuietAudit):
         mask = np.stack([event[1] for event in events], axis=2)
         e_times = [np.stack([event[0] for event in events], axis=2)[mask]]
         e_owner = [np.repeat(block.rows, mask.sum(axis=(1, 2)))]
-        radios = list(block.radios)
+        radios = block.radios + [track.radio for track in tracks]
         for index, track in enumerate(tracks):
-            c = track.due_before(horizon)
+            c = len(track.t)
             if not c:
                 continue
             ch, starts, ends, seqs, times = track.crossing(c)
             owner = size + index
-            f_ch.append(np.array(ch, dtype=np.float64))
-            f_start.append(np.array(starts, dtype=np.float64))
-            f_end.append(np.array(ends, dtype=np.float64))
+            f_ch.append(ch)
+            f_start.append(starts)
+            f_end.append(ends)
             f_seqs.append(seqs)
             f_senders.append(np.full(len(starts), 3 * size + index))
             f_owners.append(np.full(len(starts), owner))
             f_own.append(np.zeros(len(starts), dtype=np.int64))
-            e_times.append(np.array(times, dtype=np.float64))
+            e_times.append(times)
             e_owner.append(np.full(len(times), owner))
-        radios += [track.radio for track in tracks]
         fch, fs, fe, f_seq, f_sender, f_owner, own_all = (
             np.concatenate(column) for column in (
                 f_ch, f_start, f_end, f_seqs, f_senders, f_owners, f_own))
@@ -1909,13 +1953,13 @@ class QuietCycleEngine(QuietAudit):
                 if first_tie < hit:
                     hit, rule = first_tie, "tie"
         if struck:
-            hit, rule = self._collide(block, struck, counts, hit, rule, fs,
+            hit, rule = self._collide(block, struck, hit, rule, fs,
                                       fe, f_sender, f_seq, radios, collided)
         return hit, rule, contacts, (collided, busy_at)
 
-    def _collide(self, block: _Links, struck: dict, counts: np.ndarray,
-                 hit: float, rule: Optional[str], fs, fe, f_sender, f_seq,
-                 radios: list, collided: list):
+    def _collide(self, block: _Links, struck: dict, hit: float,
+                 rule: Optional[str], fs, fe, f_sender, f_seq, radios: list,
+                 collided: list):
         """Resolve, in finish order and on the medium's own collision
         stream, each link frame ending before ``hit`` against the bursts
         overlapping it, at each of its receivers, as the medium would at
@@ -1928,7 +1972,8 @@ class QuietCycleEngine(QuietAudit):
             start, end = float(fs[a]), float(fe[a])
             if end >= hit:
                 break
-            row, slot, cycle = block.frame_at(counts, a)
+            row, slot, cycle = (int(block.f_row[a]), int(block.f_slot[a]),
+                                int(block.f_cycle[a]))
             sender, seq = radios[int(f_sender[a])], int(f_seq[a])
             # The medium resolves against the frames still on air (in
             # start order), then the finished ones (in finish order).

@@ -7,9 +7,9 @@ studied: a Wi-Fi-like wideband burster parked on a block of channels, and
 a rogue BLE advertiser hammering the advertising channels.
 
 An interferer is the only reader of its ``wifi-{name}`` stream: it keeps
-a plan of its bursts, drawn lazily in firing order, which its own burst
-events consume and the fast-forward kernel reads ahead in and commits
-from.
+a plan of its bursts, drawn lazily in firing order and consumed by index,
+which its own burst events fire from and the fast-forward kernel reads
+ahead in and commits from.
 """
 
 from __future__ import annotations
@@ -43,13 +43,18 @@ class WifiInterferer:
     random channel of the block.  Burst length and spacing are drawn from
     exponential distributions parameterised by a duty cycle.
 
-    The bursts are drawn into :attr:`plan` one at a time, in the order the
+    The bursts are drawn into the plan one at a time, in the order the
     burst events fire: a burst's length and channel (only when the radio
     is idle, i.e. the last burst sent has ended) and then the gap to the
     next burst.  Whether the radio is idle depends only on this
     interferer's own bursts, so the plan is a pure function of its stream,
-    however far ahead it is drawn.  An interferer starts once: a restart
-    would have to rewind a stream the plan has already moved.
+    however far ahead it is drawn.  The plan is kept as columns
+    (:attr:`plan_t`, :attr:`plan_end`, :attr:`plan_channel`,
+    :attr:`plan_len`) read by index: :attr:`head` is the next burst to
+    fire, which the burst events and the fast-forward kernel move on, and
+    the kernel reads a block's bursts as slices.  An interferer starts
+    once: a restart would have to rewind a stream the plan has already
+    moved.  A stopped interferer leaves the fast-forward engine's tracks.
 
     Args:
         sim: owning simulator.
@@ -61,6 +66,9 @@ class WifiInterferer:
         mean_burst_us: average burst duration.
         tx_power_dbm: burst power.
     """
+
+    #: Fired bursts kept at the plan's head before they are dropped.
+    _KEEP_FIRED = 256
 
     def __init__(
         self,
@@ -85,15 +93,33 @@ class WifiInterferer:
                                  tx_power_dbm=tx_power_dbm)
         self._rng: np.random.Generator = sim.streams.get(f"wifi-{name}")
         self._running = False
-        #: The bursts drawn and not yet fired, in firing order: ``(time,
-        #: end or None when the radio is still busy, channel, PDU length,
-        #: next burst's time, air time)``.
-        self.plan: list = []
+        #: The planned bursts, in firing order: each one's time, its end
+        #: (its time when the radio is still busy and it is skipped), its
+        #: channel and its PDU length (0 when skipped).  Bursts before
+        #: :attr:`head` have fired.
+        self.plan_t: list = []
+        self.plan_end: list = []
+        self.plan_channel: list = []
+        self.plan_len: list = []
+        self.head = 0
         #: The time of the first burst not yet planned (its gap is drawn),
         #: ``None`` before :meth:`start`.
         self.next_us: Optional[float] = None
         self._tx_until = self.radio._tx_until_us
         self.bursts_sent = 0
+
+    @property
+    def plan(self) -> list:
+        """The bursts planned and not yet fired, as ``(time, end or None
+        when skipped, channel, PDU length, next burst's time, air time)``
+        tuples (for inspection)."""
+        head, times = self.head, self.plan_t
+        afters = times[head + 1:] + [self.next_us]
+        return [(t, end if length else None, channel, length, after,
+                 _BURST_AIR_US[length] if length else 0.0)
+                for t, end, channel, length, after in zip(
+                    times[head:], self.plan_end[head:],
+                    self.plan_channel[head:], self.plan_len[head:], afters)]
 
     def start(self) -> None:
         """Begin bursting."""
@@ -106,44 +132,73 @@ class WifiInterferer:
         self.sim.schedule_at(self.next_us, self._burst, "wifi-burst")
 
     def stop(self) -> None:
-        """Stop after any in-flight burst; the planned ones never fire."""
+        """Stop after any in-flight burst; the planned ones never fire,
+        and the fast-forward engine, if any, drops this track."""
         self._running = False
-        self.plan.clear()
+        for column in (self.plan_t, self.plan_end, self.plan_channel,
+                       self.plan_len):
+            column.clear()
+        self.head = 0
+        engine = self.sim.fast_forward
+        if engine is not None:
+            engine.drop_track(self)
 
     def plan_until(self, horizon_us: float) -> None:
         """Plan every burst due before ``horizon_us``."""
         assert self.next_us is not None  # started
+        t = self.next_us
+        if not t < horizon_us:
+            return
+        head = self.head
+        if head >= self._KEEP_FIRED:
+            for column in (self.plan_t, self.plan_end, self.plan_channel,
+                           self.plan_len):
+                del column[:head]
+            self.head = 0
         rng, channels = self._rng, self.channels
+        exponential, integers, n_channels = \
+            rng.exponential, rng.integers, len(channels)
         mean_burst, mean_gap = self.mean_burst_us, self._mean_gap_us
-        t, tx_until, plan = self.next_us, self._tx_until, self.plan
+        tx_until = self._tx_until
+        add_t, add_end, add_channel, add_len = (
+            self.plan_t.append, self.plan_end.append,
+            self.plan_channel.append, self.plan_len.append)
         while t < horizon_us:
-            end = None
-            channel = pdu_len = 0
-            duration = 0.0
             # Transceiver.is_transmitting(t): a burst waits out the last.
-            if not tx_until > t + TIME_EPS_US:
-                length_us = max(40.0, float(rng.exponential(mean_burst)))
-                # Burst length is encoded as a PDU long enough to span it
-                # (8 µs per byte at LE 1M equivalence).
-                pdu_len = min(250, max(1, int(length_us / 8.0) - 8))
+            if tx_until > t + TIME_EPS_US:
+                add_end(t)
+                add_channel(0)
+                add_len(0)
+            else:
+                # The burst lasts at least 40 µs and is encoded as a PDU
+                # long enough to span it (8 µs per byte at LE 1M
+                # equivalence), of 1 to 250 bytes.
+                pdu_len = int(exponential(mean_burst) / 8.0) - 8
+                pdu_len = 1 if pdu_len < 1 else 250 if pdu_len > 250 \
+                    else pdu_len
                 # One integers(0, len) draw, as Generator.choice makes.
-                channel = int(channels[int(rng.integers(0, len(channels)))])
-                duration = _BURST_AIR_US[pdu_len]
-                end = tx_until = t + duration
-            after = t + max(float(rng.exponential(mean_gap)), 1.0)
-            plan.append((t, end, channel, pdu_len, after, duration))
-            t = after
+                add_channel(int(channels[integers(n_channels)]))
+                add_len(pdu_len)
+                tx_until = t + _BURST_AIR_US[pdu_len]
+                add_end(tx_until)
+            add_t(t)
+            gap = exponential(mean_gap)
+            t += gap if gap > 1.0 else 1.0
         self.next_us, self._tx_until = t, tx_until
 
     def _burst(self) -> None:
         if not self._running:
             return
-        plan = self.plan
-        if not plan:
+        head = self.head
+        if head == len(self.plan_t):
             # Bursts lie 1 µs apart at the least: this plans exactly one.
             self.plan_until(self.sim.now + 1.0)
-        _t, end, channel, pdu_len, after, _duration = plan.pop(0)
-        if end is not None:
+            head = self.head
+        pdu_len, channel = self.plan_len[head], self.plan_channel[head]
+        self.head = head = head + 1
+        after = self.plan_t[head] if head < len(self.plan_t) \
+            else self.next_us
+        if pdu_len:
             self.radio.transmit(NOISE_ACCESS_ADDRESS, bytes(pdu_len), 0,
                                 channel)
             self.bursts_sent += 1

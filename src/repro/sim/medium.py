@@ -197,6 +197,23 @@ class _LinkShadow:
         draws = block[max(seq, base) - base:end - base]
         return np.concatenate((np.array(claimed), draws)) if claimed else draws
 
+    def peek(self, seq: int) -> float:
+        """The draw :meth:`value` would return for ``seq``, left for it:
+        the same draws produced and left pending as a :meth:`take` of
+        ``seq`` alone given back."""
+        pending = self._pending
+        base = self._produced
+        if seq >= base:
+            block = self._rng.normal(0.0, self._sigma,
+                                     max(seq + 1 - base, self._BLOCK))
+            self._produced = base + len(block)
+            pending.update(zip(range(base, self._produced), block.tolist()))
+            draw = pending.pop(seq)
+            self._prune()
+            pending[seq] = draw
+            return draw
+        return pending[seq]
+
     def give_back(self, seq: int, draws: np.ndarray) -> None:
         """Return draws :meth:`take` produced for indexes ``seq..`` that
         went unused; later requests for those indexes get them unchanged.

@@ -40,6 +40,19 @@ class QuietAudit:
     Mixed into :class:`~repro.sim.fastforward.QuietCycleEngine`, whose
     registered ``links``, ``tracks``, event owners and ``medium`` it
     reads.
+
+    A link's and a follower's verdict has two halves.  The *set-up* half
+    (connected, no procedure armed, no encryption, parameters in step, the
+    follower passive, the link's margin) changes only at events that bump
+    a version: the devices' ``audit_version`` (connection formed or torn
+    down, encryption, PHY, termination), the connections' ``version``
+    (a procedure armed or fallen due, first established), the follower's
+    ``audit_version`` (following, pausing, its per-event hook) and the
+    topology's ``version``.  Each registered link keeps that half with the
+    versions it was derived at and re-derives it only when one moved.  The
+    *between-cycles* half (queues, ARQ, anchors, hop state, radios) is
+    read afresh on every audit.  A track's verdict is its place in the
+    track set: a stopped interferer leaves it.
     """
 
     def _classify(self, queue, extra: int):
@@ -54,13 +67,21 @@ class QuietAudit:
         links = self.links
         if not links and not self.tracks:
             return "unclassified"
-        for link in links:
-            # Between cycles, a Slave's window-close is always queued and
-            # the Master awaits no response.
+        # Between cycles, a Slave's window-close is always queued and the
+        # Master awaits no response.  The link last found mid-event, and
+        # the event last found unowned, are the likeliest to be still.
+        hint = self._in_event_hint
+        for index in (hint, *range(len(links))) if hint < len(links) \
+                else range(len(links)):
+            link = links[index]
             window_close = link.slave._window_close
             if window_close is None or window_close._queue is None \
                     or link.master._awaiting_response:
+                self._in_event_hint = index
                 return "link-in-event"
+        unowned = self._unowned_hint
+        if unowned is not None and unowned._queue is not None:
+            return "unclassified"
         slots = [[None] * 5 for _ in links]
         bursts: list = [None] * len(self.tracks)
         owners = self._owners
@@ -71,10 +92,12 @@ class QuietAudit:
             handler = event.handler
             owner = owners.get(handler)
             if owner is None:
-                # A follower's sniff-open is a partial; a window-open a
-                # closure, known by its label.
-                owner = owners.get(getattr(handler, "func", event.label))
+                # A window-open is a closure, known by its label; a
+                # follower's sniff-open a partial.
+                owner = owners.get(event.label) \
+                    or owners.get(getattr(handler, "func", None))
                 if owner is None:
+                    self._unowned_hint = event
                     return "unclassified"
             index, role = owner
             if role == _BURST:
@@ -101,7 +124,7 @@ class QuietAudit:
         return slots, bursts
 
     # ------------------------------------------------------------------
-    # Eligibility (static per engagement; default-closed)
+    # Eligibility (default-closed)
     # ------------------------------------------------------------------
 
     def _mean_loss(self, sender: "Transceiver",
@@ -139,25 +162,33 @@ class QuietAudit:
         for tap in medium._taps:
             if not getattr(tap, "airtime_only", False):
                 return "tap-not-airtime"
+        topology = medium.topology.version
         engaged = set()
-        # Links with a following follower first: an attack in progress
-        # (a sniffer with a callback) is the commonest veto.
-        for link, slot in sorted(zip(self.links, slots),
-                                 key=lambda pair: pair[1][_SNIFF_OPEN] is None):
-            lane = link.follower if slot[_SNIFF_OPEN] is not None else None
-            reason = self._link_reason(link)
+        links = self.links
+        order = range(len(links))
+        if any(slot[_SNIFF_OPEN] is not None for slot in slots):
+            # Links with a following follower first: an attack in progress
+            # (a sniffer with a callback) is the commonest veto.
+            order = sorted(order, key=lambda index: slots[index][_SNIFF_OPEN]
+                           is None)
+        for index in order:
+            link, ev_sniff_open = links[index], slots[index][_SNIFF_OPEN]
+            lane = link.follower if ev_sniff_open is not None else None
+            reason = self._link_verdict(link, topology) \
+                or self._link_state_reason(link)
             if reason is None and lane is not None:
-                reason = self._follower_reason(link, lane, slot[_SNIFF_OPEN])
+                reason = self._follower_verdict(link, lane) \
+                    or self._follower_reason(link, lane, ev_sniff_open)
             if reason is not None:
+                self._veto_hint = index
                 return reason
             engaged.add(link.master.radio)
             engaged.add(link.slave.radio)
             if lane is not None:
                 engaged.add(lane.radio)
         for interferer in self.tracks:
-            if not interferer._running \
-                    or interferer.radio.on_tx_complete is not None:
-                return "track-stopped"
+            if interferer.radio.on_tx_complete is not None:
+                return "track-busy"
             engaged.add(interferer.radio)
         # Every other transceiver stays idle while nothing else runs.
         now = self.sim.now
@@ -166,6 +197,25 @@ class QuietAudit:
                 continue
             if rx._rx_channel is not None or rx.is_transmitting(at_us=now):
                 return "foreign-listener"
+        return None
+
+    def _vetoed(self, extra: int) -> Optional[str]:
+        """A verdict that rules the world out before its events are
+        matched, or ``None``: while a follower is due to follow
+        (``extra``), every follower failing its set-up half, or the link
+        that vetoed the last audit, if it still does.  Either way the full
+        audit would veto too, whatever the events."""
+        followers = self._followers
+        if extra and followers and all(
+                self._follower_verdict(link, link.follower)
+                for link in followers):
+            return "follower-not-passive"
+        links = self.links
+        hint = self._veto_hint
+        if hint < len(links):
+            link = links[hint]
+            return self._link_verdict(link, self.medium.topology.version) \
+                or self._link_state_reason(link)
         return None
 
     @staticmethod
@@ -181,16 +231,28 @@ class QuietAudit:
         return not (mconn.established and sconn.established) \
             or mconn.terminated or sconn.terminated
 
-    def _link_reason(self, link: _Link) -> Optional[str]:
-        """Why one link's steady state cannot be replayed, or ``None``."""
+    def _link_verdict(self, link: _Link, topology: int) -> Optional[str]:
+        """The set-up half of a link's verdict, re-derived only when a
+        version it was derived at moved."""
+        master, slave = link.master, link.slave
+        mconn, sconn = master.conn, slave.conn
+        if mconn is None or sconn is None:
+            return "link-not-connected"
+        version = (master.audit_version, slave.audit_version, mconn.version,
+                   sconn.version, topology)
+        if version != link.version:
+            link.version = version
+            link.verdict = self._link_setup_reason(link)
+        return link.verdict
+
+    def _link_setup_reason(self, link: _Link) -> Optional[str]:
+        """Why a link's set-up cannot be replayed, or ``None``: it is not
+        connected, has a procedure armed or encryption on, its two ends
+        disagree on the parameters, or it has too little margin."""
         master, slave, medium = link.master, link.slave, self.medium
         if self._link_down(link):
             return "link-not-connected"
         mconn, sconn = master.conn, slave.conn
-        if master._awaiting_response:
-            return "link-busy"
-        if master._tx_queue or slave._tx_queue:
-            return "link-busy"
         if slave._terminate_after_response is not None:
             return "link-busy"
         if master._pending_encryption is not None \
@@ -203,14 +265,6 @@ class QuietAudit:
                     or conn.pending_channel_map is not None \
                     or conn.pending_phy is not None:
                 return "link-busy"
-            if not self._retransmit_state_ok(conn):
-                return "link-busy"
-            if conn.last_valid_rx_local_us is None:
-                return "link-out-of-step"
-        if slave._anchor_local is None or slave._events_since_anchor != 1:
-            return "link-out-of-step"
-        if master._anchor_local is None:
-            return "link-out-of-step"
         mp, sp = mconn.params, sconn.params
         if (mp.access_address != sp.access_address
                 or mp.crc_init != sp.crc_init
@@ -218,12 +272,7 @@ class QuietAudit:
                 or mp.use_csa2 != sp.use_csa2
                 or mp.master_sca_ppm != sp.master_sca_ppm):
             return "link-out-of-step"
-        if mconn.event_count != sconn.event_count:
-            return "link-out-of-step"
-        mr, sr = master.radio, slave.radio
         if master.phy is not slave.phy:
-            return "link-out-of-step"
-        if mr.rx_phy is not master.phy or sr.rx_phy is not slave.phy:
             return "link-out-of-step"
         if mp.interval_us < 2_000.0 or mp.timeout_us < 5_000.0:
             return "link-out-of-step"
@@ -234,14 +283,11 @@ class QuietAudit:
             drift_k * mp.interval_us + WINDOW_WIDENING_CONSTANT_US)
         if widening >= 0.25 * mp.interval_us:
             return "link-out-of-step"
-        if not self._channels_lockstep(mconn, sconn):
+        if not self._same_hop_sequence(mconn, sconn):
             return "link-out-of-step"
-        if mr._rx_channel is not None or sr._rx_channel is not None:
-            return "link-radio-busy"
-        if mr.on_tx_complete is not None or sr.on_tx_complete is not None:
-            return "link-radio-busy"
         # Both links need enough margin that shadowing can never fade a
         # frame below the sensitivity floor (hard-checked per draw anyway).
+        mr, sr = master.radio, slave.radio
         margin = LINK_MARGIN_SIGMAS * medium.path_loss.shadowing_sigma_db
         floor_s = max(medium.sensitivity_dbm, sr.sensitivity_dbm)
         floor_m = max(medium.sensitivity_dbm, mr.sensitivity_dbm)
@@ -251,12 +297,54 @@ class QuietAudit:
             return "link-margin"
         return None
 
+    def _link_state_reason(self, link: _Link) -> Optional[str]:
+        """Why a link's state between cycles cannot be replayed, or
+        ``None``.  (:meth:`_classify` has found its Master awaiting no
+        response.)"""
+        master, slave = link.master, link.slave
+        if master._tx_queue or slave._tx_queue:
+            return "link-busy"
+        mconn, sconn = master.conn, slave.conn
+        if not (self._retransmit_state_ok(mconn)
+                and self._retransmit_state_ok(sconn)):
+            return "link-busy"
+        if mconn.last_valid_rx_local_us is None \
+                or sconn.last_valid_rx_local_us is None:
+            return "link-out-of-step"
+        if slave._anchor_local is None or slave._events_since_anchor != 1:
+            return "link-out-of-step"
+        if master._anchor_local is None:
+            return "link-out-of-step"
+        if mconn.event_count != sconn.event_count:
+            return "link-out-of-step"
+        mr, sr = master.radio, slave.radio
+        if mr.rx_phy is not master.phy or sr.rx_phy is not slave.phy:
+            return "link-out-of-step"
+        if not self._channels_lockstep(mconn, sconn):
+            return "link-out-of-step"
+        if mr._rx_channel is not None or sr._rx_channel is not None:
+            return "link-radio-busy"
+        if mr.on_tx_complete is not None or sr.on_tx_complete is not None:
+            return "link-radio-busy"
+        return None
+
+    @staticmethod
+    def _follower_verdict(link: _Link, lane: "ConnectionSniffer"
+                          ) -> Optional[str]:
+        """The set-up half of a follower's verdict: it must be a
+        callback-free passive listener.  Re-derived only when its version
+        moved."""
+        if lane.audit_version != link.lane_version:
+            link.lane_version = lane.audit_version
+            link.lane_verdict = "follower-not-passive" \
+                if not lane.following or lane.paused \
+                or lane.on_event is not None else None
+        return link.lane_verdict
+
     def _follower_reason(self, link: _Link, lane: "ConnectionSniffer",
                          ev_sniff_open) -> Optional[str]:
-        """The follower must be a callback-free passive listener, in step
-        with the victims' hop sequence and not provably deaf to them."""
-        if not lane.following or lane.paused or lane.on_event is not None:
-            return "follower-not-passive"
+        """The follower must be in step with the victims' hop sequence and
+        not provably deaf to them."""
         conn, current = lane.connection, lane._current
         if conn is None or not conn.alive or conn.last_anchor_us is None:
             return "follower-not-passive"
@@ -310,34 +398,35 @@ class QuietAudit:
         return header.length == 0 and int(header.llid) != _LLID_CONTROL
 
     @staticmethod
+    def _same_hop_sequence(mconn, sconn) -> bool:
+        """Both ends select channels with the same algorithm, parameters
+        and channel map."""
+        m_sel, s_sel = mconn.selector, sconn.selector
+        if m_sel._channel_map != s_sel._channel_map:
+            return False
+        if mconn.params.use_csa2:
+            return sconn._selector_is_csa2 and mconn._selector_is_csa2 \
+                and m_sel._ch_id == s_sel._ch_id
+        return not (sconn._selector_is_csa2 or mconn._selector_is_csa2) \
+            and m_sel.hop_increment == s_sel.hop_increment
+
+    @staticmethod
     def _channels_lockstep(mconn, sconn) -> bool:
-        """Both selectors must produce the shared hop sequence in lockstep.
+        """Both selectors (producing one hop sequence) must run in
+        lockstep.
 
         The Slave runs one selector step ahead (it advances when scheduling
         the window, the Master when the event fires), so the Master's
         unmapped index plus one hop must land on the Slave's.
         """
-        m_sel, s_sel = mconn.selector, sconn.selector
+        s_sel = sconn.selector
         if sconn.current_channel is None:
             return False
         if mconn.params.use_csa2:
-            if not (sconn._selector_is_csa2 and mconn._selector_is_csa2):
-                return False
-            if m_sel._ch_id != s_sel._ch_id:
-                return False
-            if m_sel._channel_map != s_sel._channel_map:
-                return False
             return s_sel.channel_for_event(sconn.event_count) \
                 == sconn.current_channel
-        if sconn._selector_is_csa2 or mconn._selector_is_csa2:
-            return False
-        if m_sel.hop_increment != s_sel.hop_increment:
-            return False
-        if m_sel._channel_map != s_sel._channel_map:
-            return False
         hop = s_sel.hop_increment
-        if (m_sel._last_unmapped + hop) % NUM_DATA_CHANNELS \
+        if (mconn.selector._last_unmapped + hop) % NUM_DATA_CHANNELS \
                 != s_sel._last_unmapped:
             return False
         return s_sel._map(s_sel._last_unmapped) == sconn.current_channel
-

@@ -129,6 +129,11 @@ class Simulator:
             self._running = False
         return fired
 
+    @property
+    def fast_forward(self):
+        """The installed fast-forward engine, or ``None``."""
+        return self._fast_forward
+
     def install_fast_forward(self, engine) -> None:
         """Attach an analytic fast-forward engine (or ``None`` to detach).
 

@@ -128,7 +128,7 @@ def test_fast_engine_2x_on_a_continued_busy_dense_world():
 
     speedup = _best_ratio(partial(continued, fastforward.ENGINE_REFERENCE),
                           partial(continued, fastforward.ENGINE_FAST),
-                          rounds=1)
+                          rounds=3)
     assert sum(fast_forwarded_events) > 0
     assert results[fastforward.ENGINE_FAST] \
         == results[fastforward.ENGINE_REFERENCE]
