@@ -389,14 +389,14 @@ class ConnectionSniffer:
             self.on_synchronized(conn)
 
     def _listen_if_following(self, channel: int) -> None:
-        if self.following and not self.paused:
+        if self._following and not self._paused:
             if self.connection is not None:
                 self.radio.rx_phy = self.connection.phy
             self.radio.listen(channel)
 
     def _on_follow_frame(self, frame: RadioFrame, rssi_dbm: float) -> None:
         conn = self.connection
-        if conn is None or not self.following or self.paused:
+        if conn is None or not self._following or self._paused:
             return
         if frame.access_address != conn.params.access_address:
             return
@@ -454,7 +454,7 @@ class ConnectionSniffer:
 
     def _event_window_closed(self) -> None:
         conn = self.connection
-        if conn is None or not self.following:
+        if conn is None or not self._following:
             return
         current = self._current
         if current is not None:
@@ -466,9 +466,9 @@ class ConnectionSniffer:
                 self._silent_events += 1
             else:
                 self._silent_events = 0
-            if self.on_event is not None:
-                self.on_event(current)
-        if not self.following:
+            if self._on_event is not None:
+                self._on_event(current)
+        if not self._following:
             return  # a callback handed the radio over (e.g. to the injector)
         if self._silent_events >= _LOSS_THRESHOLD:
             self._lost("signal lost")

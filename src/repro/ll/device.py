@@ -67,9 +67,9 @@ class LinkLayerDevice:
         self.peer_address: Optional[BdAddress] = None
         self.encryption: Optional[LinkEncryption] = None
         self._tx_queue: deque[DataPdu] = deque()
-        #: Bumped when the connection forms or is torn down and when its
-        #: encryption, PHY or termination is set up: the fast-forward
-        #: audit re-derives its verdict on the link then.
+        #: Bumped when encryption or a termination is set up on the
+        #: connection: the fast-forward audit re-derives its verdict on the
+        #: link then (or when the connection itself is a new one).
         self.audit_version = 0
         # Host-facing callbacks.
         self.on_connected: Optional[Callable[[], None]] = None
@@ -214,7 +214,6 @@ class LinkLayerDevice:
         self.conn.terminate(reason)
         self.conn = None
         self.encryption = None
-        self.audit_version += 1
         self.clear_queue()
         self.radio.stop_listening()
         if self.sim.trace.enabled:

@@ -226,7 +226,6 @@ class MasterLinkLayer(LinkLayerDevice):
         self.state = MasterState.CONNECTED
         self.conn = ConnectionState(params, Role.MASTER,
                                     created_local_us=self.local_now)
-        self.audit_version += 1
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.name, "conn-created",
                                   aa=params.access_address, interval=params.interval)
@@ -256,7 +255,6 @@ class MasterLinkLayer(LinkLayerDevice):
         if due_phy is not None:
             self.phy = phy_mode_from_mask(due_phy.m_to_s_phy)
             self.radio.rx_phy = self.phy
-            self.audit_version += 1
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.name, "phy-applied",
                                       event_count=conn.event_count,

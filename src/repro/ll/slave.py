@@ -268,7 +268,6 @@ class SlaveLinkLayer(LinkLayerDevice):
         self._anchor_local = None
         self._events_since_anchor = 1
         self._terminate_after_response = None
-        self.audit_version += 1
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.name, "conn-created",
                                   aa=params.access_address, interval=params.interval)
@@ -348,7 +347,6 @@ class SlaveLinkLayer(LinkLayerDevice):
         if due_phy is not None:
             self.phy = phy_mode_from_mask(due_phy.m_to_s_phy)
             self.radio.rx_phy = self.phy
-            self.audit_version += 1
             if self.sim.trace.enabled:
                 self.sim.trace.record(self.sim.now, self.name, "phy-applied",
                                       event_count=conn.event_count,

@@ -32,10 +32,10 @@ Every random stream the kernel reads has one owner that draws from it,
 and the kernel takes its values from that owner rather than drawing a
 copy: a clock's jitter from :meth:`~repro.sim.clock.SleepClock.take`, a
 link's shadowing from the medium's per-link substreams, a track's bursts
-from :attr:`~repro.sim.interference.WifiInterferer.plan`.  What the kernel
-takes and does not commit it gives back or leaves planned, so the
-reference path reads the same sequences without any stream being
-rewound.  The one exception is the medium's shared collision stream
+from the plan :meth:`~repro.sim.interference.WifiInterferer.plan_until`
+draws.  What the kernel takes and does not commit it gives back or
+leaves planned, so the reference path reads the same sequences without
+any stream being rewound.  The one exception is the medium's shared collision stream
 (:meth:`QuietCycleEngine._settle`).
 
 Correctness contract (enforced by ``tests/test_engine_differential.py``):
@@ -224,8 +224,9 @@ def _with_contacts(receivers: list, heard: Optional[list], i: int,
 class _Link:
     """A registered link: its devices, the label of its Slave's
     window-open events (their handlers are per-event closures), and the
-    set-up halves of its and its follower's verdicts with the versions
-    they were derived at (:class:`~repro.sim.quiet_audit.QuietAudit`)."""
+    set-up halves of its and its follower's verdicts with the connections
+    and versions they were derived at
+    (:class:`~repro.sim.quiet_audit.QuietAudit`)."""
 
     __slots__ = ("master", "slave", "follower", "wo_label", "version",
                  "verdict", "lane_version", "lane_verdict")
@@ -725,8 +726,9 @@ class _Links:
         ``f_channel``, ``f_seq`` (the transmission index), ``f_sender``
         (its place in :attr:`radios`), and the ``f_row``, ``f_slot`` (0 a
         Master frame, 1 a response) and ``f_cycle`` each frame comes from.
-        The cross-link checks, the frame ids and the commit all read it;
-        :meth:`keep` narrows it to the cycles a cut leaves."""
+        Built by the cross-link checks of a block of several sources, which
+        read it with the frame ids; :meth:`keep` narrows it to the cycles a
+        cut leaves."""
         size, width = self.size, self.t_m.shape[1]
         live = self.col < counts[:, None]
         rows, slots, cycles = np.nonzero(
@@ -740,6 +742,18 @@ class _Links:
         self.f_seq = np.where(slots, np.array(self.s_seq)[rows],
                               np.array(self.m_seq)[rows]) + cycles
         self.f_sender = rows + slots * size
+
+    def lone_frames(self, counts: np.ndarray) -> tuple:
+        """The ``f_start``, ``f_channel`` and air time of each committed
+        frame of a block of at most one row, in :meth:`lay_out`'s order:
+        a lone source meets nobody, so it needs no layout for the cut
+        search and takes these three columns straight off its arrays."""
+        if not self.size:
+            return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
+        c = int(counts[0])
+        return (np.concatenate((self.t_m[0, :c], self.t_resp[0, :c])),
+                np.tile(self.channels[0, :c], 2),
+                np.full(2 * c, self.frame_dur[0]))
 
     def keep(self, counts: np.ndarray) -> np.ndarray:
         """Which frames of the layout lie in each row's first
@@ -1424,7 +1438,7 @@ class QuietCycleEngine(QuietAudit):
         extra = queue._live - self._base
         if budget < 6:
             reason = "budget"
-        elif (reason := self._vetoed(extra)) is None:
+        else:
             queued = self._classify(queue, extra)
             if isinstance(queued, str):
                 reason = queued
@@ -1536,10 +1550,16 @@ class QuietCycleEngine(QuietAudit):
 
             # -- 3. frame ids in start order across every source --------
             block.cut(counts)
-            keep = block.keep(counts)
-            link_starts = block.f_start[keep]
-            starts, channels = [link_starts], [block.f_channel[keep]]
-            durations = [block.frame_dur_row[block.f_row[keep]]]
+            if size + len(tracks) > 1:
+                keep = block.keep(counts)
+                link_starts = block.f_start[keep]
+                starts, channels = [link_starts], [block.f_channel[keep]]
+                durations = [block.frame_dur_row[block.f_row[keep]]]
+            else:
+                link_starts, link_channels, link_durations = \
+                    block.lone_frames(counts)
+                starts, channels = [link_starts], [link_channels]
+                durations = [link_durations]
             sent_bursts = [track.sent_frames(c)
                            for track, c in zip(tracks, sent)]
             for start, chan, duration in sent_bursts:
@@ -1667,7 +1687,6 @@ class QuietCycleEngine(QuietAudit):
         for track in tracks:
             track.interferer.plan_until(horizon)
             track.lay_out(horizon)
-        block.lay_out(block.counts(horizon))
         hit, rule, contacts, peeked = self._first_interaction(
             block, tracks, horizon)
         if hit < horizon:
@@ -1758,6 +1777,7 @@ class QuietCycleEngine(QuietAudit):
             # a lone source meets nobody
             return np.inf, None, contacts, (collided, busy_at)
         counts = block.counts(horizon)
+        block.lay_out(counts)
         # A link's frame starts inside its receiver's window and, with a
         # follower, inside the follower's.
         f_ch, f_start, f_end, f_seqs, f_senders, f_owners = \

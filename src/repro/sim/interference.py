@@ -108,19 +108,6 @@ class WifiInterferer:
         self._tx_until = self.radio._tx_until_us
         self.bursts_sent = 0
 
-    @property
-    def plan(self) -> list:
-        """The bursts planned and not yet fired, as ``(time, end or None
-        when skipped, channel, PDU length, next burst's time, air time)``
-        tuples (for inspection)."""
-        head, times = self.head, self.plan_t
-        afters = times[head + 1:] + [self.next_us]
-        return [(t, end if length else None, channel, length, after,
-                 _BURST_AIR_US[length] if length else 0.0)
-                for t, end, channel, length, after in zip(
-                    times[head:], self.plan_end[head:],
-                    self.plan_channel[head:], self.plan_len[head:], afters)]
-
     def start(self) -> None:
         """Begin bursting."""
         if self.next_us is not None:

@@ -43,13 +43,15 @@ class QuietAudit:
 
     A link's and a follower's verdict has two halves.  The *set-up* half
     (connected, no procedure armed, no encryption, parameters in step, the
-    follower passive, the link's margin) changes only at events that bump
-    a version: the devices' ``audit_version`` (connection formed or torn
-    down, encryption, PHY, termination), the connections' ``version``
-    (a procedure armed or fallen due, first established), the follower's
-    ``audit_version`` (following, pausing, its per-event hook) and the
-    topology's ``version``.  Each registered link keeps that half with the
-    versions it was derived at and re-derives it only when one moved.  The
+    follower passive, the link's margin) changes only with the two ends'
+    connection objects (a new one per connection; a torn-down one reads
+    ``link-not-connected`` before any cache) or at events that bump a
+    version: the devices' ``audit_version`` (encryption, termination), the
+    connections' ``version`` (a procedure armed or fallen due, first
+    established), the follower's ``audit_version`` (following, pausing,
+    its per-event hook) and the topology's ``version``.  Each registered
+    link keeps that half with the connections and versions it was derived
+    at and re-derives it only when one of them moved.  The
     *between-cycles* half (queues, ARQ, anchors, hop state, radios) is
     read afresh on every audit.  A track's verdict is its place in the
     track set: a stopped interferer leaves it.
@@ -62,7 +64,9 @@ class QuietAudit:
         Returns ``(slots, bursts)`` — per link ``[window-open,
         window-close, master event, sniff-open, sniff-close]``, the last
         two ``None`` for a link whose follower is not following; per track
-        its burst event — or a disengage reason.
+        its burst event — or a disengage reason.  The cheap checks come
+        first: a link mid-event, the event last found unowned, and then
+        :meth:`_vetoed`, all before the scan of the queue.
         """
         links = self.links
         if not links and not self.tracks:
@@ -82,6 +86,9 @@ class QuietAudit:
         unowned = self._unowned_hint
         if unowned is not None and unowned._queue is not None:
             return "unclassified"
+        vetoed = self._vetoed(extra)
+        if vetoed is not None:
+            return vetoed
         slots = [[None] * 5 for _ in links]
         bursts: list = [None] * len(self.tracks)
         owners = self._owners
@@ -233,13 +240,13 @@ class QuietAudit:
 
     def _link_verdict(self, link: _Link, topology: int) -> Optional[str]:
         """The set-up half of a link's verdict, re-derived only when a
-        version it was derived at moved."""
+        connection or version it was derived at moved."""
         master, slave = link.master, link.slave
         mconn, sconn = master.conn, slave.conn
         if mconn is None or sconn is None:
             return "link-not-connected"
-        version = (master.audit_version, slave.audit_version, mconn.version,
-                   sconn.version, topology)
+        version = (mconn, sconn, master.audit_version, slave.audit_version,
+                   mconn.version, sconn.version, topology)
         if version != link.version:
             link.version = version
             link.verdict = self._link_setup_reason(link)
@@ -300,8 +307,14 @@ class QuietAudit:
     def _link_state_reason(self, link: _Link) -> Optional[str]:
         """Why a link's state between cycles cannot be replayed, or
         ``None``.  (:meth:`_classify` has found its Master awaiting no
-        response.)"""
+        response.)  The radios come first: a Slave listening in its window
+        before the Master's event is the commonest veto."""
         master, slave = link.master, link.slave
+        mr, sr = master.radio, slave.radio
+        if mr._rx_channel is not None or sr._rx_channel is not None:
+            return "link-radio-busy"
+        if mr.on_tx_complete is not None or sr.on_tx_complete is not None:
+            return "link-radio-busy"
         if master._tx_queue or slave._tx_queue:
             return "link-busy"
         mconn, sconn = master.conn, slave.conn
@@ -317,15 +330,10 @@ class QuietAudit:
             return "link-out-of-step"
         if mconn.event_count != sconn.event_count:
             return "link-out-of-step"
-        mr, sr = master.radio, slave.radio
         if mr.rx_phy is not master.phy or sr.rx_phy is not slave.phy:
             return "link-out-of-step"
         if not self._channels_lockstep(mconn, sconn):
             return "link-out-of-step"
-        if mr._rx_channel is not None or sr._rx_channel is not None:
-            return "link-radio-busy"
-        if mr.on_tx_complete is not None or sr.on_tx_complete is not None:
-            return "link-radio-busy"
         return None
 
     @staticmethod

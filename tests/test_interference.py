@@ -77,6 +77,12 @@ def _per_burst_draws(rng, wifi, horizon_us):
     return bursts
 
 
+def _planned(wifi, column):
+    """One column of the bursts planned and not yet fired (a skipped
+    burst has PDU length 0)."""
+    return getattr(wifi, column)[wifi.head:]
+
+
 class TestBurstPlan:
     """An interferer plans its bursts ahead from its own stream; the plan
     is what the burst events would have drawn one by one."""
@@ -90,10 +96,11 @@ class TestBurstPlan:
                                                       duty_cycle=0.5)
         wifi.start()
         wifi.plan_until(self.HORIZON_US)
-        assert any(end is None for _, end, *_ in wifi.plan)
-        planned = [(t, channel, pdu_len)
-                   for t, end, channel, pdu_len, *_ in wifi.plan
-                   if end is not None]
+        assert not all(_planned(wifi, "plan_len"))
+        planned = [(t, channel, pdu_len) for t, channel, pdu_len in zip(
+            *(_planned(wifi, column)
+              for column in ("plan_t", "plan_channel", "plan_len")))
+            if pdu_len]
         rng = Simulator(seed=seed).streams.get("wifi-wifi")
         assert planned == _per_burst_draws(rng, wifi, self.HORIZON_US)
 
@@ -102,8 +109,10 @@ class TestBurstPlan:
                                                       duty_cycle=0.5)
         wifi.start()
         wifi.plan_until(self.HORIZON_US / 2)
-        planned = [(t, channel) for t, end, channel, *_ in wifi.plan
-                   if end is not None]
+        planned = [(t, channel) for t, channel, pdu_len in zip(
+            *(_planned(wifi, column)
+              for column in ("plan_t", "plan_channel", "plan_len")))
+            if pdu_len]
         sim.run(until_us=self.HORIZON_US / 2)
         fired = [(r.time_us, r.detail["channel"])
                  for r in sim.trace.filter(kind="tx", source="wifi")]

@@ -793,7 +793,7 @@ class TestMultiLinkProperties:
         burst = WifiInterferer._burst
 
         def spy_burst(self):
-            from_plan[-1].append(bool(self.plan))
+            from_plan[-1].append(self.head < len(self.plan_t))
             burst(self)
 
         monkeypatch.setattr(WifiInterferer, "_burst", spy_burst)
@@ -837,7 +837,7 @@ class TestMultiLinkProperties:
             record(self, time_us, source, kind, **detail)
             wifi = interferers[-1]
             if kind == "crc-error" and time_us > 1e6 and wifi._running:
-                stops.append((time_us, len(wifi.plan)))
+                stops.append((time_us, len(wifi.plan_t) - wifi.head))
                 wifi.stop()
 
         monkeypatch.setattr(WifiInterferer, "start", spy_start)
