@@ -164,6 +164,11 @@ class ConnectionSniffer:
     def following(self, following: bool) -> None:
         self._following = following
         self.audit_version += 1
+        engine = self.sim.fast_forward
+        if following and engine is not None:
+            # A follower joins the link it follows in the fast-forward
+            # engine, and leaves with that link.
+            engine.enrol(self, self.connection.params.access_address)
 
     @property
     def paused(self) -> bool:

@@ -103,8 +103,6 @@ def _detected_injection(bank: DetectorBank) -> bool:
 
 
 def _run_ids_injectable(seed: int) -> IdsAblationResult:
-    from repro.sim.fastforward import install_engine
-
     sim = Simulator(seed=seed, trace_enabled=False)
     topo = Topology.equilateral_triangle(("peripheral", "central", "attacker"))
     medium = Medium(sim, topo)
@@ -116,7 +114,6 @@ def _run_ids_injectable(seed: int) -> IdsAblationResult:
     CentralHost(central)
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=60))
-    install_engine(sim, medium, [(central, bulb.ll, attacker.sniffer)])
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)

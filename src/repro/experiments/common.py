@@ -237,15 +237,14 @@ def run_trial_world(
 
     Args:
         trial: the trial configuration.
-        engine: simulation engine (``"fast"``/``"reference"``); ``None``
-            defers to :func:`repro.sim.fastforward.resolve_engine`.
+        engine: the :class:`~repro.sim.simulator.Simulator`'s engine
+            (``"fast"``/``"reference"``; ``None``: ``$REPRO_ENGINE``, then
+            fast).
         trace_enabled: record the full event trace (differential tests
             compare it byte for byte across engines).
     """
-    from repro.sim.fastforward import install_engine
-
     sim = Simulator(seed=trial.seed, trace_enabled=trace_enabled,
-                    metrics_enabled=trial.collect_metrics)
+                    metrics_enabled=trial.collect_metrics, engine=engine)
     topo = _build_topology(trial)
     medium = Medium(sim, topo)
     bulb = Lightbulb(sim, medium, "peripheral", sca_ppm=trial.slave_sca_ppm)
@@ -262,8 +261,6 @@ def run_trial_world(
     central_host = CentralHost(central)
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=100))
-    install_engine(sim, medium, [(central, bulb.ll, attacker.sniffer)],
-                   engine=engine)
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)

@@ -145,12 +145,11 @@ def _build_ambient_world(trial: DefenseTrial, engine: Optional[str],
     )
     from repro.experiments.scenarios import DEVICES
     from repro.defense import DetectorBank
-    from repro.sim.fastforward import install_engine
     from repro.sim.medium import Medium
     from repro.sim.simulator import Simulator
 
     sim = Simulator(seed=trial.seed, trace_enabled=trace_enabled,
-                    metrics_enabled=trial.collect_metrics)
+                    metrics_enabled=trial.collect_metrics, engine=engine)
     topo, pairs, wifi_names = build_dense_topology(
         "stadium", AMBIENT_PAIRS, AMBIENT_WIFI)
     medium = Medium(sim, topo)
@@ -162,7 +161,6 @@ def _build_ambient_world(trial: DefenseTrial, engine: Optional[str],
     victim.ll.readvertise_on_disconnect = False
     phone = Smartphone(sim, medium, "central",
                        interval=EXPERIMENT_HOP_INTERVAL)
-    install_engine(sim, medium, [(phone.ll, victim.ll)], engine=engine)
     victim.power_on()
     phone.connect_to(victim.address)
     sim.run(until_us=sim.now + ESTABLISH_US)

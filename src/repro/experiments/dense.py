@@ -216,8 +216,7 @@ def build_dense_topology(
 
 
 def populate_background(sim, medium, pairs, wifi_names,
-                        wifi_duty_cycle: float = 0.10,
-                        engine=None) -> list:
+                        wifi_duty_cycle: float = 0.10) -> list:
     """Create and start the ambient population of a dense world.
 
     Background slaves advertise, their masters connect on a staggered
@@ -225,10 +224,7 @@ def populate_background(sim, medium, pairs, wifi_names,
     sweep and the defense bench's dense-ambient worlds; the device
     creation order (and thus every RNG substream draw) is part of the
     determinism contract, so callers must pass ``pairs``/``wifi_names``
-    exactly as :func:`build_dense_topology` returned them.  ``engine``, a
-    :class:`~repro.sim.fastforward.QuietCycleEngine` installed on ``sim``
-    (or ``None``), gets every background pair as a link and every
-    interferer as a track.
+    exactly as :func:`build_dense_topology` returned them.
 
     Returns:
         the background ``(MasterLinkLayer, SlaveLinkLayer)`` pairs.
@@ -258,14 +254,10 @@ def populate_background(sim, medium, pairs, wifi_names,
             lambda m=bg_master, s=bg_slave: m.connect(s.address),
             "dense-bg-connect")
         bg_pairs.append((bg_master, bg_slave))
-        if engine is not None:
-            engine.add_link(bg_master, bg_slave)
     for name in wifi_names:
         interferer = WifiInterferer(sim, medium, name,
                                     duty_cycle=wifi_duty_cycle)
         interferer.start()
-        if engine is not None:
-            engine.add_track(interferer)
     return bg_pairs
 
 
@@ -293,21 +285,17 @@ def run_dense_trial_world(
     from repro.devices.lightbulb import Lightbulb
     from repro.ll.master import MasterLinkLayer
     from repro.ll.pdu.address import BdAddress
-    from repro.sim.fastforward import install_engine
     from repro.sim.medium import Medium
 
     sim = Simulator(seed=trial.seed, trace_enabled=trace_enabled,
-                    metrics_enabled=trial.collect_metrics)
+                    metrics_enabled=trial.collect_metrics, engine=engine)
     topo, pairs, wifi_names = build_dense_topology(
         trial.layout, trial.connections, trial.wifi_interferers)
     medium = Medium(sim, topo)
     meter = _AirtimeMeter()
     medium.add_tap(meter)
-    quiet_engine = install_engine(sim, medium, engine=engine)
-
     bg_pairs = populate_background(sim, medium, pairs, wifi_names,
-                                   wifi_duty_cycle=trial.wifi_duty_cycle,
-                                   engine=quiet_engine)
+                                   wifi_duty_cycle=trial.wifi_duty_cycle)
 
     establish_us = (ESTABLISH_SETTLE_US
                     + ESTABLISH_STAGGER_US * trial.connections)
@@ -330,8 +318,6 @@ def run_dense_trial_world(
     )
     attacker = Attacker(sim, medium, "attacker",
                         injection_config=InjectionConfig(max_attempts=100))
-    if quiet_engine is not None:
-        quiet_engine.add_link(central, bulb.ll, attacker.sniffer)
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)

@@ -51,16 +51,14 @@ def build_world(device_cls, seed: int, world_hook: Optional[Callable] = None,
     exchange from the first advertisement (and thus learn the CONNECT_REQ's
     CRCInit for CRC validation).
 
-    ``engine`` selects the simulation engine (see
-    :func:`repro.sim.fastforward.resolve_engine`); ``trace_enabled`` turns
+    ``engine`` selects the :class:`~repro.sim.simulator.Simulator`'s
+    engine (``None``: ``$REPRO_ENGINE``, then fast); ``trace_enabled`` turns
     on full trace recording for differential comparisons;
     ``metrics_enabled`` runs the world instrumented (defense bench trials
     ship the snapshot back in their results).
     """
-    from repro.sim.fastforward import install_engine
-
     sim = Simulator(seed=seed, trace_enabled=trace_enabled,
-                    metrics_enabled=metrics_enabled)
+                    metrics_enabled=metrics_enabled, engine=engine)
     topo = Topology.equilateral_triangle(("victim", "phone", "attacker"))
     medium = Medium(sim, topo)
     if world_hook is not None:
@@ -69,8 +67,6 @@ def build_world(device_cls, seed: int, world_hook: Optional[Callable] = None,
     victim.ll.readvertise_on_disconnect = False
     phone = Smartphone(sim, medium, "phone", interval=36)
     attacker = Attacker(sim, medium, "attacker")
-    install_engine(sim, medium, [(phone.ll, victim.ll, attacker.sniffer)],
-                   engine=engine)
     attacker.sniff_new_connections()
     victim.power_on()
     phone.connect_to(victim.address)

@@ -207,10 +207,20 @@ class LinkLayerDevice:
         """Whether the device currently holds a live connection."""
         return self.conn is not None and not self.conn.terminated
 
+    def _enrol(self) -> None:
+        """Enrol this end of the connection just formed in the fast-forward
+        engine, if the simulator has one; it leaves in :meth:`disconnect`."""
+        engine = self.sim.fast_forward
+        if engine is not None:
+            engine.enrol(self, self.conn.params.access_address)
+
     def disconnect(self, reason: str) -> None:
         """Tear down the connection state and notify the host."""
         if self.conn is None:
             return
+        engine = self.sim.fast_forward
+        if engine is not None:
+            engine.leave(self)
         self.conn.terminate(reason)
         self.conn = None
         self.encryption = None

@@ -226,6 +226,7 @@ class MasterLinkLayer(LinkLayerDevice):
         self.state = MasterState.CONNECTED
         self.conn = ConnectionState(params, Role.MASTER,
                                     created_local_us=self.local_now)
+        self._enrol()
         if self.sim.trace.enabled:
             self.sim.trace.record(self.sim.now, self.name, "conn-created",
                                   aa=params.access_address, interval=params.interval)

@@ -264,6 +264,7 @@ class SlaveLinkLayer(LinkLayerDevice):
         self.peer_address = req.init_addr
         self.conn = ConnectionState(params, Role.SLAVE,
                                     created_local_us=self.local_now)
+        self._enrol()
         self.state = SlaveState.CONNECTED
         self._anchor_local = None
         self._events_since_anchor = 1

@@ -11,10 +11,14 @@ attack itself, a tap that reads more than airtime and an attacker that
 stays on air are not, so the engine stays off there.
 
 :class:`QuietCycleEngine` replaces those stretches with closed-form
-arithmetic.  A world registers its *links* — (master, slave) pairs, each
-optionally with a *follower*, a passive
-:class:`~repro.core.sniffer.ConnectionSniffer` — and its *tracks*, the
-:class:`~repro.sim.interference.WifiInterferer` sources.  Whenever the
+arithmetic.  Every :class:`~repro.sim.medium.Medium` built on a fast
+:class:`~repro.sim.simulator.Simulator` installs one, and the world's
+participants enrol in it through their own lifecycle: a *link* (a Master
+and a Slave, paired by access address, optionally with a *follower*, a
+passive :class:`~repro.core.sniffer.ConnectionSniffer`) enrols when its
+connection forms and leaves when it ends; a *track*, a
+:class:`~repro.sim.interference.WifiInterferer`, enrols while it runs.
+Whenever the
 event queue holds exactly each link's steady-state events and each
 track's next burst, and a conservative eligibility audit passes, the
 engine lays out a block of cycles for every link at once, as (links ×
@@ -54,16 +58,16 @@ from dataclasses import replace
 from functools import partial
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.ll.csa1 import NUM_DATA_CHANNELS
-from repro.ll.master import _RESPONSE_GRACE_US
+from repro.ll.master import _RESPONSE_GRACE_US, MasterLinkLayer
 from repro.ll.pdu.data import LLID, DataPdu
 from repro.ll.pdu.frame import compute_crc
-from repro.ll.slave import _RESPONSE_JITTER_FLOOR_US
+from repro.ll.slave import _RESPONSE_JITTER_FLOOR_US, SlaveLinkLayer
 from repro.ll.timing import (
     WINDOW_WIDENING_CONSTANT_US,
     WORST_CASE_SLAVE_SCA_PPM,
@@ -94,8 +98,6 @@ from repro.utils.units import PPM, T_IFS_US
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.sniffer import ConnectionSniffer
-    from repro.ll.master import MasterLinkLayer
-    from repro.ll.slave import SlaveLinkLayer
     from repro.sim.interference import WifiInterferer
     from repro.sim.transceiver import Transceiver
 
@@ -177,28 +179,6 @@ def resolve_engine(explicit: Optional[str] = None) -> str:
     return engine
 
 
-def install_engine(
-    sim: Simulator,
-    medium: Medium,
-    links: Sequence[tuple] = (),
-    engine: Optional[str] = None,
-) -> Optional["QuietCycleEngine"]:
-    """Attach a :class:`QuietCycleEngine` to ``sim`` if the resolved engine
-    is ``"fast"``; a no-op (returning ``None``) for ``"reference"``.
-
-    ``links`` are the world's ``(master, slave)`` or ``(master, slave,
-    follower)`` tuples, a follower being the link's passive sniffer.
-    Worlds whose links form later, and worlds with Wi-Fi interferers,
-    register them on the returned engine with
-    :meth:`QuietCycleEngine.add_link` / :meth:`~QuietCycleEngine.add_track`.
-    """
-    if resolve_engine(engine) != ENGINE_FAST:
-        return None
-    quiet_engine = QuietCycleEngine(sim, medium, links)
-    sim.install_fast_forward(quiet_engine)
-    return quiet_engine
-
-
 def _take_frame_ids(count: int) -> int:
     """Consume ``count`` ids from the global frame-id counter; the first."""
     ids = _signal._frame_ids
@@ -222,11 +202,11 @@ def _with_contacts(receivers: list, heard: Optional[list], i: int,
 
 
 class _Link:
-    """A registered link: its devices, the label of its Slave's
+    """An enrolled link: its devices, the label of its Slave's
     window-open events (their handlers are per-event closures), and the
-    set-up halves of its and its follower's verdicts with the connections
-    and versions they were derived at
-    (:class:`~repro.sim.quiet_audit.QuietAudit`)."""
+    set-up halves of its and its follower's verdicts with the versions
+    they were derived at (:class:`~repro.sim.quiet_audit.QuietAudit`).
+    It lives exactly as long as its two connections."""
 
     __slots__ = ("master", "slave", "follower", "wo_label", "version",
                  "verdict", "lane_version", "lane_verdict")
@@ -1298,11 +1278,11 @@ class _TrackRun:
 
 class QuietCycleEngine(QuietAudit):
     """Closed-form block execution of quiet Master/Slave poll cycles, for
-    every link and Wi-Fi track a world registers.
+    every link and Wi-Fi track enrolled in it.
 
-    Installed on a :class:`~repro.sim.simulator.Simulator` via
-    :meth:`~repro.sim.simulator.Simulator.install_fast_forward`; the run
-    loop consults :meth:`advance` once per iteration.  The engine is
+    A :class:`~repro.sim.medium.Medium` built on a fast simulator installs
+    one (:meth:`~repro.sim.simulator.Simulator.install_fast_forward`); the
+    run loop consults :meth:`advance` once per iteration.  The engine is
     default-closed: every condition it cannot prove is a disengage, and the
     cycle in question consumes no RNG draw or frame id.  With metrics
     enabled, each disengage counts as ``ff.disengage.<reason>``, each
@@ -1311,26 +1291,19 @@ class QuietCycleEngine(QuietAudit):
     ``ff.contact.inert``.
     """
 
-    __slots__ = ("sim", "medium", "links", "tracks", "_owners", "_base",
-                 "_followers", "_live_counts", "_metrics", "_m_counters",
-                 "_pdu_cache", "_csa1_tables", "_audible", "_audible_version",
-                 "_in_event_hint", "_unowned_hint", "_veto_hint",
-                 "events_fast_forwarded")
+    __slots__ = ("sim", "medium", "links", "tracks", "_parts", "_owners",
+                 "_base", "_followers", "_live_counts", "_metrics",
+                 "_m_counters", "_pdu_cache", "_csa1_tables", "_audible",
+                 "_audible_version", "_in_event_hint", "_unowned_hint",
+                 "_veto_hint", "events_fast_forwarded")
 
-    def __init__(self, sim: Simulator, medium: Medium,
-                 links: Sequence[tuple] = ()):
+    def __init__(self, sim: Simulator, medium: Medium):
         self.sim = sim
         self.medium = medium
-        self.links: list[_Link] = []
         self.tracks: list = []
-        # queued event handler (or label) -> (link or track index, role)
-        self._owners: dict = {}
-        # Live events of the steady state: 3 per link and 1 per track,
-        # plus 2 per following follower.
-        self._base = 0
-        # The links registered with a follower.
-        self._followers: list = []
-        self._live_counts = frozenset((0,))
+        # access address -> [master, slave, follower] enrolled under it; a
+        # link once both ends are in.
+        self._parts: dict = {}
         #: Simulator events this engine has replaced so far.
         self.events_fast_forwarded = 0
         self._metrics = sim.metrics
@@ -1343,66 +1316,82 @@ class QuietCycleEngine(QuietAudit):
         # deaf to the sender; valid for one topology version.
         self._audible: dict = {}
         self._audible_version = -1
+        self._reindex()
+
+    def enrol(self, member, access_address: Optional[int] = None) -> None:
+        """Enter ``member``: a running Wi-Fi interferer as a track, or a
+        link layer whose connection formed, or a follower that started
+        following, as its part of the link with ``access_address``.  A
+        follower follows one link at a time."""
+        if access_address is None:
+            self.tracks.append(member)
+        else:
+            role = 0 if isinstance(member, MasterLinkLayer) \
+                else 1 if isinstance(member, SlaveLinkLayer) else 2
+            for parts in self._parts.values():
+                if parts[role] is member:
+                    parts[role] = None
+            self._parts.setdefault(access_address,
+                                   [None, None, None])[role] = member
+        self._reindex()
+
+    def leave(self, member) -> None:
+        """Take out a stopped track, or, when ``member``'s connection ends,
+        its link and that link's follower.  Events they still have queued
+        fire as foreign events."""
+        if member in self.tracks:
+            self.tracks.remove(member)
+        else:
+            for access_address, parts in self._parts.items():
+                if member in parts:
+                    del self._parts[access_address]
+                    break
+            else:
+                return
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the links from the enrolled parts, the owners of their
+        and the tracks' steady-state events, and the live counts."""
+        links = [_Link(*parts) for parts in self._parts.values()
+                 if parts[0] is not None and parts[1] is not None]
+        owners: dict = {}
+        for index, link in enumerate(links):
+            owners[link.master._connection_event] = (index, _MASTER)
+            owners[link.slave._window_timeout] = (index, _CLOSE)
+            owners[link.wo_label] = (index, _OPEN)
+            follower = link.follower
+            if follower is not None:
+                owners[follower._listen_if_following] = (index, _SNIFF_OPEN)
+                owners[follower._event_window_closed] = (index, _SNIFF_CLOSE)
+        for index, interferer in enumerate(self.tracks):
+            owners[interferer._burst] = (index, _BURST)
+        self.links: list[_Link] = links
+        # queued event handler (or label) -> (link or track index, role)
+        self._owners = owners
+        # The links with a follower.
+        self._followers = [link for link in links if link.follower is not None]
+        # Live events of the steady state: 3 per link and 1 per track,
+        # plus 2 per following follower.
+        self._base = 3 * len(links) + len(self.tracks)
+        self._live_counts = frozenset(
+            self._base + 2 * following
+            for following in range(len(self._followers) + 1))
         # The link last found inside a connection event, and the queued
         # event last found to have no owner (QuietAudit._classify).
         self._in_event_hint = 0
         self._unowned_hint: Optional[Event] = None
         # The link whose verdict vetoed the last audit (QuietAudit._vetoed).
         self._veto_hint = 0
-        for link in links:
-            self.add_link(*link)
-
-    def add_link(self, master: "MasterLinkLayer", slave: "SlaveLinkLayer",
-                 follower: Optional["ConnectionSniffer"] = None) -> None:
-        """Register a (master, slave) link and its follower, if any.  A
-        registered link that is not connected keeps the engine off."""
-        index = len(self.links)
-        link = _Link(master, slave, follower)
-        self.links.append(link)
-        owners = self._owners
-        owners[master._connection_event] = (index, _MASTER)
-        owners[slave._window_timeout] = (index, _CLOSE)
-        owners[link.wo_label] = (index, _OPEN)
-        self._base += 3
-        if follower is not None:
-            owners[follower._listen_if_following] = (index, _SNIFF_OPEN)
-            owners[follower._event_window_closed] = (index, _SNIFF_CLOSE)
-            self._followers.append(link)
-        self._count_live()
-
-    def add_track(self, interferer: "WifiInterferer") -> None:
-        """Register a Wi-Fi interferer as a track."""
-        self._owners[interferer._burst] = (len(self.tracks), _BURST)
-        self.tracks.append(interferer)
-        self._base += 1
-        self._count_live()
-
-    def drop_track(self, interferer: "WifiInterferer") -> None:
-        """Take a stopped interferer out of the tracks, if registered: its
-        last burst event, if still queued, fires as a foreign event."""
-        if interferer not in self.tracks:
-            return
-        self.tracks.remove(interferer)
-        del self._owners[interferer._burst]
-        for index, track in enumerate(self.tracks):
-            self._owners[track._burst] = (index, _BURST)
-        self._base -= 1
-        self._count_live()
-
-    def _count_live(self) -> None:
-        self._unowned_hint = None
-        self._live_counts = frozenset(self._base + 2 * following
-                                      for following in range(
-                                          len(self._followers) + 1))
 
     def _stand_down(self, reason: str) -> None:
         """Count one disengage as ``ff.disengage.<reason>``; callers check
         ``metrics.enabled`` first, so a bare run never gets here.
 
-        A registered link that is not connected (still advertising, or
-        dead) has no trio queued, so the world fails the live count or the
-        between-cycles check for as long as it stays down; those exits
-        count as ``link-not-connected``.
+        An enrolled link whose connection is not yet established has no
+        trio queued, so the world fails the live count or the
+        between-cycles check until it is; those exits count as
+        ``link-not-connected``.
         """
         if reason in _MAYBE_DOWN and any(map(self._link_down, self.links)):
             reason = "link-not-connected"
@@ -1428,7 +1417,9 @@ class QuietCycleEngine(QuietAudit):
 
         Called by the run loop before every event pop.  Must be cheap when
         the world is not in fast-forwardable shape: the first check is an
-        O(1) live-event count against the registered links and tracks.
+        O(1) live-event count against the enrolled links and tracks, the
+        next that every medium tap reads nothing but airtime, both ahead
+        of any look at the queued events.
         """
         queue = self.sim._queue
         if queue._live not in self._live_counts:
@@ -1438,6 +1429,9 @@ class QuietCycleEngine(QuietAudit):
         extra = queue._live - self._base
         if budget < 6:
             reason = "budget"
+        elif not all(getattr(tap, "airtime_only", False)
+                     for tap in self.medium._taps):
+            reason = "tap-not-airtime"
         else:
             queued = self._classify(queue, extra)
             if isinstance(queued, str):

@@ -117,10 +117,13 @@ class WifiInterferer:
         gap = float(self._rng.exponential(self._mean_gap_us))
         self.next_us = self.sim.now + max(gap, 1.0)
         self.sim.schedule_at(self.next_us, self._burst, "wifi-burst")
+        engine = self.sim.fast_forward
+        if engine is not None:
+            engine.enrol(self)
 
     def stop(self) -> None:
         """Stop after any in-flight burst; the planned ones never fire,
-        and the fast-forward engine, if any, drops this track."""
+        and the track leaves the fast-forward engine, if any."""
         self._running = False
         for column in (self.plan_t, self.plan_end, self.plan_channel,
                        self.plan_len):
@@ -128,7 +131,7 @@ class WifiInterferer:
         self.head = 0
         engine = self.sim.fast_forward
         if engine is not None:
-            engine.drop_track(self)
+            engine.leave(self)
 
     def plan_until(self, horizon_us: float) -> None:
         """Plan every burst due before ``horizon_us``."""

@@ -244,6 +244,10 @@ class Medium:
             medium that eagerly samples every frame at every transceiver —
             same traces, O(world) per frame — kept as the differential and
             benchmark baseline.
+
+    On a fast simulator (``sim.engine == "fast"``) the medium installs a
+    :class:`~repro.sim.fastforward.QuietCycleEngine`, which the world's
+    links, followers and Wi-Fi interferers enrol in and leave themselves.
     """
 
     def __init__(
@@ -295,6 +299,10 @@ class Medium:
         self._m_collisions = metrics.counter("medium.collisions")
         # Per-channel airtime counters, bound on first use per channel.
         self._m_airtime: dict[int, object] = {}
+        from repro.sim.fastforward import ENGINE_FAST, QuietCycleEngine
+
+        if sim.engine == ENGINE_FAST:
+            sim.install_fast_forward(QuietCycleEngine(sim, self))
 
     def register(self, transceiver: "Transceiver") -> int:
         """Attach a transceiver; returns its medium id."""
@@ -608,11 +616,12 @@ class Medium:
 
         Models an SDR-based IDS (RadIoT-style, paper §VIII): the tap sees
         frame metadata (time, channel, AA, duration) but not per-receiver
-        corruption outcomes.  A tap that reads nothing but
-        ``frame.duration_us`` may declare ``airtime_only = True`` and offer
-        ``credit_airtime(durations)``: the fast-forward engine then hands
-        it the durations of the frames it skips, in frame-start order,
-        instead of standing down.
+        corruption outcomes.  While any tap reads more, the fast-forward
+        engine replays nothing, whatever links and tracks are enrolled in
+        it.  A tap that reads nothing but ``frame.duration_us`` may declare
+        ``airtime_only = True`` and offer ``credit_airtime(durations)``:
+        the engine then hands it the durations of the frames it skips, in
+        frame-start order, instead of standing down.
         """
         self._taps.append(tap)
 

@@ -3,10 +3,12 @@
 :class:`QuietAudit` is the half of
 :class:`~repro.sim.fastforward.QuietCycleEngine` that decides whether the
 world is in a steady state the block kernel can replay: it matches the
-queued events against each registered link's and track's steady-state
+queued events against each enrolled link's and track's steady-state
 events, and checks every link, follower, track and bystander radio for
-anything the kernel cannot reproduce bit for bit.  The audit is
-default-closed: every condition it cannot prove is a disengage reason.
+anything the kernel cannot reproduce bit for bit.  A link enrols when its
+connection forms and leaves when it ends; a track while it runs; a
+follower joins the link it follows.  The audit is default-closed: every
+condition it cannot prove is a disengage reason.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.ll.csa1 import NUM_DATA_CHANNELS
-from repro.ll.master import MasterState
 from repro.ll.pdu.data import LLID
-from repro.ll.slave import SlaveState
 from repro.ll.timing import WINDOW_WIDENING_CONSTANT_US
 from repro.sim.medium import LINK_MARGIN_SIGMAS
 from repro.utils.units import PPM
@@ -38,23 +38,21 @@ class QuietAudit:
     """Whether the world is in a replayable steady state, and why not.
 
     Mixed into :class:`~repro.sim.fastforward.QuietCycleEngine`, whose
-    registered ``links``, ``tracks``, event owners and ``medium`` it
-    reads.
+    enrolled ``links``, ``tracks``, event owners and ``medium`` it reads.
 
     A link's and a follower's verdict has two halves.  The *set-up* half
-    (connected, no procedure armed, no encryption, parameters in step, the
-    follower passive, the link's margin) changes only with the two ends'
-    connection objects (a new one per connection; a torn-down one reads
-    ``link-not-connected`` before any cache) or at events that bump a
-    version: the devices' ``audit_version`` (encryption, termination), the
-    connections' ``version`` (a procedure armed or fallen due, first
-    established), the follower's ``audit_version`` (following, pausing,
-    its per-event hook) and the topology's ``version``.  Each registered
-    link keeps that half with the connections and versions it was derived
-    at and re-derives it only when one of them moved.  The
-    *between-cycles* half (queues, ARQ, anchors, hop state, radios) is
-    read afresh on every audit.  A track's verdict is its place in the
-    track set: a stopped interferer leaves it.
+    (established, no procedure armed, no encryption, parameters in step,
+    the follower passive, the link's margin) changes only at events that
+    bump a version: the devices' ``audit_version`` (encryption,
+    termination), the connections' ``version`` (a procedure armed or
+    fallen due, first established), the follower's ``audit_version``
+    (following, pausing, its per-event hook) and the topology's
+    ``version``.  A link lives exactly as long as its two connections, so
+    it keeps that half with the versions it was derived at and re-derives
+    it only when one of them moved.  The *between-cycles* half (queues,
+    ARQ, anchors, hop state, radios) is read afresh on every audit.  A
+    track's verdict is its place in the track set, and a dead link's its
+    place in the link set: both leave.
     """
 
     def _classify(self, queue, extra: int):
@@ -162,13 +160,9 @@ class QuietAudit:
     def _ineligible(self, slots, bursts) -> Optional[str]:
         """Why the world cannot be fast-forwarded now, or ``None``."""
         medium = self.medium
-        # Medium must be silent: no frame in flight, no receiver locked,
-        # and no tap that reads more than airtime.
+        # Medium must be silent: no frame in flight, no receiver locked.
         if medium._active or medium._locks:
             return "medium-busy"
-        for tap in medium._taps:
-            if not getattr(tap, "airtime_only", False):
-                return "tap-not-airtime"
         topology = medium.topology.version
         engaged = set()
         links = self.links
@@ -227,25 +221,16 @@ class QuietAudit:
 
     @staticmethod
     def _link_down(link: _Link) -> bool:
-        """Whether a registered link is not connected: not yet established,
-        or terminated."""
-        master, slave = link.master, link.slave
-        if master.state is not MasterState.CONNECTED or not master.is_connected:
-            return True
-        if slave.state is not SlaveState.CONNECTED or not slave.is_connected:
-            return True
-        mconn, sconn = master.conn, slave.conn
-        return not (mconn.established and sconn.established) \
-            or mconn.terminated or sconn.terminated
+        """Whether an enrolled link's connection is not yet established."""
+        return not (link.master.conn.established
+                    and link.slave.conn.established)
 
     def _link_verdict(self, link: _Link, topology: int) -> Optional[str]:
         """The set-up half of a link's verdict, re-derived only when a
-        connection or version it was derived at moved."""
+        version it was derived at moved."""
         master, slave = link.master, link.slave
         mconn, sconn = master.conn, slave.conn
-        if mconn is None or sconn is None:
-            return "link-not-connected"
-        version = (mconn, sconn, master.audit_version, slave.audit_version,
+        version = (master.audit_version, slave.audit_version,
                    mconn.version, sconn.version, topology)
         if version != link.version:
             link.version = version
@@ -254,7 +239,7 @@ class QuietAudit:
 
     def _link_setup_reason(self, link: _Link) -> Optional[str]:
         """Why a link's set-up cannot be replayed, or ``None``: it is not
-        connected, has a procedure armed or encryption on, its two ends
+        established, has a procedure armed or encryption on, its two ends
         disagree on the parameters, or it has too little margin."""
         master, slave, medium = link.master, link.slave, self.medium
         if self._link_down(link):

@@ -35,6 +35,10 @@ class Simulator:
             (the registry object always exists, so components can bind
             instruments unconditionally; disabled updates cost one
             attribute check at the call site).
+        engine: ``"fast"`` or ``"reference"``; ``None`` defers to
+            :func:`repro.sim.fastforward.resolve_engine` (``$REPRO_ENGINE``,
+            then ``"fast"``).  A :class:`~repro.sim.medium.Medium` built on
+            a fast simulator installs the analytic fast-forward engine.
 
     Example:
         >>> sim = Simulator(seed=1)
@@ -46,7 +50,9 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0, trace_enabled: bool = True,
-                 metrics_enabled: bool = False):
+                 metrics_enabled: bool = False,
+                 engine: Optional[str] = None):
+        from repro.sim.fastforward import resolve_engine
         from repro.telemetry.metrics import MetricsRegistry
 
         self._now = 0.0
@@ -56,6 +62,8 @@ class Simulator:
         self.metrics = MetricsRegistry(enabled=metrics_enabled)
         self._running = False
         self._stop_requested = False
+        #: The resolved engine name, ``"fast"`` or ``"reference"``.
+        self.engine = resolve_engine(engine)
         #: Optional analytic fast-forward engine (see
         #: :mod:`repro.sim.fastforward`); ``None`` = pure reference engine.
         self._fast_forward = None

@@ -17,8 +17,8 @@ from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology
 
 
-def build_csa2_world(seed=55, interval=75):
-    sim = Simulator(seed=seed)
+def build_csa2_world(seed=55, interval=75, engine=None):
+    sim = Simulator(seed=seed, engine=engine)
     topo = Topology.equilateral_triangle(("bulb", "phone", "attacker"))
     medium = Medium(sim, topo)
     bulb = Lightbulb(sim, medium, "bulb")

@@ -80,7 +80,7 @@ def run_both_engines(build_and_run):
 def fast_forwarded(sim) -> int:
     """Simulator events ``sim``'s fast engine has replaced so far (0 on
     the reference engine)."""
-    engine = sim._fast_forward
+    engine = sim.fast_forward
     return 0 if engine is None else engine.events_fast_forwarded
 
 
@@ -251,6 +251,86 @@ class TestTappedWorlds:
         _assert_world_differential(
             run_defense_trial_world, DefenseTrial(seed=5, traffic=traffic))
 
+    def test_detector_bank_stands_the_engine_down_unscanned(self):
+        """The bank's tap reads more than airtime, so every advance that
+        passes the live count stops at the tap check: the stadium's
+        enrolled links and tracks never cost a look at the queue."""
+        classified = []
+        classify = fastforward.QuietCycleEngine._classify
+
+        def counting_classify(self, *args):
+            classified.append(1)
+            return classify(self, *args)
+
+        with mock.patch.object(fastforward.QuietCycleEngine, "_classify",
+                               counting_classify):
+            result, sim = run_defense_trial_world(DefenseTrial(
+                seed=17, traffic="dense-ambient", collect_metrics=True))
+        assert sim.fast_forward.links and sim.fast_forward.tracks
+        assert classified == []
+        reasons = {name for name in result.metrics["counters"]
+                   if name.startswith("ff.disengage.")}
+        assert "ff.disengage.tap-not-airtime" in reasons
+        assert reasons <= {"ff.disengage.live-count",
+                           "ff.disengage.link-not-connected",
+                           "ff.disengage.tap-not-airtime"}
+
+
+class TestBaselineWorlds:
+    """BASE-1's worlds wire nothing to the engine: their links and
+    followers enrol themselves.  The engine is picked by
+    ``$REPRO_ENGINE``, and the builders' simulators are traced for the
+    comparison."""
+
+    @staticmethod
+    def _traced_builders(monkeypatch, engine, built):
+        """Select ``engine``, trace the baselines' simulators and collect
+        each one built in ``built``."""
+        from repro.experiments import baselines
+        from repro.sim.simulator import Simulator
+
+        def traced(seed, trace_enabled=False):
+            sim = Simulator(seed=seed)
+            built.append(sim)
+            return sim
+
+        monkeypatch.setenv(fastforward.ENGINE_ENV_VAR, engine)
+        monkeypatch.setattr(baselines, "Simulator", traced)
+        return baselines
+
+    def test_hijack_world(self, monkeypatch):
+        results = {}
+
+        def build_and_run(engine):
+            baselines = self._traced_builders(monkeypatch, engine, [])
+            sim, bulb, phone, attacker = baselines.hijack_world(2001)
+            sim.run(until_us=5_000_000)
+            results[engine] = (bulb.ll.is_connected, phone.is_connected,
+                               attacker.synchronized)
+            return sim
+
+        _, fast = run_both_engines(build_and_run)
+        assert results["reference"] == results["fast"] == (True, True, True)
+        assert fast_forwarded(fast) > 0
+
+    @pytest.mark.parametrize("established", [False, True],
+                             ids=["before", "after"])
+    def test_spoof_world(self, monkeypatch, established):
+        from repro.core.baselines import GattackerMitm
+
+        results = {}
+
+        def build_and_run(engine):
+            built: list = []
+            baselines = self._traced_builders(monkeypatch, engine, built)
+            results[engine] = baselines.run_spoofing(GattackerMitm,
+                                                     established, 2003)
+            return built[0]
+
+        _, fast = run_both_engines(build_and_run)
+        assert results["reference"] == results["fast"] == (not established)
+        assert fast_forwarded(fast) > 0
+
 
 class TestAdversarialDisengage:
     """A foreign transmission mid-quiet-phase must not perturb anything."""
@@ -260,13 +340,12 @@ class TestAdversarialDisengage:
         from repro.devices.lightbulb import Lightbulb
         from repro.ll.master import MasterLinkLayer
         from repro.ll.pdu.address import BdAddress
-        from repro.sim.fastforward import install_engine
         from repro.sim.medium import Medium
         from repro.sim.simulator import Simulator
         from repro.sim.topology import Topology
         from repro.sim.transceiver import Transceiver
 
-        sim = Simulator(seed=11, trace_enabled=True)
+        sim = Simulator(seed=11, trace_enabled=True, engine=engine)
         topo = Topology()
         topo.place("peripheral", 0.0, 0.0)
         topo.place("central", 2.0, 0.0)
@@ -278,7 +357,6 @@ class TestAdversarialDisengage:
             BdAddress.from_str("C0:FF:EE:00:00:02"),
             interval=36, timeout=300)
         attacker_radio = Transceiver(sim, medium, "attacker")
-        install_engine(sim, medium, [(central, bulb.ll)], engine=engine)
         bulb.power_on()
         central.connect(bulb.address)
         sim.run(until_us=2_000_000)
@@ -349,11 +427,9 @@ class TestCsa2Connection:
 
     @staticmethod
     def _build(engine):
-        from repro.sim.fastforward import install_engine
         from tests.test_csa2_end_to_end import build_csa2_world
 
-        sim, medium, bulb, phone, _attacker = build_csa2_world()
-        install_engine(sim, medium, [(phone, bulb.ll)], engine=engine)
+        sim, _medium, bulb, phone, _attacker = build_csa2_world(engine=engine)
         bulb.power_on()
         phone.connect(bulb.address)
         sim.run(until_us=20_000_000)
@@ -376,13 +452,12 @@ class TestIndexedVsBroadcast:
         from repro.devices.lightbulb import Lightbulb
         from repro.ll.master import MasterLinkLayer
         from repro.ll.pdu.address import BdAddress
-        from repro.sim.fastforward import install_engine
         from repro.sim.interference import WifiInterferer
         from repro.sim.medium import Medium
         from repro.sim.simulator import Simulator
         from repro.sim.topology import Topology
 
-        sim = Simulator(seed=23, trace_enabled=True)
+        sim = Simulator(seed=23, trace_enabled=True, engine=engine)
         topo = Topology()
         topo.place("peripheral", 0.0, 0.0)
         topo.place("central", 2.0, 0.0)
@@ -399,7 +474,6 @@ class TestIndexedVsBroadcast:
         # Co-located Wi-Fi bursts give collision resolution real work, so
         # the equivalence covers the interference path too.
         WifiInterferer(sim, medium, "wifi", duty_cycle=0.10).start()
-        install_engine(sim, medium, [(central, bulb.ll)], engine=engine)
         attacker.sniff_new_connections()
         bulb.power_on()
         central.connect(bulb.address)
@@ -460,10 +534,15 @@ class TestEngineSelection:
         with pytest.raises(ConfigurationError):
             fastforward.resolve_engine("warp")
 
-    def test_install_engine_reference_is_noop(self):
+    def test_medium_installs_the_engine_on_a_fast_simulator(self):
+        from repro.sim.medium import Medium
         from repro.sim.simulator import Simulator
 
-        sim = Simulator(seed=1)
-        assert fastforward.install_engine(
-            sim, None, engine="reference") is None
-        assert sim._fast_forward is None
+        reference = Simulator(seed=1, engine="reference")
+        Medium(reference)
+        assert reference.fast_forward is None
+        fast = Simulator(seed=1, engine="fast")
+        assert fast.fast_forward is None
+        medium = Medium(fast)
+        assert isinstance(fast.fast_forward, fastforward.QuietCycleEngine)
+        assert fast.fast_forward.medium is medium

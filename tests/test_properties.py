@@ -307,13 +307,12 @@ def _run_quiet_world(engine, world):
     from repro.experiments.common import TrialResult
     from repro.ll.master import MasterLinkLayer
     from repro.phy.path_loss import PathLossModel
-    from repro.sim.fastforward import install_engine
     from repro.sim.medium import Medium
     from repro.sim.simulator import Simulator
     from repro.sim.topology import Topology
 
     sim = Simulator(seed=world["seed"], trace_enabled=True,
-                    metrics_enabled=True)
+                    metrics_enabled=True, engine=engine)
     topo = Topology()
     topo.place("peripheral", 0.0, 0.0)
     topo.place("central", world["distance_m"], 0.0)
@@ -328,7 +327,6 @@ def _run_quiet_world(engine, world):
     bulb.ll.clock.jitter_us = world["slave_jitter_us"]
     central.clock.jitter_us = world["master_jitter_us"]
     bulb.ll.widening_scale = world["widening_scale"]
-    install_engine(sim, medium, [(central, bulb.ll)], engine=engine)
     bulb.power_on()
     central.connect(bulb.address)
     sim.run(until_us=world["seconds"] * 1_000_000)
@@ -396,14 +394,13 @@ def _run_follower_world(engine, world, tracks=()):
     from repro.experiments.common import TrialResult
     from repro.ll.master import MasterLinkLayer
     from repro.phy.path_loss import PathLossModel
-    from repro.sim.fastforward import install_engine
     from repro.sim.interference import WifiInterferer
     from repro.sim.medium import Medium
     from repro.sim.simulator import Simulator
     from repro.sim.topology import Topology
 
     sim = Simulator(seed=world["seed"], trace_enabled=True,
-                    metrics_enabled=True)
+                    metrics_enabled=True, engine=engine)
     topo = Topology()
     topo.place("peripheral", 0.0, 0.0)
     topo.place("central", 2.0, 0.0)
@@ -418,15 +415,11 @@ def _run_follower_world(engine, world, tracks=()):
         sim, medium, "central", BdAddress.from_str("C0:FF:EE:00:00:08"),
         interval=world["interval"], timeout=300)
     attacker = Attacker(sim, medium, "attacker")
-    quiet_engine = install_engine(
-        sim, medium, [(central, bulb.ll, attacker.sniffer)], engine=engine)
     for i, (name, channel, values) in enumerate(tracks):
         topo.place(name, -world["attacker_distance_m"], 1.0 + i)
         interferer = WifiInterferer(sim, medium, name, channels=(channel,))
         interferer._rng = _ScriptedStream(values)
         interferer.start()
-        if quiet_engine is not None:
-            quiet_engine.add_track(interferer)
     attacker.sniff_new_connections()
     bulb.power_on()
     central.connect(bulb.address)
@@ -627,21 +620,20 @@ def _run_multi_link_world(engine, world):
 
     With ``world["follower"]``, an attacker camps on an advertising
     channel from the start and follows the first link, the first to
-    connect; the engine registers it as that link's follower.
+    connect, joining it as that link's follower.
     """
     from repro.core.attacker import Attacker
     from repro.experiments.common import TrialResult
     from repro.experiments.dense import ESTABLISH_STAGGER_US
     from repro.ll.master import MasterLinkLayer
     from repro.ll.slave import SlaveLinkLayer
-    from repro.sim.fastforward import install_engine
     from repro.sim.interference import WifiInterferer
     from repro.sim.medium import Medium
     from repro.sim.simulator import Simulator
     from repro.sim.topology import Topology
 
     sim = Simulator(seed=world["seed"], trace_enabled=True,
-                    metrics_enabled=True)
+                    metrics_enabled=True, engine=engine)
     topo = Topology()
     # (interval, x, y, use CSA#2, Master SCA, Slave SCA) per pair.
     pairs = [tuple(pair) + (False, 50.0, 50.0)[len(pair) - 3:]
@@ -659,7 +651,6 @@ def _run_multi_link_world(engine, world):
         topo.add_wall(15.0, -10.0, 15.0, 50.0,
                       attenuation_db=world["wall_db"])
     medium = Medium(sim, topo)
-    quiet_engine = install_engine(sim, medium, engine=engine)
     attacker = None
     if world.get("follower"):
         topo.place("attacker", 1.0, 2.0)
@@ -684,17 +675,11 @@ def _run_multi_link_world(engine, world):
                         lambda m=master, s=slave: m.connect(s.address),
                         "connect")
         links.append((master, slave))
-        if quiet_engine is not None:
-            quiet_engine.add_link(master, slave, attacker.sniffer
-                                  if attacker is not None and i == 0
-                                  else None)
     for j, settings in enumerate(tracks):
         interferer = WifiInterferer(sim, medium,
                                     "wifi" if j == 0 else f"wifi{j}",
                                     **settings)
         interferer.start()
-        if quiet_engine is not None:
-            quiet_engine.add_track(interferer)
     sim.run(until_us=world["seconds"] * 1_000_000)
     result = TrialResult(
         success=False, attempts=0,

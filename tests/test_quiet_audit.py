@@ -1,15 +1,15 @@
-"""The fast-forward audit's versioned verdicts, the track set, and random
-worlds at the eligibility boundary.
+"""The fast-forward audit's versioned verdicts, the link and track sets,
+and random worlds at the eligibility boundary.
 
-A link's and a follower's set-up verdict is cached with the connections
-and versions it was derived at; every event that can change it bumps one
-of them.  The world below runs each such event on one link and checks,
-after every event time, that no cached verdict differs from a fresh
-derivation, so a bump left out shows as soon as its event has fired.
+A link enrols in the engine when its connection forms and leaves when it
+ends; a track while it runs.  A link's and a follower's set-up verdict is
+cached with the versions it was derived at; every event that can change
+it bumps one of them.  The world below runs each such event on one link
+and checks, after every event time, that no cached verdict differs from
+a fresh derivation, so a bump left out shows as soon as its event has
+fired.
 The boundary worlds then check fast = reference where verdicts flip.
 """
-
-import copy
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from repro.core.attacker import Attacker
 from repro.experiments.dense import ESTABLISH_STAGGER_US
+from repro.ll.device import LinkLayerDevice
 from repro.ll.master import MasterLinkLayer
 from repro.ll.pdu.address import BdAddress
 from repro.ll.pdu.control import EncReq, EncRsp, PhyUpdateInd
 from repro.ll.slave import SlaveLinkLayer
 from repro.sim import fastforward
-from repro.sim.fastforward import install_engine
 from repro.sim.interference import RogueAdvertiser, WifiInterferer
 from repro.sim.medium import Medium
 from repro.sim.simulator import Simulator
@@ -37,13 +37,14 @@ from tests.test_properties import (
 
 def _link_world(ltk=None):
     """One link with a following attacker, on the fast engine."""
-    sim = Simulator(seed=11, trace_enabled=False)
+    sim = Simulator(seed=11, trace_enabled=False,
+                    engine=fastforward.ENGINE_FAST)
     topo = Topology()
     topo.place("m", 0.0, 0.0)
     topo.place("s", 2.0, 0.0)
     topo.place("attacker", 1.0, 2.0)
     medium = Medium(sim, topo)
-    engine = install_engine(sim, medium, engine=fastforward.ENGINE_FAST)
+    engine = sim.fast_forward
     attacker = Attacker(sim, medium, "attacker")
     attacker.sniff_new_connections()
     slave = SlaveLinkLayer(sim, medium, "s", BdAddress.generate(
@@ -52,8 +53,11 @@ def _link_world(ltk=None):
         sim.streams.get("addr-m")), interval=24, timeout=300)
     slave.start_advertising()
     sim.schedule_at(1_000.0, lambda: master.connect(slave.address), "connect")
-    engine.add_link(master, slave, attacker.sniffer)
     return sim, engine, master, slave, attacker
+
+
+#: What :func:`_run_checked` records while no link is enrolled.
+NO_LINK = "no-link"
 
 
 def _assert_fresh(engine):
@@ -61,9 +65,10 @@ def _assert_fresh(engine):
     topology = engine.medium.topology.version
     for link in engine.links:
         cached = engine._link_verdict(link, topology)
-        if link.master.conn is not None and link.slave.conn is not None:
-            assert cached == engine._link_setup_reason(link)
+        assert cached == engine._link_setup_reason(link)
         lane = link.follower
+        if lane is None:
+            continue
         cached = engine._follower_verdict(link, lane)
         fresh = "follower-not-passive" if not lane.following \
             or lane.paused or lane.on_event is not None else None
@@ -72,8 +77,8 @@ def _assert_fresh(engine):
 
 def _run_checked(sim, engine, until_us):
     """Run to ``until_us`` one event time at a time, checking the verdicts
-    after each; returns the verdicts seen on the link, in order, without
-    repeats."""
+    after each; returns the verdicts seen on the link (:data:`NO_LINK`
+    while none is enrolled), in order, without repeats."""
     seen = []
     while True:
         next_us = sim._queue.peek_time()
@@ -81,9 +86,7 @@ def _run_checked(sim, engine, until_us):
             break
         sim.run(until_us=next_us)
         _assert_fresh(engine)
-        link = engine.links[0]
-        verdict = link.verdict if link.master.conn is not None \
-            and link.slave.conn is not None else "link-not-connected"
+        verdict = engine.links[0].verdict if engine.links else NO_LINK
         if not seen or seen[-1] != verdict:
             seen.append(verdict)
     return seen
@@ -95,12 +98,19 @@ def _connected(sim, engine):
 
 
 def test_connection_forming_and_terminating_move_the_verdict():
-    sim, engine, master, slave, _ = _link_world()
+    """No link is enrolled before the connection forms; it enrols not yet
+    established, becomes eligible, and has left once it is terminated."""
+    sim, engine, master, slave, attacker = _link_world()
+    assert engine.links == []
     seen = _run_checked(sim, engine, 400_000.0)
-    assert seen[0] == "link-not-connected" and seen[-1] is None
+    assert seen == [NO_LINK, "link-not-connected", None]
+    (link,) = engine.links
+    assert (link.master, link.slave, link.follower) \
+        == (master, slave, attacker.sniffer)
     master.terminate()
     seen = _run_checked(sim, engine, sim.now + 100_000.0)
-    assert seen[-1] == "link-not-connected"
+    assert seen[-1] == NO_LINK
+    assert engine.links == [] and engine._parts == {}
 
 
 @pytest.mark.parametrize("procedure", [
@@ -130,15 +140,21 @@ def test_encryption_moves_the_verdict():
 
 
 def test_a_new_connection_rederives_the_verdict():
-    """The verdict is keyed on the connection objects: a new connection
-    whose versions repeat the old one's (no audit ran in between) is
-    derived afresh, here with a Slave set to widen beyond a quarter of
-    the interval."""
-    sim, engine, _master, slave, _ = _link_world()
+    """A new connection between the same two devices enrols a new link,
+    whose verdict is derived afresh, here with a Slave set to widen
+    beyond a quarter of the interval."""
+    sim, engine, master, slave, _ = _link_world()
     _connected(sim, engine)
+    old = engine.links[0]
+    master.terminate()
+    _run_checked(sim, engine, sim.now + 100_000.0)
+    assert engine.links == []
     slave.widening_scale = 1_000.0
-    slave.conn = copy.copy(slave.conn)
-    link = engine.links[0]
+    slave.start_advertising()
+    master.connect(slave.address)
+    _run_checked(sim, engine, sim.now + 400_000.0)
+    (link,) = engine.links
+    assert link is not old and link.master.conn.established
     assert engine._link_verdict(link, engine.medium.topology.version) \
         == "link-out-of-step"
 
@@ -253,10 +269,9 @@ def _run_boundary_world(engine, world):
     """Build and run one boundary world; its simulator and whether each
     link is still connected at the end."""
     sim = Simulator(seed=world["seed"], trace_enabled=True,
-                    metrics_enabled=True)
+                    metrics_enabled=True, engine=engine)
     topo = Topology()
     medium = Medium(sim, topo)
-    quiet_engine = install_engine(sim, medium, engine=engine)
     links = []
     for i, (interval, length_m, master_sca, slave_sca, widening) in \
             enumerate(world["links"]):
@@ -276,14 +291,10 @@ def _run_boundary_world(engine, world):
                         lambda m=master, s=slave: m.connect(s.address),
                         "connect")
         links.append((master, slave))
-        if quiet_engine is not None:
-            quiet_engine.add_link(master, slave)
     topo.place("wifi", 15.0, 10.0)
     wifi = WifiInterferer(sim, medium, "wifi",
                           channels=tuple(range(11, 21)), duty_cycle=0.10)
     wifi.start()
-    if quiet_engine is not None:
-        quiet_engine.add_track(wifi)
     # The world's run is split at each change and the change made between
     # runs: an event queued for it would keep the engine off until then.
     changes = []
@@ -327,10 +338,23 @@ def test_engines_agree_at_the_eligibility_boundary(world):
         == results[fastforward.ENGINE_FAST]
 
 
-def test_the_walk_away_world_crosses_the_boundary():
+def test_the_walk_away_world_crosses_the_boundary(monkeypatch):
     """The hand-picked boundary world engages the fast engine, and its
-    first link dies while the second lives on."""
+    first link dies while the second lives on.  Once both ends have
+    dropped the dead link, the engine replaces events on the second link
+    again (fast = reference on this world is the boundary test's
+    example)."""
+    disconnect = LinkLayerDevice.disconnect
+    at_death: list = []
+
+    def recording_disconnect(self, reason):
+        if self.name in ("m0", "s0") and self.conn is not None:
+            at_death.append(fast_forwarded(self.sim))
+        disconnect(self, reason)
+
+    monkeypatch.setattr(LinkLayerDevice, "disconnect", recording_disconnect)
     sim, connected = _run_boundary_world(fastforward.ENGINE_FAST,
                                          WALK_AWAY_WORLD)
-    assert fast_forwarded(sim) > 0
     assert connected == [False, True]
+    assert len(at_death) == 2 and at_death[-1] > 0
+    assert fast_forwarded(sim) > at_death[-1]
