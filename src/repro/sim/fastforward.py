@@ -37,9 +37,10 @@ and the kernel takes its values from that owner rather than drawing a
 copy: a clock's jitter from :meth:`~repro.sim.clock.SleepClock.take`, a
 link's shadowing from the medium's per-link substreams, a track's bursts
 from the plan :meth:`~repro.sim.interference.WifiInterferer.plan_until`
-draws.  What the kernel takes and does not commit it gives back or
-leaves planned, so the reference path reads the same sequences without
-any stream being rewound.  The one exception is the medium's shared collision stream
+draws.  What the kernel takes and does not commit it gives back to the
+clock, leaves in the link's shadowing window or leaves planned, so the
+reference path reads the same sequences without any stream being
+rewound.  The one exception is the medium's shared collision stream
 (:meth:`QuietCycleEngine._settle`).
 
 Correctness contract (enforced by ``tests/test_engine_differential.py``):
@@ -261,8 +262,9 @@ class _Links:
     other source lets it commit (``cut``), ``commit`` emits those and
     rolls every row on, and ``write_back`` hands the links back to the
     reference engine.  Only each link's own streams (its clocks' jitter,
-    taken from and given back to the clocks, and its shadowing draws), its
-    trace records and its ARQ bits stay per row.
+    taken from and given back to the clocks, and its shadowing draws, read
+    from the links' windows), its trace records and its ARQ bits stay per
+    row.
     """
 
     def __init__(self, engine: "QuietCycleEngine", links: list, queued: list):
@@ -567,7 +569,6 @@ class _Links:
         bailed = (bail < valid) | (n < 1)
         k_list = k.tolist()
         self.pa_master, self.pa_slave = [None] * size, [None] * size
-        self.ma_draws, self.sa_draws = [None] * size, [None] * size
         for row in self.lane_rows:
             count = k_list[row]
             if not count:
@@ -576,10 +577,8 @@ class _Links:
             # missed frame, and the reference path runs that cycle.
             ma_shadow, sa_shadow = self.ma_shadow[row], self.sa_shadow[row]
             if ma_shadow is not None and sa_shadow is not None:
-                ma_draws = self.ma_draws[row] = ma_shadow.take(
-                    self.m_seq[row], count)
-                sa_draws = self.sa_draws[row] = sa_shadow.take(
-                    self.s_seq[row], count)
+                ma_draws = ma_shadow.take(self.m_seq[row], count)
+                sa_draws = sa_shadow.take(self.s_seq[row], count)
             else:
                 ma_draws = sa_draws = np.zeros(count)
             pa_master = self.m_tx_power[row] - (self.mean_m_to_a[row]
@@ -590,7 +589,6 @@ class _Links:
                 | (pa_slave < self.floor_a[row])
             miss = int(missed.argmax())
             if missed[miss]:
-                self._give_back_follower(row, miss, count)
                 k[row] = bail[row] = k_list[row] = miss
                 bailed[row] = True
                 pa_master, pa_slave = pa_master[:miss], pa_slave[:miss]
@@ -625,15 +623,6 @@ class _Links:
                 channels[row, :count + 1] = [
                     s_sel.channel_for_event((event_count + i) & 0xFFFF)
                     for i in range(count + 1)]
-
-    def _give_back_follower(self, row: int, start: int, stop: int) -> None:
-        """Return row's follower shadow draws of cycles start..stop-1."""
-        ma_shadow, sa_shadow = self.ma_shadow[row], self.sa_shadow[row]
-        if ma_shadow is not None and sa_shadow is not None:
-            ma_shadow.give_back(self.m_seq[row] + start,
-                                self.ma_draws[row][start:stop])
-            sa_shadow.give_back(self.s_seq[row] + start,
-                                self.sa_draws[row][start:stop])
 
     def past_until(self, until_us: Optional[float]) -> np.ndarray:
         """Whether the cycle each row bailed at in this block runs past
@@ -687,7 +676,6 @@ class _Links:
             self.s_clock[row].give_back(3 * (kept - c))
             self.m_clock[row].give_back(kept - c)
             if self.lanes[row] is not None:
-                self._give_back_follower(row, c, kept)
                 self.pa_master[row] = self.pa_master[row][:c]
                 self.pa_slave[row] = self.pa_slave[row][:c]
         self.k = np.minimum(k, counts)
@@ -1451,12 +1439,13 @@ class QuietCycleEngine(QuietAudit):
                     listener: "Transceiver") -> float:
         """The power of ``sender``'s ``seq``-th transmission at
         ``listener``, as the medium's ``_power_at`` computes it.  The
-        shadowing draw is a pure function of link and index, so peeking it
-        now and leaving it for the medium changes nothing."""
+        shadowing draw is read from the link's window, a pure function of
+        link and index, so reading it now leaves the medium's read of it
+        unchanged."""
         medium = self.medium
         loss = self._mean_loss(sender, listener)
         if medium.path_loss.shadowing_sigma_db > 0.0:
-            loss += medium._link_shadow(sender, listener.medium_id).peek(seq)
+            loss += medium._link_shadow(sender, listener.medium_id).value(seq)
         return sender.tx_power_dbm - loss
 
     def _heard(self, sender: "Transceiver", seq: int,

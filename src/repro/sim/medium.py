@@ -129,104 +129,78 @@ class _LinkShadow:
 
     ``value(seq)`` is the shadowing of the sender's ``seq``-th transmission
     as heard on this link — a pure function of (link, seq), whatever order
-    or grouping the draws are requested in.  That holds because
-    ``numpy.random.Generator.normal(0, s, n)`` consumes the bit stream
-    exactly as ``n`` scalar draws would (same values, same end state), so
-    producing draws in blocks and caching the not-yet-requested ones is
-    invisible.  Requests may arrive out of order (a frame's power can be
-    first needed as *interference* long after later frames drew theirs);
-    produced-but-unclaimed draws wait in ``_pending``.
+    or grouping the draws are requested in, and however often.  The
+    stream is private to the link and ``numpy.random.Generator.normal(0,
+    s, n)`` yields exactly the values of ``n`` scalar draws, so the draws
+    for indexes ``[_base, _end)`` sit in one float64 window, extended in
+    blocks, and every reader just indexes it: requests may arrive out of
+    order (a frame's power can be first needed as *interference* long
+    after later frames drew theirs), and a draw nobody used stays there
+    for the next reader.
+
+    The window is trimmed from the front when it runs out of room, never
+    below the last :attr:`_HORIZON` indexes: a request only reaches back
+    as far as the recent-frame horizon (~450 frames per link at the
+    minimum frame length).  So it holds at most ``2 * _HORIZON`` draws
+    unless one request asks for more at once; a request below it raises.
     """
 
-    __slots__ = ("_rng", "_sigma", "_produced", "_pending")
+    __slots__ = ("_rng", "_sigma", "_draws", "_base", "_end")
 
-    #: Draws generated per RNG call; amortises numpy call overhead.
+    #: Fewest draws generated per RNG call; amortises numpy call overhead.
     _BLOCK = 32
 
-    #: Pending entries allowed before pruning.  A request can only reach
-    #: back as far as the recent-frame horizon (~450 frames per link at
-    #: the minimum frame length), so entries 4096 indexes behind the
-    #: production watermark are unreachable.
-    _PENDING_MAX = 4096
+    #: Newest indexes that stay readable whatever is trimmed.
+    _HORIZON = 4096
 
     def __init__(self, rng, sigma: float):
         self._rng = rng
         self._sigma = sigma
-        self._produced = 0
-        self._pending: dict[int, float] = {}
+        self._draws = np.empty(0)
+        self._base = 0
+        self._end = 0
 
     def value(self, seq: int) -> float:
         """The link's shadowing draw for transmission index ``seq``, in dB."""
-        pending = self._pending
-        if seq < self._produced:
-            return pending.pop(seq)
-        need = seq + 1 - self._produced
-        block = self._rng.normal(0.0, self._sigma, max(need, self._BLOCK))
-        base = self._produced
-        for offset, draw in enumerate(block):
-            pending[base + offset] = float(draw)
-        self._produced = base + len(block)
-        self._prune()
-        return pending.pop(seq)
+        if seq >= self._end:
+            self._extend(seq + 1, seq)
+        index = seq - self._base
+        if index < 0:
+            raise self._below(seq)
+        return float(self._draws[index])
 
     def take(self, seq: int, count: int) -> np.ndarray:
-        """Draws for transmission indexes ``seq .. seq+count-1``, in dB.
+        """Draws for transmission indexes ``seq .. seq+count-1``, in dB: the
+        values of ``count`` :meth:`value` calls, as a new array."""
+        if seq + count > self._end:
+            self._extend(seq + count, seq)
+        index = seq - self._base
+        if index < 0:
+            raise self._below(seq)
+        return self._draws[index:index + count].copy()
 
-        Equivalent to ``count`` in-order :meth:`value` calls -- the same
-        values, the same RNG end state and, pruning aside, the same draws
-        left pending -- but produced in one RNG call instead of one per
-        :attr:`_BLOCK`.
-        """
-        end = seq + count
-        base = self._produced
-        pending = self._pending
-        if end <= base:
-            return np.array([pending.pop(s) for s in range(seq, end)])
-        # value() produces max(need, _BLOCK) draws at the first index past
-        # the watermark, then _BLOCK more each time it reaches the new one.
-        produced = base + max(max(seq, base) + 1 - base, self._BLOCK)
-        if end > produced:
-            produced += -(-(end - produced) // self._BLOCK) * self._BLOCK
-        block = self._rng.normal(0.0, self._sigma, produced - base)
-        self._produced = produced
-        claimed = [pending.pop(s) for s in range(seq, base)]
-        if seq > base:
-            pending.update(zip(range(base, seq), block[:seq - base].tolist()))
-        pending.update(zip(range(end, produced), block[end - base:].tolist()))
-        self._prune()
-        draws = block[max(seq, base) - base:end - base]
-        return np.concatenate((np.array(claimed), draws)) if claimed else draws
+    def _extend(self, stop: int, first: int) -> None:
+        """Draw up to index ``stop - 1``.  A window out of room moves to a
+        new array (doubled, up to ``2 * _HORIZON``) that keeps index
+        ``first`` on and at least the last :attr:`_HORIZON` indexes."""
+        base, end, draws = self._base, self._end, self._draws
+        fresh = self._rng.normal(0.0, self._sigma,
+                                 max(stop - end, self._BLOCK))
+        new_end = end + len(fresh)
+        if new_end - base > len(draws):
+            keep = max(base, min(first, new_end - self._HORIZON))
+            window = np.empty(max(new_end - keep,
+                                  min(2 * len(draws), 2 * self._HORIZON)))
+            if keep < end:
+                window[:end - keep] = draws[keep - base:end - base]
+            draws, base = self._draws, self._base = window, keep
+        start = max(end, base)
+        draws[start - base:new_end - base] = fresh[start - end:]
+        self._end = new_end
 
-    def peek(self, seq: int) -> float:
-        """The draw :meth:`value` would return for ``seq``, left for it:
-        the same draws produced and left pending as a :meth:`take` of
-        ``seq`` alone given back."""
-        pending = self._pending
-        base = self._produced
-        if seq >= base:
-            block = self._rng.normal(0.0, self._sigma,
-                                     max(seq + 1 - base, self._BLOCK))
-            self._produced = base + len(block)
-            pending.update(zip(range(base, self._produced), block.tolist()))
-            draw = pending.pop(seq)
-            self._prune()
-            pending[seq] = draw
-            return draw
-        return pending[seq]
-
-    def give_back(self, seq: int, draws: np.ndarray) -> None:
-        """Return draws :meth:`take` produced for indexes ``seq..`` that
-        went unused; later requests for those indexes get them unchanged.
-        """
-        self._pending.update(zip(range(seq, seq + len(draws)),
-                                 draws.tolist()))
-
-    def _prune(self) -> None:
-        pending = self._pending
-        if len(pending) > self._PENDING_MAX:
-            cutoff = self._produced - self._PENDING_MAX
-            for key in [k for k in pending if k < cutoff]:
-                del pending[key]
+    def _below(self, seq: int) -> MediumError:
+        return MediumError(f"shadowing draw {seq} lies below the link's "
+                           f"window, which starts at {self._base}")
 
 
 class Medium:
@@ -363,7 +337,11 @@ class Medium:
         return shadow
 
     def _power_at(self, tx: _ActiveTransmission, tid: int) -> float:
-        """Received power of ``tx`` at transceiver ``tid`` (memoised)."""
+        """Received power of ``tx`` at transceiver ``tid`` (memoised).
+
+        The shadowing draw is read from the link's window by the frame's
+        transmission index, so it is the same value whether the
+        fast-forward engine read it first or nobody did."""
         power = tx.rx_power_dbm.get(tid)
         if power is None:
             _distance, _walls, mean_loss = self._path_to(tx.sender, tid)

@@ -465,27 +465,46 @@ class TestFastForwardProperties:
 
     def test_near_floor_miss_cuts_an_engagement(self, monkeypatch):
         # The near-floor attacker misses a frame now and then: the kernel
-        # must commit the cycles before the miss and hand the missed cycle
-        # to the reference path (the differential above checks the rest).
-        from repro.sim.fastforward import QuietCycleEngine
-        from repro.sim.medium import _LinkShadow
+        # must stop its row at the missed cycle, commit the cycles before
+        # it and hand the missed one to the reference path (the
+        # differential above checks the rest).
+        from repro.sim.fastforward import QuietCycleEngine, _Links
 
-        given_back: list = []
+        missed_stops: list = []
         cut_engagements: list = []
-        give_back, run = _LinkShadow.give_back, QuietCycleEngine._run
+        speculate, run = _Links.speculate, QuietCycleEngine._run
 
-        def spy_give_back(shadow, seq, draws):
-            given_back.append(len(draws))
-            give_back(shadow, seq, draws)
+        def misses(block, row, cycle):
+            """Whether the follower of ``row`` hears either frame of its
+            cycle ``cycle`` below its floor (read from the links' windows,
+            which reading leaves unchanged)."""
+            ma_shadow, sa_shadow = block.ma_shadow[row], block.sa_shadow[row]
+            if ma_shadow is None or sa_shadow is None:
+                return False
+            pa_master = block.m_tx_power[row] - (
+                block.mean_m_to_a[row]
+                + ma_shadow.value(block.m_seq[row] + cycle))
+            pa_slave = block.s_tx_power[row] - (
+                block.mean_s_to_a[row]
+                + sa_shadow.value(block.s_seq[row] + cycle))
+            return min(pa_master, pa_slave) < block.floor_a[row]
+
+        def spy_speculate(block, n, until_us):
+            speculate(block, n, until_us)
+            for row in block.lane_rows:
+                cycle = int(block.k[row])
+                if block.bailed[row] and cycle < n[row] \
+                        and misses(block, row, cycle):
+                    missed_stops.append(cycle)
 
         def spy_run(self, *args):
-            given_back.clear()
+            missed_stops.clear()
             fired = run(self, *args)
-            if fired and given_back:
+            if fired and missed_stops:
                 cut_engagements.append(fired)
             return fired
 
-        monkeypatch.setattr(_LinkShadow, "give_back", spy_give_back)
+        monkeypatch.setattr(_Links, "speculate", spy_speculate)
         monkeypatch.setattr(QuietCycleEngine, "_run", spy_run)
         result, sim = _run_follower_world("fast", NEAR_FLOOR_WORLD)
         assert result.success, "the attacker never synchronised"

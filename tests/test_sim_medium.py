@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import MediumError
 from repro.phy.path_loss import PathLossModel
 from repro.sim.medium import Medium, _LinkShadow
 from repro.sim.simulator import Simulator
@@ -381,15 +384,16 @@ class TestLinkShadow:
     def test_bulk_take_equals_scalar_values(self, first, count):
         scalar = _LinkShadow(np.random.default_rng(3), sigma=2.5)
         bulk = _LinkShadow(np.random.default_rng(3), sigma=2.5)
-        # Both links already hold produced-but-unclaimed draws past seq 2.
+        # Both links already hold draws past seq 2 that nobody has read.
         for shadow in (scalar, bulk):
             shadow.value(2)
         expected = [scalar.value(seq) for seq in range(first, first + count)]
         assert bulk.take(first, count).tolist() == expected
-        assert bulk._produced == scalar._produced
-        assert bulk._pending == scalar._pending
-        assert bulk._rng.bit_generator.state == \
-            scalar._rng.bit_generator.state
+        # The stream is private to the link: only its values show, and the
+        # ones past the bulk read are the scalar reader's too.
+        after = range(first + count, first + count + 100)
+        assert [bulk.value(seq) for seq in after] == \
+            [scalar.value(seq) for seq in after]
 
     def test_scalar_requests_after_bulk_take_return_same_draws(self):
         reference = _LinkShadow(np.random.default_rng(9), sigma=2.0)
@@ -401,28 +405,71 @@ class TestLinkShadow:
         for seq in (899, 3, 700, 15, 620, 11, 650):
             assert shadow.value(seq) == expected[seq]
 
-    def test_pruning_keeps_the_recent_horizon(self):
-        # A receiver that hears one frame in seven leaves unclaimed draws
-        # behind, so pruning runs.  It only drops what lies _PENDING_MAX
-        # behind the watermark: after a bulk read, every unclaimed draw
-        # within the recent-frame horizon of the newest frame stays
-        # claimable.
-        horizon = 450  # most frames one link sends in RECENT_HORIZON_US
-        limit = _LinkShadow._PENDING_MAX
-        reference = _LinkShadow(np.random.default_rng(5), sigma=2.0)
-        expected = [reference.value(seq) for seq in range(3 * limit)]
+    def test_every_index_within_the_horizon_stays_readable(self):
+        # A receiver that hears one frame in seven, then a bulk read and a
+        # far jump ahead: the window is trimmed, but never within the last
+        # _HORIZON indexes, and never past its bound.
+        horizon = _LinkShadow._HORIZON
+        expected = np.random.default_rng(5).normal(0.0, 2.0, 12 * horizon)
         shadow = _LinkShadow(np.random.default_rng(5), sigma=2.0)
-        for seq in range(0, 2 * limit, 7):
+        for seq in range(0, 2 * horizon, 7):
             assert shadow.value(seq) == expected[seq]
-        first, count = 2 * limit, 300
+        first, count = 2 * horizon, 300
         assert shadow.take(first, count).tolist() == \
-            expected[first:first + count]
-        assert 1 not in shadow._pending  # pruned
-        assert len(shadow._pending) <= limit
-        newest = first + count - 1
-        for seq in range(newest - horizon, first):
-            if seq % 7:
+            expected[first:first + count].tolist()
+        for newest in (first + count - 1, 10 * horizon):
+            assert shadow.value(newest) == expected[newest]
+            assert len(shadow._draws) <= 2 * horizon
+            for seq in range(newest - horizon + 1, newest + 1):
                 assert shadow.value(seq) == expected[seq]
+
+    def test_a_request_below_the_window_raises(self):
+        horizon = _LinkShadow._HORIZON
+        expected = np.random.default_rng(5).normal(0.0, 2.0, 3 * horizon + 1)
+        shadow = _LinkShadow(np.random.default_rng(5), sigma=2.0)
+        shadow.value(3 * horizon)
+        base = shadow._base
+        assert 0 < base <= 2 * horizon + 1  # the last _HORIZON stay
+        assert shadow.value(base) == expected[base]
+        # Index -1 of the window would read its newest draw: it must raise.
+        for read in (lambda: shadow.value(base - 1),
+                     lambda: shadow.take(base - 1, 2),
+                     lambda: shadow.value(0)):
+            with pytest.raises(MediumError, match="below the link's window"):
+                read()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           reads=st.lists(st.tuples(
+               st.booleans(), st.integers(0, 3000),
+               st.integers(0, _LinkShadow._HORIZON - 2 * _LinkShadow._BLOCK),
+               st.integers(1, _LinkShadow._BLOCK)), max_size=30))
+    def test_interleaved_reads_equal_one_stream(self, seed, reads):
+        # value/take in any interleaving, each reaching back at most the
+        # horizon from the newest index read so far, read the one stream
+        # a single array draw gives.
+        requests, newest = [], 0
+        for bulk, jump, back, count in reads:
+            newest += jump
+            seq = max(0, newest - back)
+            count = count if bulk else 1
+            requests.append((bulk, seq, count))
+            newest = max(newest, seq + count - 1)
+        stream = np.random.default_rng(seed).normal(0.0, 1.5, newest + 1)
+        shadow = _LinkShadow(np.random.default_rng(seed), sigma=1.5)
+        for bulk, seq, count in requests:
+            if bulk:
+                assert shadow.take(seq, count).tolist() == \
+                    stream[seq:seq + count].tolist()
+            else:
+                assert shadow.value(seq) == stream[seq]
+
+    def test_writing_into_a_take_leaves_the_link_unchanged(self):
+        shadow = _LinkShadow(np.random.default_rng(11), sigma=2.0)
+        before = [shadow.value(seq) for seq in range(40)]
+        draws = shadow.take(0, 40)
+        draws[:] = 500.0
+        assert [shadow.value(seq) for seq in range(40)] == before
 
 
 class TestTap:

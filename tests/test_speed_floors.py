@@ -137,6 +137,20 @@ def test_fast_engine_2x_on_a_continued_busy_dense_world():
         "world")
 
 
+def test_busy_dense_world_keeps_each_links_draws_in_its_window():
+    """A memory guard, not a timing: after the continued busy dense world
+    no link's shadowing window holds more than its bound of draws, however
+    far a listener fell behind its sender."""
+    from repro.sim.medium import _LinkShadow
+
+    _, sim = run_dense_trial_world(BUSY_DENSE_TRIAL)
+    sim.run(until_us=sim.now + DENSE_CONTINUE_US)
+    shadows = sim.fast_forward.medium._link_shadows.values()
+    assert shadows
+    bound = 2 * _LinkShadow._HORIZON
+    assert max(len(shadow._draws) for shadow in shadows) <= bound
+
+
 @needs_cores
 def test_four_jobs_3x_serial(monkeypatch):
     monkeypatch.setenv(fastforward.ENGINE_ENV_VAR,
