@@ -1987,11 +1987,7 @@ class QuietCycleEngine(QuietAudit):
                 receivers.append(block.a_radio[row])
             wanted = _Wanted(block.phys[row])
             for receiver in sorted(receivers, key=attrgetter("medium_id")):
-                # (The kernel has taken the follower's draws already.)
-                power = self._peek_power(sender, seq, receiver) \
-                    if receiver is receivers[0] else float(
-                        (block.pa_master if slot == 0
-                         else block.pa_slave)[row][cycle])
+                power = self._peek_power(sender, seq, receiver)
                 overlaps = [Overlap(
                     start_us=max(start, float(fs[x])),
                     end_us=min(end, float(fe[x])),
